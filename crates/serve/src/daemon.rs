@@ -19,8 +19,8 @@
 //!
 //! ## Durability
 //!
-//! Submissions are journaled to `queue.jsonl` (fsync per event) before
-//! they are acknowledged; per-campaign trial progress lives in each
+//! Submissions are journaled to `queue.jsonl` (one fsync per request)
+//! before they are acknowledged; per-campaign trial progress lives in each
 //! campaign's own store directory under `campaigns/<id>/`. Restart
 //! recovery is therefore two-layer: the queue log says *which* campaigns
 //! are still owed, and each campaign's journal replays *how far* it got
@@ -51,15 +51,16 @@ use fastfit_store::{
 use simmpi::arena::ArenaPool;
 use simmpi::sched::Engine;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Scheduler poll cadence (admission retry, accept-loop poll).
-const SCHED_POLL: Duration = Duration::from_millis(50);
+/// Back-off after a failed `accept` (descriptor exhaustion persists
+/// until a handler exits). Shutdown cuts it short.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -170,6 +171,8 @@ pub(crate) struct SchedState {
     next_seq: u64,
     scenarios: Vec<ScenarioEntry>,
     next_scenario_seq: u64,
+    /// Runner threads still alive (shutdown waits for zero).
+    runners: usize,
 }
 
 /// Monotone service counters behind `GET /metrics`.
@@ -189,12 +192,19 @@ pub struct Daemon {
     pub(crate) cfg: ServeConfig,
     started: Instant,
     state: Mutex<SchedState>,
+    /// Paired with `state`: the scheduler parks here until a submission,
+    /// a freed slot, a new lease deadline or shutdown; `shutdown()` waits
+    /// here for the last runner.
+    sched_cv: Condvar,
     /// The durable queue log. Its own lock (not part of the scheduler
     /// state) so fleet handlers can journal lease events without
-    /// touching the scheduler; lock order is always state/fleet → log.
+    /// touching the scheduler; lock order is always state → fleet → log.
     pub(crate) log: Mutex<QueueLog>,
     /// Fleet-mode worker registry, lease table and range pools.
     pub(crate) fleet: Mutex<FleetState>,
+    /// Paired with `fleet`: fleet runners wait here for coverage, held
+    /// `/fleet/lease` requests for a grantable range.
+    pub(crate) fleet_cv: Condvar,
     /// Shared worker pools, keyed by rank count.
     pools: Mutex<HashMap<usize, Arc<ArenaPool>>>,
     /// Golden-run cost model for scenario `max_cost` filtering (profile
@@ -202,11 +212,23 @@ pub struct Daemon {
     cost: GoldenCostModel,
     pub(crate) metrics: Metrics,
     shutdown: AtomicBool,
-    /// Runner threads still alive (shutdown waits for zero).
-    runners: AtomicU64,
 }
 
 impl Daemon {
+    /// Wake the scheduler for a change made outside the `state` lock.
+    /// Passing through the lock orders the change before the scheduler's
+    /// next check, so the wakeup cannot fall between check and park.
+    pub(crate) fn wake_scheduler(&self) {
+        drop(self.state.lock().expect("scheduler lock poisoned"));
+        self.sched_cv.notify_all();
+    }
+
+    /// The same for waiters on the fleet condvar (cancel, shutdown).
+    fn wake_fleet(&self) {
+        drop(self.fleet.lock().expect("fleet lock poisoned"));
+        self.fleet_cv.notify_all();
+    }
+
     fn campaigns_dir(&self) -> PathBuf {
         self.cfg.root.join("campaigns")
     }
@@ -320,6 +342,7 @@ impl Daemon {
             cancel_requested: false,
         });
         drop(st);
+        self.sched_cv.notify_all();
         self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
         (201, Json::obj([("id", Json::Str(id))]))
     }
@@ -382,22 +405,19 @@ impl Daemon {
         let mut st = self.state.lock().expect("scheduler lock poisoned");
         let sid = format!("s{:04}", st.next_scenario_seq);
         let mut ids = Vec::new();
-        for s in kept {
+        let mut events = Vec::new();
+        let mut entries = Vec::new();
+        for (seq, s) in (st.next_seq..).zip(kept) {
             let spec = CampaignSpec::from_json(&s.to_spec_json())
                 .expect("scenario validated above lowers cleanly");
-            let seq = st.next_seq;
             let id = format!("c{seq:04}");
-            let event = QueueEvent::Submitted {
+            events.push(QueueEvent::Submitted {
                 id: id.clone(),
                 seq,
                 spec: spec.clone(),
-            };
-            if let Err(e) = self.append_event(&event) {
-                return (500, err_json(&format!("queue journal write failed: {e}")));
-            }
-            st.next_seq = seq + 1;
+            });
             let ranks = spec.ranks.unwrap_or_else(crate::workload::default_ranks);
-            st.entries.push(Entry {
+            entries.push(Entry {
                 id: id.clone(),
                 spec,
                 ranks,
@@ -405,17 +425,25 @@ impl Daemon {
                 cancel: CancelToken::new(),
                 cancel_requested: false,
             });
-            self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
             ids.push(id);
         }
-        let event = QueueEvent::Scenario {
+        events.push(QueueEvent::Scenario {
             id: sid.clone(),
             name: grammar.template.name.clone(),
             campaigns: ids.clone(),
-        };
-        if let Err(e) = self.append_event(&event) {
+        });
+        // The whole batch in one write and one fsync: nothing of it is
+        // visible to the scheduler unless all of it is durable.
+        let appended = self
+            .log
+            .lock()
+            .expect("queue log lock poisoned")
+            .append_all(&events);
+        if let Err(e) = appended {
             return (500, err_json(&format!("queue journal write failed: {e}")));
         }
+        st.next_seq += entries.len() as u64;
+        st.entries.extend(entries);
         st.next_scenario_seq += 1;
         st.scenarios.push(ScenarioEntry {
             id: sid.clone(),
@@ -423,6 +451,10 @@ impl Daemon {
             campaigns: ids.clone(),
         });
         drop(st);
+        self.sched_cv.notify_all();
+        self.metrics
+            .accepted
+            .fetch_add(ids.len() as u64, Ordering::Relaxed);
         (
             201,
             Json::obj([
@@ -597,6 +629,9 @@ impl Daemon {
             EntryState::Running => {
                 entry.cancel_requested = true;
                 entry.cancel.cancel();
+                drop(st);
+                // A fleet runner waits for coverage, not on the token.
+                self.wake_fleet();
                 (202, Json::obj([("state", Json::Str("cancelling".into()))]))
             }
             _ => (
@@ -667,13 +702,10 @@ impl Daemon {
         text
     }
 
-    /// One admission decision: pick the first queued campaign that fits
-    /// the budget. Returns its id, token and spec for the runner.
-    fn admit(&self) -> Option<(String, CampaignSpec, CancelToken)> {
-        if self.is_shutting_down() {
-            return None;
-        }
-        let mut st = self.state.lock().expect("scheduler lock poisoned");
+    /// One admission decision, under the scheduler's own hold of the
+    /// `state` lock: pick the first queued campaign that fits the budget
+    /// and count its runner. Returns its id, token and spec.
+    fn admit(&self, st: &mut SchedState) -> Option<(String, CampaignSpec, CancelToken)> {
         let running: Vec<usize> = st
             .entries
             .iter()
@@ -691,6 +723,7 @@ impl Daemon {
                 // must not starve — it just runs alone).
                 && (occupancy + self.carrier_cost(e.ranks) <= budget || occupancy == 0)
         })?;
+        st.runners += 1;
         let entry = &mut st.entries[idx];
         entry.state = EntryState::Running;
         Some((entry.id.clone(), entry.spec.clone(), entry.cancel.clone()))
@@ -704,10 +737,11 @@ impl Daemon {
             .append(event)
     }
 
-    /// Record a runner's terminal transition (and journal it when the
-    /// queue log owes one).
+    /// Record a runner's terminal transition: journal it when the queue
+    /// log owes one, then make it visible and release the runner's slot.
+    /// Durable before visible, and the fsync happens outside the `state`
+    /// lock so status and listing requests never wait on the disk.
     pub(crate) fn finish(&self, id: &str, state: EntryState) {
-        let mut st = self.state.lock().expect("scheduler lock poisoned");
         let event = match &state {
             EntryState::Done => {
                 self.metrics.done.fetch_add(1, Ordering::Relaxed);
@@ -733,9 +767,13 @@ impl Daemon {
                 eprintln!("fastfit-served: queue journal write failed: {e}");
             }
         }
+        let mut st = self.state.lock().expect("scheduler lock poisoned");
         if let Some(entry) = st.entries.iter_mut().find(|e| e.id == id) {
             entry.state = state;
         }
+        st.runners -= 1;
+        drop(st);
+        self.sched_cv.notify_all();
     }
 
     /// Run one campaign to a terminal state. Everything that can fail
@@ -1034,11 +1072,25 @@ impl DaemonHandle {
     /// campaigns are cancelled (checkpointing as `interrupted`), the
     /// accept and scheduler loops wind down.
     pub fn request_shutdown(&self) {
-        self.daemon.shutdown.store(true, Ordering::SeqCst);
-        let st = self.daemon.state.lock().expect("scheduler lock poisoned");
+        let d = &self.daemon;
+        d.shutdown.store(true, Ordering::SeqCst);
+        let st = d.state.lock().expect("scheduler lock poisoned");
         for e in st.entries.iter().filter(|e| e.state == EntryState::Running) {
             e.cancel.cancel();
         }
+        drop(st);
+        d.sched_cv.notify_all();
+        d.wake_fleet();
+        // The accept loop blocks in `accept`; a throwaway connection is
+        // the event that makes it look at the flag.
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
     }
 
     /// Request shutdown and wait for every thread (including campaign
@@ -1051,9 +1103,12 @@ impl DaemonHandle {
         if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
-        while self.daemon.runners.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(SCHED_POLL);
-        }
+        let st = self.daemon.state.lock().expect("scheduler lock poisoned");
+        let _st = self
+            .daemon
+            .sched_cv
+            .wait_while(st, |st| st.runners > 0)
+            .expect("scheduler lock poisoned");
     }
 }
 
@@ -1127,7 +1182,6 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
     );
     let log = QueueLog::open(&cfg.root)?;
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let daemon = Arc::new(Daemon {
         cfg,
@@ -1137,9 +1191,12 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
             next_seq,
             scenarios,
             next_scenario_seq,
+            runners: 0,
         }),
+        sched_cv: Condvar::new(),
         log: Mutex::new(log),
         fleet: Mutex::new(fleet),
+        fleet_cv: Condvar::new(),
         pools: Mutex::new(HashMap::new()),
         cost: GoldenCostModel::new(),
         metrics: Metrics {
@@ -1150,7 +1207,6 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
             trials_fresh: AtomicU64::new(0),
         },
         shutdown: AtomicBool::new(false),
-        runners: AtomicU64::new(0),
     });
     if recovered > 0 {
         eprintln!("fastfit-served: recovered {recovered} unfinished campaign(s) from the queue");
@@ -1182,16 +1238,16 @@ fn set_state(entries: &mut [Entry], id: &str, state: EntryState) {
 
 fn accept_loop(listener: TcpListener, daemon: Arc<Daemon>) {
     loop {
+        let accepted = listener.accept();
         if daemon.is_shutting_down() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((mut stream, _)) => {
                 let d = daemon.clone();
                 let _ = std::thread::Builder::new()
                     .name("fastfit-http".into())
                     .spawn(move || {
-                        let _ = stream.set_nonblocking(false);
                         match read_request_limited(&mut stream, &HttpLimits::default()) {
                             Ok(req) => handle(&d, &req, &mut stream),
                             Err(e) => {
@@ -1206,57 +1262,74 @@ fn accept_loop(listener: TcpListener, daemon: Arc<Daemon>) {
                         }
                     });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(SCHED_POLL);
-            }
             Err(e) => {
                 eprintln!("fastfit-served: accept failed: {e}");
-                std::thread::sleep(SCHED_POLL);
+                let st = daemon.state.lock().expect("scheduler lock poisoned");
+                let _ = daemon
+                    .sched_cv
+                    .wait_timeout_while(st, ACCEPT_BACKOFF, |_| !daemon.is_shutting_down());
             }
         }
     }
 }
 
+/// The scheduler: admit what fits, spawn its runner, and otherwise park
+/// on `sched_cv` until something that could change the answer happens.
+/// Admission is decided under the `state` lock the wait releases, so a
+/// submission or a freed slot between the two cannot be missed. In fleet
+/// mode the park ends at the reaper's next deadline at the latest.
 fn scheduler_loop(daemon: Arc<Daemon>) {
+    let mut st = daemon.state.lock().expect("scheduler lock poisoned");
     loop {
         if daemon.is_shutting_down() {
             return;
         }
-        // The heartbeat reaper rides the scheduler tick: expired leases
-        // go back to pending with exponential backoff.
-        daemon.reap_leases();
-        match daemon.admit() {
-            Some((id, spec, token)) => {
-                daemon.runners.fetch_add(1, Ordering::SeqCst);
-                let d = daemon.clone();
-                let run_id = id.clone();
-                let spawned = std::thread::Builder::new()
-                    .name(format!("fastfit-run-{id}"))
-                    .spawn(move || {
-                        let id = run_id;
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if d.cfg.fleet {
-                                    d.run_campaign_fleet(&id, &spec, token)
-                                } else {
-                                    d.run_campaign(&id, &spec, token)
-                                }
-                            }));
-                        let state = match outcome {
-                            Ok(Ok(state)) => state,
-                            Ok(Err(RunError::Fatal(e))) => EntryState::Failed(e),
-                            Err(panic) => EntryState::Failed(panic_text(&panic)),
-                        };
-                        d.finish(&id, state);
-                        d.runners.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    daemon.runners.fetch_sub(1, Ordering::SeqCst);
-                    daemon.finish(&id, EntryState::Failed("cannot spawn runner".into()));
-                }
-            }
-            None => std::thread::sleep(SCHED_POLL),
+        if let Some((id, spec, token)) = daemon.admit(&mut st) {
+            drop(st);
+            spawn_runner(&daemon, id, spec, token);
+            st = daemon.state.lock().expect("scheduler lock poisoned");
+            continue;
         }
+        // Expired leases go back to pending with exponential backoff.
+        // Reaping under the `state` lock (order state → fleet) is what
+        // lets a lease granted right after it wake this very wait.
+        st = match daemon.reap_leases() {
+            None => daemon.sched_cv.wait(st).expect("scheduler lock poisoned"),
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                let (st, _) = daemon
+                    .sched_cv
+                    .wait_timeout(st, left)
+                    .expect("scheduler lock poisoned");
+                st
+            }
+        };
+    }
+}
+
+fn spawn_runner(daemon: &Arc<Daemon>, id: String, spec: CampaignSpec, token: CancelToken) {
+    let d = daemon.clone();
+    let run_id = id.clone();
+    let spawned = std::thread::Builder::new()
+        .name(format!("fastfit-run-{id}"))
+        .spawn(move || {
+            let id = run_id;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if d.cfg.fleet {
+                    d.run_campaign_fleet(&id, &spec, token)
+                } else {
+                    d.run_campaign(&id, &spec, token)
+                }
+            }));
+            let state = match outcome {
+                Ok(Ok(state)) => state,
+                Ok(Err(RunError::Fatal(e))) => EntryState::Failed(e),
+                Err(panic) => EntryState::Failed(panic_text(&panic)),
+            };
+            d.finish(&id, state);
+        });
+    if spawned.is_err() {
+        daemon.finish(&id, EntryState::Failed("cannot spawn runner".into()));
     }
 }
 

@@ -47,12 +47,9 @@ use fastfit_store::{
     campaign_meta, load_segments, merge_segments, write_segment, CampaignMeta, Record, TrialRecord,
 };
 
-/// Poll interval of the fleet runner thread while it waits for workers
-/// to cover the trial space.
-const FLEET_POLL: Duration = Duration::from_millis(50);
-
-/// Wait the coordinator suggests to an idle worker when no range is
-/// pending.
+/// How long `/fleet/lease` is held open while no range is grantable.
+/// A worker's stop flag is looked at between polls, so this also bounds
+/// how long a stopping worker lingers.
 const IDLE_RETRY_MS: u64 = 200;
 
 /// Re-lease backoff: base doubles per failed attempt on the same range,
@@ -333,24 +330,40 @@ impl Daemon {
             // root). It re-registers and retries.
             return (410, err_json("unknown worker; re-register"));
         }
-        let now = Instant::now();
-        let slot = fl.pools.iter().enumerate().find_map(|(pi, p)| {
-            if p.failed.is_some() {
-                return None;
+        // Long poll: with nothing grantable the request parks on the
+        // fleet condvar, so a worker learns of a new pool or a re-leased
+        // range when it appears. The hold is bounded; an empty answer
+        // tells the worker to ask again at once, except during shutdown,
+        // when asking again would only spin.
+        let held_until = Instant::now() + Duration::from_millis(IDLE_RETRY_MS);
+        let (pi, ri, now) = loop {
+            let now = Instant::now();
+            let slot = fl.pools.iter().enumerate().find_map(|(pi, p)| {
+                if p.failed.is_some() {
+                    return None;
+                }
+                p.pending
+                    .iter()
+                    .position(|r| r.eligible_at <= now)
+                    .map(|ri| (pi, ri))
+            });
+            if let Some((pi, ri)) = slot {
+                break (pi, ri, now);
             }
-            p.pending
-                .iter()
-                .position(|r| r.eligible_at <= now)
-                .map(|ri| (pi, ri))
-        });
-        let Some((pi, ri)) = slot else {
-            return (
-                200,
-                Json::obj([
-                    ("lease", Json::Null),
-                    ("retry_ms", Json::U64(IDLE_RETRY_MS)),
-                ]),
-            );
+            let left = held_until.saturating_duration_since(now);
+            let stopping = self.is_shutting_down();
+            if stopping || left.is_zero() {
+                let retry_ms = if stopping { IDLE_RETRY_MS } else { 0 };
+                return (
+                    200,
+                    Json::obj([("lease", Json::Null), ("retry_ms", Json::U64(retry_ms))]),
+                );
+            }
+            fl = self
+                .fleet_cv
+                .wait_timeout(fl, left)
+                .expect("fleet lock poisoned")
+                .0;
         };
         let id = format!("l{:04}", fl.next_lseq);
         let (start, end, attempt) = {
@@ -386,21 +399,22 @@ impl Daemon {
             attempt,
         });
         let pool = &fl.pools[pi];
-        (
-            200,
-            Json::obj([(
-                "lease",
-                Json::obj([
-                    ("id", Json::Str(id)),
-                    ("campaign", Json::Str(campaign)),
-                    ("sha", Json::Str(pool.campaign_sha.clone())),
-                    ("spec", pool.spec.clone()),
-                    ("start", Json::U64(start)),
-                    ("len", Json::U64(end - start)),
-                    ("ttl_ms", Json::U64(ttl.as_millis() as u64)),
-                ]),
-            )]),
-        )
+        let grant = Json::obj([(
+            "lease",
+            Json::obj([
+                ("id", Json::Str(id)),
+                ("campaign", Json::Str(campaign)),
+                ("sha", Json::Str(pool.campaign_sha.clone())),
+                ("spec", pool.spec.clone()),
+                ("start", Json::U64(start)),
+                ("len", Json::U64(end - start)),
+                ("ttl_ms", Json::U64(ttl.as_millis() as u64)),
+            ]),
+        )]);
+        drop(fl);
+        // The reaper has a new deadline to sleep until.
+        self.wake_scheduler();
+        (200, grant)
     }
 
     /// `POST /fleet/heartbeat` — renew a lease's deadline.
@@ -476,6 +490,7 @@ impl Daemon {
             if let Some(pool) = fl.pool_mut(&l.campaign) {
                 pool.failed = Some(msg);
             }
+            self.fleet_cv.notify_all();
             return (200, Json::obj([("ok", Json::Bool(true))]));
         }
         let Some(items) = v.get("records").and_then(Json::as_arr) else {
@@ -520,6 +535,9 @@ impl Daemon {
         fl.leases.remove(pos);
         if let Some(pool) = fl.pool_mut(&campaign) {
             pool.covered.push((start, end));
+            if covers(&pool.covered, pool.total) {
+                self.fleet_cv.notify_all();
+            }
         }
         self.metrics
             .trials_fresh
@@ -625,13 +643,17 @@ impl Daemon {
     }
 
     /// Expire leases whose heartbeat deadline passed; their exact ranges
-    /// go back to pending with exponential backoff. Runs on the
-    /// scheduler tick. Leases of campaigns without a registered pool —
-    /// restored from the log before their campaign was re-admitted — are
-    /// left alone: their clock starts when the pool registers.
-    pub(crate) fn reap_leases(&self) {
+    /// go back to pending with exponential backoff. Runs whenever the
+    /// scheduler wakes, and returns the next instant it has work — the
+    /// earliest heartbeat deadline or backoff expiry — for the scheduler
+    /// to sleep until (`None`: nothing is timed). Held `/fleet/lease`
+    /// requests are woken when a range is grantable. Leases of campaigns
+    /// without a registered pool — restored from the log before their
+    /// campaign was re-admitted — are left alone: their clock starts when
+    /// the pool registers.
+    pub(crate) fn reap_leases(&self) -> Option<Instant> {
         if !self.cfg.fleet {
-            return;
+            return None;
         }
         let mut fl = self.fleet.lock().expect("fleet lock poisoned");
         let now = Instant::now();
@@ -658,6 +680,29 @@ impl Daemon {
                 i += 1;
             }
         }
+        let mut next = fl
+            .leases
+            .iter()
+            .filter(|l| fl.pools.iter().any(|p| p.campaign == l.campaign))
+            .map(|l| l.deadline)
+            .min();
+        let mut grantable = false;
+        for r in fl
+            .pools
+            .iter()
+            .filter(|p| p.failed.is_none())
+            .flat_map(|p| &p.pending)
+        {
+            if r.eligible_at <= now {
+                grantable = true;
+            } else {
+                next = Some(next.map_or(r.eligible_at, |n| n.min(r.eligible_at)));
+            }
+        }
+        if grantable {
+            self.fleet_cv.notify_all();
+        }
+        next
     }
 
     /// Open a campaign's range pool for leasing. Pending ranges are the
@@ -696,6 +741,10 @@ impl Daemon {
             covered,
             failed: None,
         });
+        drop(fl);
+        self.fleet_cv.notify_all();
+        // Restored leases just got their deadlines.
+        self.wake_scheduler();
     }
 
     /// Drop a campaign's pool and any still-active leases on it (their
@@ -738,13 +787,13 @@ impl Daemon {
         let total = campaign.trial_count();
         self.fleet_open_pool(id, spec, &meta, total, &dir);
 
-        enum Poll {
-            Covered,
-            Failed(String),
-            Waiting,
-        }
-        loop {
+        // Wait for coverage on the fleet condvar: `fleet_complete` wakes
+        // it when the last range lands or a worker reports failure,
+        // cancel and shutdown wake it to look at the token.
+        let mut fl = self.fleet.lock().expect("fleet lock poisoned");
+        let failed = loop {
             if token.is_cancelled() {
+                drop(fl);
                 self.fleet_close_pool(id);
                 return if self.is_shutting_down() {
                     Ok(EntryState::Interrupted)
@@ -752,31 +801,26 @@ impl Daemon {
                     Ok(EntryState::Cancelled)
                 };
             }
-            let st = {
-                let fl = self.fleet.lock().expect("fleet lock poisoned");
-                match fl.pools.iter().find(|p| p.campaign == id) {
-                    Some(p) => match &p.failed {
-                        Some(e) => Poll::Failed(e.clone()),
-                        None if covers(&p.covered, total) => Poll::Covered,
-                        None => Poll::Waiting,
-                    },
-                    None => Poll::Failed("range pool vanished".to_string()),
-                }
-            };
-            match st {
-                Poll::Covered => break,
-                Poll::Failed(e) => {
-                    self.fleet_close_pool(id);
-                    return Err(RunError::Fatal(e));
-                }
-                Poll::Waiting => std::thread::sleep(FLEET_POLL),
+            match fl.pools.iter().find(|p| p.campaign == id) {
+                Some(p) => match &p.failed {
+                    Some(e) => break Some(e.clone()),
+                    None if covers(&p.covered, total) => break None,
+                    None => {}
+                },
+                None => break Some("range pool vanished".to_string()),
             }
-        }
-        // Coverage is complete: stop leasing (stray duplicate leases die
-        // with the pool) and fold the segments into the canonical
-        // journal. The merge is atomic and idempotent — a kill -9 here
-        // re-merges to the same bytes on restart.
+            fl = self.fleet_cv.wait(fl).expect("fleet lock poisoned");
+        };
+        drop(fl);
+        // Coverage is complete or a worker failed: stop leasing (stray
+        // duplicate leases die with the pool).
         self.fleet_close_pool(id);
+        if let Some(e) = failed {
+            return Err(RunError::Fatal(e));
+        }
+        // Fold the segments into the canonical journal. The merge is
+        // atomic and idempotent — a kill -9 here re-merges to the same
+        // bytes on restart.
         let segments = load_segments(&dir, id);
         merge_segments(&dir, &meta, &segments).map_err(store_err)?;
         let contents =

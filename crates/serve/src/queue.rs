@@ -282,8 +282,20 @@ impl QueueLog {
     /// Append one event durably (write + fsync before returning, so an
     /// acknowledged submission survives `kill -9`).
     pub fn append(&mut self, event: &QueueEvent) -> io::Result<()> {
-        self.file.write_all(event.encode().as_bytes())?;
-        self.file.write_all(b"\n")?;
+        self.append_all(std::slice::from_ref(event))
+    }
+
+    /// Append a batch durably: the same lines [`QueueLog::append`] would
+    /// write one by one, in one write and one fsync. A crash mid-write
+    /// leaves a prefix of whole lines plus at most one torn tail, which
+    /// [`read_queue`] drops.
+    pub fn append_all(&mut self, events: &[QueueEvent]) -> io::Result<()> {
+        let mut buf = String::new();
+        for event in events {
+            buf.push_str(&event.encode());
+            buf.push('\n');
+        }
+        self.file.write_all(buf.as_bytes())?;
         self.file.sync_data()
     }
 }
@@ -586,6 +598,32 @@ mod tests {
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].0, "c0003");
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn batch_append_writes_the_bytes_of_single_appends() {
+        let events = [
+            submit("c0001", 1),
+            submit("c0002", 2),
+            QueueEvent::Scenario {
+                id: "s0001".into(),
+                name: "sweep".into(),
+                campaigns: vec!["c0001".into(), "c0002".into()],
+            },
+        ];
+        let (one, all) = (tmp_root("batch-one"), tmp_root("batch-all"));
+        let mut log = QueueLog::open(&one).unwrap();
+        for ev in &events {
+            log.append(ev).unwrap();
+        }
+        QueueLog::open(&all).unwrap().append_all(&events).unwrap();
+        assert_eq!(
+            std::fs::read(all.join(QUEUE_FILE)).unwrap(),
+            std::fs::read(one.join(QUEUE_FILE)).unwrap()
+        );
+        assert_eq!(read_queue(&all).unwrap(), events);
+        std::fs::remove_dir_all(&one).unwrap();
+        std::fs::remove_dir_all(&all).unwrap();
     }
 
     #[test]

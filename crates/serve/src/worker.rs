@@ -19,8 +19,8 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::http::http_request_retry;
@@ -44,8 +44,8 @@ pub struct WorkerConfig {
     /// behind it spans a few seconds — enough to ride out a coordinator
     /// restart.
     pub attempts: u32,
-    /// Wait between lease polls when the coordinator has nothing to
-    /// hand out (the coordinator's `retry_ms` hint overrides it).
+    /// Wait before the next lease poll when the coordinator is
+    /// unreachable, or answers an empty poll without a `retry_ms` hint.
     pub idle_wait: Duration,
     /// Rank scheduler leased trials run on. Journal bytes are
     /// engine-invariant, so a fleet may mix coop and threaded workers
@@ -200,12 +200,17 @@ pub fn run_worker(cfg: &WorkerConfig, stop: &(dyn Fn() -> bool + Sync)) -> io::R
             .map_err(|e| io::Error::other(format!("unreadable lease response: {e}")))?;
         let grant = match v.get("lease") {
             Some(Json::Null) | None => {
+                // The coordinator holds an idle poll open itself and
+                // answers `retry_ms: 0`; only one that wants a pause
+                // (an older one, or one shutting down) names a wait.
                 let wait = v
                     .get("retry_ms")
                     .and_then(Json::as_u64)
                     .map(Duration::from_millis)
                     .unwrap_or(cfg.idle_wait);
-                std::thread::sleep(wait);
+                if !wait.is_zero() {
+                    std::thread::sleep(wait);
+                }
                 continue;
             }
             Some(lease) => match decode_grant(lease) {
@@ -250,42 +255,33 @@ pub fn run_worker(cfg: &WorkerConfig, stop: &(dyn Fn() -> bool + Sync)) -> io::R
         }
         let campaign = campaigns.get(&grant.campaign).expect("cached campaign");
 
-        // Heartbeat from a side thread at a third of the TTL. A
-        // heartbeat answered with `ok:false` means the lease expired
-        // under us — cancel the measurement loop and drop the records.
-        let done = Arc::new(AtomicBool::new(false));
-        let lost = Arc::new(AtomicBool::new(false));
+        // Heartbeat from a side thread at a third of the TTL, until the
+        // sender side of `lease_over` is dropped. A heartbeat answered
+        // with `ok:false` means the lease expired under us — cancel the
+        // measurement loop and drop the records.
+        let (lease_running, lease_over) = mpsc::channel::<()>();
         let heartbeat = {
             let cfg = cfg.clone();
             let worker = worker_id.clone();
             let lease = grant.id.clone();
-            let done = done.clone();
-            let lost = lost.clone();
             let token = campaign.cancel_token();
             let interval = (grant.ttl / 3).max(Duration::from_millis(50));
             std::thread::spawn(move || {
                 let body = Json::obj([("worker", Json::Str(worker)), ("lease", Json::Str(lease))])
                     .encode();
-                loop {
-                    let deadline = std::time::Instant::now() + interval;
-                    while std::time::Instant::now() < deadline {
-                        if done.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
+                while lease_over.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
                     if let Ok(r) = post_retry(&cfg, "/fleet/heartbeat", &body) {
                         let ok = Json::parse(&r.body)
                             .ok()
                             .and_then(|v| v.get("ok").and_then(Json::as_bool))
                             .unwrap_or(false);
                         if !ok {
-                            lost.store(true, Ordering::SeqCst);
                             token.cancel();
-                            return;
+                            return true;
                         }
                     }
                 }
+                false
             })
         };
 
@@ -295,10 +291,10 @@ pub fn run_worker(cfg: &WorkerConfig, stop: &(dyn Fn() -> bool + Sync)) -> io::R
         };
         let finished =
             campaign.run_trial_range_observed(grant.start, grant.start + grant.len, &collector);
-        done.store(true, Ordering::SeqCst);
-        let _ = heartbeat.join();
+        drop(lease_running);
+        let lost = heartbeat.join().unwrap_or(false);
 
-        if lost.load(Ordering::SeqCst) || !finished {
+        if lost || !finished {
             // Lease expired (or we are stopping): un-poison the cached
             // campaign's token and throw the partial records away — the
             // coordinator already re-leased the range.

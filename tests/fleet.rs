@@ -194,6 +194,55 @@ fn fleet_campaign_merges_byte_identical_to_single_host() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// Both workers are parked inside a held `/fleet/lease` when the
+/// campaign arrives: opening its pool must wake them, and the runner —
+/// which waits for coverage with no timeout to fall back on — must be
+/// woken by the upload that completes it.
+#[test]
+fn campaign_submitted_to_parked_workers_completes() {
+    let (done, finished) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        let root = tmp_dir("parked");
+        let h = start(fleet_cfg(&root, Duration::from_secs(3))).expect("coordinator starts");
+        let addr = h.addr().to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let workers: Vec<_> = ["park-a", "park-b"]
+            .iter()
+            .map(|n| spawn_worker(&addr, n, stop.clone()))
+            .collect();
+        // A registered worker asks for a lease at once and, with no
+        // campaign, is held; half a second sees both through an empty
+        // answer and into their next held poll.
+        while !get(&addr, "/metrics")
+            .body
+            .contains("fleet_workers_registered 2")
+        {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        std::thread::sleep(Duration::from_millis(500));
+
+        let spec = param_spec();
+        let id = submit(&addr, &spec);
+        wait_status(&addr, &id, "done", |state, _| state == "done");
+        assert_fleet_matches_local(&spec, &root.join("campaigns").join(&id), "parked-local");
+
+        stop.store(true, Ordering::SeqCst);
+        for w in workers {
+            w.join().expect("worker thread");
+        }
+        h.shutdown();
+        std::fs::remove_dir_all(&root).unwrap();
+        let _ = done.send(());
+    });
+    // Far above any honest run: this can only trip on a hang.
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(DEADLINE * 2) {
+        panic!("fleet campaign still not done; a wakeup was lost");
+    }
+    if let Err(panic) = body.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
 /// A burst+heal timeline sharded across two workers: trigger state is
 /// per-trial (anchored to the rank-0 op counter inside each job), so the
 /// range split must be invisible — the merged journal, including the

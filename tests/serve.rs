@@ -99,6 +99,29 @@ fn wait_status(addr: &str, id: &str, what: &str, pred: impl Fn(&str, &Json) -> b
     }
 }
 
+/// Run `body` on its own thread and fail if it has not returned within
+/// `limit`. The daemon's waits have no timeout to fall back on, so a lost
+/// wakeup parks a thread for good; the limit is far above any honest run
+/// and can only trip on a hang.
+fn within(limit: Duration, what: &str, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let t = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(limit) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what}: still not back after {limit:?}; a wakeup was lost")
+        }
+        // Returned, or panicked (the sender dropped): surface the panic.
+        _ => {
+            if let Err(panic) = t.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+}
+
 /// Run `spec` locally — the exact code path `fastfit-cli campaign` takes
 /// (same resolution, plain store observer) — and return its results.
 fn run_local(spec: &CampaignSpec, dir: &Path) -> Vec<PointResult> {
@@ -220,6 +243,75 @@ fn cancelled_campaign_leaves_repairable_journal() {
     );
     std::fs::remove_dir_all(&local).unwrap();
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A daemon with nothing to do has its accept loop blocked in `accept`
+/// and its scheduler parked with no deadline. `shutdown()` must wake and
+/// join both.
+#[test]
+fn idle_daemon_shuts_down() {
+    within(
+        Duration::from_secs(60),
+        "shutdown of an idle daemon",
+        || {
+            let root = tmp_dir("idle-shutdown");
+            let h = start(ServeConfig {
+                max_campaigns: 0,
+                ..serve_cfg(&root)
+            })
+            .expect("daemon starts");
+            h.shutdown();
+            std::fs::remove_dir_all(&root).unwrap();
+        },
+    );
+}
+
+/// Four clients submit 100 one-trial campaigns into two slots. Every
+/// admission but the first two happens because a `finish` woke the
+/// scheduler, racing the submissions that wake it too; one missed wakeup
+/// leaves a campaign queued forever.
+#[test]
+fn hundred_concurrent_submissions_all_reach_done() {
+    within(DEADLINE * 2, "100 queued campaigns", || {
+        let root = tmp_dir("hundred");
+        let h = start(serve_cfg(&root)).expect("daemon starts");
+        let addr = h.addr().to_string();
+        let clients: Vec<_> = (0..4u64)
+            .map(|c| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    for i in 0..25 {
+                        let mut spec = param_spec();
+                        spec.ranks = Some(2);
+                        spec.trials = Some(1);
+                        spec.seed = Some(100 * c + i);
+                        submit(&addr, &spec);
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().expect("client thread");
+        }
+        loop {
+            let listing = Json::parse(&get(&addr, "/campaigns").body).expect("listing is JSON");
+            let states: Vec<&str> = listing
+                .as_arr()
+                .expect("listing is an array")
+                .iter()
+                .filter_map(|e| e.get("state").and_then(Json::as_str))
+                .collect();
+            assert_eq!(states.len(), 100);
+            assert!(!states.contains(&"failed"), "a campaign failed: {states:?}");
+            if states.iter().all(|s| *s == "done") {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        assert!(get(&addr, "/metrics").body.contains("campaigns_done 100"));
+        h.shutdown();
+        std::fs::remove_dir_all(&root).unwrap();
+    });
 }
 
 /// Helper process for the kill -9 test: runs a daemon on an ephemeral
