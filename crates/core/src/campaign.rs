@@ -32,7 +32,7 @@ use simmpi::hook::CollKind;
 use simmpi::runtime::{run_job, AppFn, JobOutcome, JobResult, JobSpec};
 use simmpi::sched::Engine;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Cooperative cancellation handle shared between a campaign and its
@@ -45,7 +45,23 @@ use std::time::{Duration, Instant};
 /// token itself carries no policy; whoever observes `cancelled` on the
 /// result decides whether that means `cancelled` or `interrupted`.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Arc<CancelState>);
+
+#[derive(Debug, Default)]
+struct CancelState {
+    cancelled: AtomicBool,
+    /// Test seam, see [`CancelToken::hold_after`].
+    gate: Mutex<Gate>,
+    gate_cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    /// Fresh trials still to journal before the gate shuts; 0 = not armed.
+    remaining: u64,
+    /// The gate is shut: campaign threads park at it until cancelled.
+    shut: bool,
+}
 
 impl CancelToken {
     /// Fresh, un-cancelled token.
@@ -56,12 +72,61 @@ impl CancelToken {
     /// Request cancellation. Idempotent; takes effect at the next
     /// between-trials check of every campaign holding a clone.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.0.cancelled.store(true, Ordering::Relaxed);
+        // Through the lock, so a campaign about to park cannot miss it.
+        drop(self.0.gate.lock().expect("cancel gate poisoned"));
+        self.0.gate_cv.notify_all();
     }
 
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.0.cancelled.load(Ordering::Relaxed)
+    }
+
+    /// Test seam: park the campaign at the trial boundary after its
+    /// `trials`th fresh (journaled, not replayed) trial until the token is
+    /// cancelled, so a test can cancel a campaign that is provably
+    /// mid-flight however fast its trials are. 0 arms nothing.
+    #[doc(hidden)]
+    pub fn hold_after(&self, trials: u64) {
+        self.0.gate.lock().expect("cancel gate poisoned").remaining = trials;
+    }
+
+    /// Test seam: wait until the campaign is parked at the
+    /// [`hold_after`](CancelToken::hold_after) gate. `false` on timeout.
+    #[doc(hidden)]
+    pub fn wait_held(&self, timeout: Duration) -> bool {
+        let gate = self.0.gate.lock().expect("cancel gate poisoned");
+        let (gate, _) = self
+            .0
+            .gate_cv
+            .wait_timeout_while(gate, timeout, |g| !g.shut)
+            .expect("cancel gate poisoned");
+        gate.shut
+    }
+
+    /// The campaign's side of the gate: one fresh trial was journaled.
+    /// Once the armed count is reached the gate is shut — this and every
+    /// later trial boundary (other threads of a parallel campaign) parks
+    /// until the token is cancelled.
+    fn trial_journaled(&self) {
+        let mut gate = self.0.gate.lock().expect("cancel gate poisoned");
+        if !gate.shut {
+            if gate.remaining == 0 {
+                return;
+            }
+            gate.remaining -= 1;
+            if gate.remaining > 0 {
+                return;
+            }
+            gate.shut = true;
+            self.0.gate_cv.notify_all();
+        }
+        let _parked = self
+            .0
+            .gate_cv
+            .wait_while(gate, |_| !self.is_cancelled())
+            .expect("cancel gate poisoned");
     }
 }
 
@@ -793,6 +858,9 @@ impl Campaign {
                 retries,
                 replayed,
             });
+            if !replayed {
+                self.cancel.trial_journaled();
+            }
             match disposition {
                 TrialDisposition::Classified(t) => {
                     hist.add(t.response);

@@ -212,6 +212,9 @@ pub struct Daemon {
     cost: GoldenCostModel,
     pub(crate) metrics: Metrics,
     shutdown: AtomicBool,
+    /// Test seam ([`DaemonHandle::hold_campaigns_after`]): the trial
+    /// count campaigns admitted from now on park after; 0 = no gate.
+    hold_after: AtomicU64,
 }
 
 impl Daemon {
@@ -726,6 +729,9 @@ impl Daemon {
         st.runners += 1;
         let entry = &mut st.entries[idx];
         entry.state = EntryState::Running;
+        entry
+            .cancel
+            .hold_after(self.hold_after.load(Ordering::Relaxed));
         Some((entry.id.clone(), entry.spec.clone(), entry.cancel.clone()))
     }
 
@@ -1068,6 +1074,28 @@ impl DaemonHandle {
         &self.daemon
     }
 
+    /// Test seam: every campaign admitted from now on parks at the trial
+    /// boundary after its `trials`th journaled trial until it is
+    /// cancelled (`CancelToken::hold_after`).
+    #[doc(hidden)]
+    pub fn hold_campaigns_after(&self, trials: u64) {
+        self.daemon.hold_after.store(trials, Ordering::Relaxed);
+    }
+
+    /// Test seam: wait until campaign `id` is parked at that gate.
+    /// `false` on timeout or an unknown id.
+    #[doc(hidden)]
+    pub fn wait_held(&self, id: &str, timeout: Duration) -> bool {
+        let st = self.daemon.state.lock().expect("scheduler lock poisoned");
+        let token = st
+            .entries
+            .iter()
+            .find(|e| e.id == id)
+            .map(|e| e.cancel.clone());
+        drop(st);
+        token.is_some_and(|t| t.wait_held(timeout))
+    }
+
     /// Ask the daemon to stop: new submissions get 503, running
     /// campaigns are cancelled (checkpointing as `interrupted`), the
     /// accept and scheduler loops wind down.
@@ -1207,6 +1235,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
             trials_fresh: AtomicU64::new(0),
         },
         shutdown: AtomicBool::new(false),
+        hold_after: AtomicU64::new(0),
     });
     if recovered > 0 {
         eprintln!("fastfit-served: recovered {recovered} unfinished campaign(s) from the queue");

@@ -81,7 +81,9 @@ pub(crate) struct JobState {
 
 impl JobState {
     /// Fresh per-job state for `spec` (fabric, control, output slots).
-    pub(crate) fn for_spec(spec: &JobSpec, app: AppFn) -> Arc<JobState> {
+    /// The engine decides the fabric's clock: logical under coop, wall
+    /// time on rank threads.
+    pub(crate) fn for_spec(spec: &JobSpec, app: AppFn, engine: Engine) -> Arc<JobState> {
         let n = spec.nranks;
         Arc::new(JobState {
             nranks: n,
@@ -89,7 +91,7 @@ impl JobState {
             record: spec.record,
             hook: spec.hook.clone(),
             app,
-            fabric: Fabric::with_mode(n, spec.resilient_transport),
+            fabric: Fabric::with_clock(n, spec.resilient_transport, engine == Engine::Coop),
             ctl: Arc::new(JobControl::with_budget(n, spec.timeout, spec.op_budget)),
             outputs: (0..n).map(|_| Mutex::new(None)).collect(),
             records: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
@@ -275,7 +277,7 @@ impl ThreadArena {
         self.epoch += 1;
         self.jobs_run += 1;
         let epoch = self.epoch;
-        let job = JobState::for_spec(spec, app);
+        let job = JobState::for_spec(spec, app, Engine::Threads);
         let ctl = job.ctl.clone();
         let fabric = job.fabric.clone();
 

@@ -157,6 +157,10 @@ pub enum RankPanic {
     Killed,
 }
 
+/// How many of a rank's ops pass between its own reads of the wall-clock
+/// deadline in [`JobControl::note_op`].
+const DEADLINE_CHECK_OPS: u64 = 1024;
+
 /// Shared control block for one job.
 #[derive(Debug)]
 pub struct JobControl {
@@ -206,9 +210,18 @@ impl JobControl {
         self.killed.store(true, Ordering::Release);
     }
 
-    /// Whether the job has been killed or has passed its deadline.
+    /// Whether [`kill`](JobControl::kill) was called. This is all a rank
+    /// reads at its poll points; the deadline is the supervisors' to
+    /// watch.
+    pub fn killed(&self) -> bool {
+        self.killed.load(Ordering::Acquire)
+    }
+
+    /// Whether the job has been killed or has passed its deadline. Reads
+    /// the wall clock: for the supervisors (every sweep or round) and for
+    /// a rank's rare slow paths, not for per-message polls.
     pub fn should_die(&self) -> bool {
-        self.killed.load(Ordering::Acquire) || Instant::now() >= self.deadline
+        self.killed() || Instant::now() >= self.deadline
     }
 
     /// Record a fatal event from `rank`. Deliberately does *not* kill the
@@ -252,6 +265,11 @@ impl JobControl {
     /// receive, collective entry and yield point. Unwinds with
     /// [`RankPanic::Killed`] once the rank exhausts its op budget — the
     /// deterministic livelock kill.
+    ///
+    /// Every [`DEADLINE_CHECK_OPS`]th op also reads the wall clock: a rank
+    /// that never blocks or yields (so, on the coop engine, never lets
+    /// its supervisor run) is still reaped at the deadline in a job with
+    /// no budget.
     pub fn note_op(&self, rank: usize) {
         let n = self.ops[rank].fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(budget) = self.op_budget {
@@ -259,6 +277,10 @@ impl JobControl {
                 self.record_hang(HangKind::OpBudget);
                 std::panic::panic_any(RankPanic::Killed);
             }
+        }
+        if n.is_multiple_of(DEADLINE_CHECK_OPS) && Instant::now() >= self.deadline {
+            self.record_hang(HangKind::WallClock);
+            std::panic::panic_any(RankPanic::Killed);
         }
     }
 
@@ -281,9 +303,11 @@ impl JobControl {
     }
 
     /// Poll point used by blocking waits and collective entries. Panics with
-    /// [`RankPanic::Killed`] once the job is being torn down.
+    /// [`RankPanic::Killed`] once the job is being torn down. Reads the
+    /// kill flag only — both supervisors read the clock every sweep and
+    /// set the flag at the deadline.
     pub fn check(&self) {
-        if self.should_die() {
+        if self.killed() {
             std::panic::panic_any(RankPanic::Killed);
         }
     }

@@ -428,9 +428,12 @@ impl RankCtx {
         if !hit {
             // A poll miss is a scheduling point on the coop engine: a
             // test/yield spin loop must hand the carrier to the sender or
-            // it would never complete. Probes never touch op accounting,
-            // so this stays invisible to the journal on both engines.
-            crate::sched::yield_now();
+            // it would never complete. It parks *blocked*: only another
+            // rank or a timer can turn the miss into a hit, and logical
+            // time moves only once no rank can run. Probes never touch op
+            // accounting, so this stays invisible to the journal on both
+            // engines.
+            crate::sched::yield_blocked();
         }
         hit
     }
@@ -1105,9 +1108,9 @@ impl RankCtx {
             }
             Some(RankFaultPlan::FailSlow { millis }) => {
                 // Delays only this rank: a plain sleep on a rank thread, a
-                // parked coroutine on the coop engine (the other ranks
-                // keep the carrier busy while this one slumbers).
-                crate::sched::rank_sleep(std::time::Duration::from_millis(millis));
+                // timer on the job clock on the coop engine (the other
+                // ranks keep the carrier busy while this one slumbers).
+                crate::sched::rank_sleep(&self.fabric, std::time::Duration::from_millis(millis));
             }
             _ => {}
         }

@@ -25,21 +25,39 @@
 //! the engine choice is *excluded* from journal identity.
 //! `tests/sched_equivalence.rs` holds the proof obligation.
 //!
-//! ## Supervision
+//! ## Supervision and time
 //!
-//! The coop scheduler mirrors the threaded watchdog exactly:
-//! - **Stall sweep**: after a round in which every live rank is provably
-//!   blocked on an unsatisfiable receive and the fabric epoch did not
-//!   move, the round is a stall candidate; `stall_quota` consecutive
-//!   candidates prove a deadlock ([`HangKind::Stalled`]). Held (delayed)
-//!   and recoverable (dropped-but-resilient) messages keep
-//!   [`Fabric::stuck`] false, so delays are never misfiled.
+//! A coop job runs on *logical* time: its fabric's clock
+//! ([`Fabric::now`](crate::transport::Fabric::now)) stands still while any
+//! rank can run. Held (delay-faulted) messages and [`rank_sleep`] are
+//! timers on that clock. When a round ends with every live rank parked
+//! blocked and the fabric epoch unmoved, nothing can happen until a timer
+//! fires, so the scheduler jumps the clock to the earliest one — no host
+//! time passes, and the order timers fire in is a function of the program.
+//! A sleeping rank is skipped by the round loop until its timer is due.
+//!
+//! The same all-blocked, unmoved round is where the watchdog looks
+//! (verdicts mirror the threaded engine's exactly):
+//! - **Stall sweep**: if every live rank is provably blocked on an
+//!   unsatisfiable receive ([`Fabric::stuck`](crate::transport::Fabric::stuck))
+//!   the round is a stall candidate; `stall_quota` consecutive candidates
+//!   prove a deadlock ([`HangKind::Stalled`]). Held and recoverable
+//!   (dropped-but-resilient) messages keep `stuck` false, so delays are
+//!   never misfiled. Candidates follow each other without a pause: on one
+//!   carrier the first already is the proof.
 //! - **Fail-stop drain**: a candidate round with a fatal recorded means
 //!   every survivor has run to its own deterministic fate — teardown
 //!   without recording a hang, so fatal attribution (lowest rank wins)
 //!   matches the threaded engine.
-//! - **Wall clock**: checked between rounds, only ever attributed when no
-//!   deterministic detector claimed the job first.
+//! - **Wall clock**: read once between rounds — the only wall-clock read
+//!   on the coop path — and only ever attributed when no deterministic
+//!   detector claimed the job first. (A rank that never yields reads it
+//!   itself, once per 1024 ops, in `JobControl::note_op`.)
+//!
+//! The one pause left: an all-blocked, unmoved round that is neither a
+//! stall candidate nor has a timer to jump to (stall detection off, or a
+//! budget-less receive of a dropped message) can only end at the
+//! wall-clock deadline, and naps a millisecond rather than spin a core.
 //!
 //! Teardown needs no drain-grace/respawn machinery: a suspended coroutine
 //! is always parked at a yield point that re-checks the kill flag, so
@@ -57,6 +75,7 @@
 use crate::arena::{run_rank, JobState};
 use crate::control::HangKind;
 use crate::runtime::{install_quiet_panic_hook, AppFn, JobOutcome, JobResult, JobSpec};
+use crate::transport::Fabric;
 use std::time::{Duration, Instant};
 
 /// Which execution engine runs a job's ranks.
@@ -111,13 +130,16 @@ impl Engine {
 
 /// Why a coroutine handed control back to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Park {
+pub(crate) enum Park {
     /// Voluntary yield; the rank can run again immediately.
     Ready,
-    /// Waiting on something another rank (or wall time) must provide; if
-    /// *every* live rank parks blocked with no fabric progress, the
-    /// scheduler may sleep instead of spinning.
+    /// Waiting on something another rank (or a timer) must provide. When
+    /// *every* live rank parks blocked with no fabric progress, only a
+    /// timer can move the job on.
     Blocked,
+    /// Asleep until the job clock reads this time; blocked, and not
+    /// resumed before then.
+    Sleeping(Duration),
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -290,8 +312,8 @@ mod coro {
         }
 
         /// How the coroutine last parked.
-        pub fn parked_blocked(&self) -> bool {
-            self.state.park.get() == Park::Blocked
+        pub fn park(&self) -> Park {
+            self.state.park.get()
         }
 
         /// Run the coroutine until it yields or finishes.
@@ -331,11 +353,17 @@ mod coro {
         park(Park::Ready);
     }
 
-    /// Yield while waiting on progress only another rank or wall time can
-    /// make. If every live rank is blocked with no fabric progress the
-    /// scheduler sleeps instead of spinning. No-op outside a coroutine.
+    /// Yield while waiting on progress only another rank or a timer can
+    /// make. No-op outside a coroutine.
     pub fn yield_blocked() {
         park(Park::Blocked);
+    }
+
+    /// Park until the job clock reads `until`: the scheduler does not
+    /// resume the rank before then, except to tear the job down. No-op
+    /// outside a coroutine.
+    pub fn sleep_until(until: std::time::Duration) {
+        park(Park::Sleeping(until));
     }
 }
 
@@ -361,8 +389,8 @@ mod coro {
         pub fn finished(&self) -> bool {
             true
         }
-        pub fn parked_blocked(&self) -> bool {
-            false
+        pub fn park(&self) -> super::Park {
+            super::Park::Ready
         }
         pub fn resume(&self) {}
     }
@@ -372,29 +400,30 @@ mod coro {
     }
     pub fn yield_now() {}
     pub fn yield_blocked() {}
+    pub fn sleep_until(_until: std::time::Duration) {}
 }
 
 pub use coro::in_coroutine;
 pub(crate) use coro::{yield_blocked, yield_now, Coroutine, Stack};
 
 /// Sleep that suspends only the calling *rank*: inside a coroutine the
-/// rank parks blocked until the deadline passes (other ranks keep the
-/// carrier busy); on a rank thread it is a plain sleep. Used by the
-/// fail-slow fault and any other injected delay.
-pub fn rank_sleep(dur: Duration) {
-    if !in_coroutine() {
+/// rank parks on a timer of the job clock (other ranks keep the carrier
+/// busy, and the scheduler jumps the clock once none can); on a rank
+/// thread it is a plain sleep. Used by the fail-slow fault and any other
+/// injected delay. Returns early when the job is torn down — callers
+/// check the kill flag next.
+pub fn rank_sleep(fabric: &Fabric, dur: Duration) {
+    if in_coroutine() {
+        coro::sleep_until(fabric.now() + dur);
+    } else {
         std::thread::sleep(dur);
-        return;
-    }
-    let deadline = Instant::now() + dur;
-    while Instant::now() < deadline {
-        yield_blocked();
     }
 }
 
-/// Pause between rounds when every live rank is blocked and nothing can
-/// move without wall time (held/delayed messages, fail-slow timers).
-const IDLE_NAP: Duration = Duration::from_millis(1);
+/// Pause between rounds while the job can only end at its wall-clock
+/// deadline (see the module docs): nothing runnable, no timer to jump to,
+/// and no stall streak running.
+const DEADLINE_NAP: Duration = Duration::from_millis(1);
 
 /// The cooperative engine's arena: per-rank coroutine stacks, reused
 /// across jobs exactly as [`crate::arena::ThreadArena`] reuses its worker
@@ -403,6 +432,8 @@ pub struct CoopArena {
     nranks: usize,
     stacks: Vec<Stack>,
     jobs_run: u64,
+    /// [`DEADLINE_NAP`]s taken so far.
+    naps: u64,
     /// Test-only adversary: seed for shuffling the order ranks are
     /// *collected* into each round's run list. The scheduler canonicalizes
     /// by sorting, so the trace must be invariant — the fuzz suite proves
@@ -420,6 +451,7 @@ impl CoopArena {
             nranks,
             stacks: Vec::new(),
             jobs_run: 0,
+            naps: 0,
             perturb: None,
             trace: None,
         }
@@ -431,6 +463,13 @@ impl CoopArena {
 
     pub fn jobs_run(&self) -> u64 {
         self.jobs_run
+    }
+
+    /// Times the round loop has slept so far (see the module docs: only a
+    /// job that can end no other way than at its wall-clock deadline
+    /// sleeps at all).
+    pub fn naps(&self) -> u64 {
+        self.naps
     }
 
     /// Arm the adversarial ready-list perturbation (tests only).
@@ -482,7 +521,7 @@ impl CoopArena {
         while self.stacks.len() < n {
             self.stacks.push(Stack::new());
         }
-        let job = JobState::for_spec(spec, app);
+        let job = JobState::for_spec(spec, app, Engine::Coop);
         let ctl = job.ctl.clone();
         let fabric = job.fabric.clone();
         let coros: Vec<Coroutine> = (0..n)
@@ -492,33 +531,44 @@ impl CoopArena {
             })
             .collect();
 
-        // The round loop doubles as the watchdog: between rounds it runs
-        // the same deterministic stall sweep as the threaded engine's
-        // 5ms watchdog thread — epoch-stable all-stuck rounds prove a
-        // deadlock, a stuck quorum plus a recorded fatal is a completed
-        // fail-stop drain, and the wall clock is attributed only when no
-        // deterministic detector claimed the job first.
+        // The round loop doubles as the watchdog and as the job's clock
+        // (module docs, "Supervision and time"). A round after which
+        // every live rank is blocked and the epoch has not moved is where
+        // both act: the stall sweep looks for a proven deadlock or a
+        // drained failure, and failing that the clock jumps to the
+        // earliest timer.
         let mut live = vec![true; n];
         let mut stall_streak: u32 = 0;
-        let mut streak_epoch: u64 = 0;
         let mut round: u64 = 0;
         let finished_in_time = loop {
             let e0 = fabric.epoch();
+            let now = fabric.now();
             let order = self.round_order(&live, round);
             round += 1;
             if order.is_empty() {
                 break true;
             }
             let mut all_blocked = true;
+            // Earliest wake time among the ranks asleep after this round.
+            let mut next_wake: Option<Duration> = None;
             for &r in &order {
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(r as u32);
+                let asleep = matches!(coros[r].park(), Park::Sleeping(until) if until > now);
+                if !asleep {
+                    if let Some(t) = self.trace.as_mut() {
+                        t.push(r as u32);
+                    }
+                    coros[r].resume();
+                    if coros[r].finished() {
+                        live[r] = false;
+                        continue;
+                    }
                 }
-                coros[r].resume();
-                if coros[r].finished() {
-                    live[r] = false;
-                } else if !coros[r].parked_blocked() {
-                    all_blocked = false;
+                match coros[r].park() {
+                    Park::Ready => all_blocked = false,
+                    Park::Blocked => {}
+                    Park::Sleeping(until) => {
+                        next_wake = Some(next_wake.map_or(until, |t| t.min(until)));
+                    }
                 }
             }
             if ctl.done_count() == n {
@@ -531,32 +581,39 @@ impl CoopArena {
                 ctl.kill();
                 break false;
             }
-            let moved = fabric.epoch() != e0;
-            if spec.stall_quota > 0 {
+            if !all_blocked || fabric.epoch() != e0 {
+                stall_streak = 0;
+                continue;
+            }
+            // Nothing can run. A rank waiting in `recv` always parks
+            // blocked, so only such a round can be a stall candidate —
+            // the sweep (one mailbox lock per rank) is not worth taking
+            // after any other. Consecutive candidates share one epoch:
+            // any round that moves it resets the streak above.
+            let candidate = spec.stall_quota > 0 && {
                 let stuck = (0..n).filter(|&r| fabric.stuck(r)).count();
-                let candidate = stuck > 0 && stuck + ctl.done_count() >= n && !moved;
-                if candidate && ctl.fatal().is_some() {
+                stuck > 0 && stuck + ctl.done_count() >= n
+            };
+            if candidate {
+                if ctl.fatal().is_some() {
                     // Drained failure: no hang recorded, fatal attribution
                     // is already complete.
                     break false;
                 }
-                if candidate && (stall_streak == 0 || streak_epoch == e0) {
-                    stall_streak += 1;
-                    streak_epoch = e0;
-                    if stall_streak >= spec.stall_quota {
-                        ctl.record_hang(HangKind::Stalled);
-                        break false;
-                    }
-                } else if !candidate {
-                    stall_streak = 0;
+                stall_streak += 1;
+                if stall_streak >= spec.stall_quota {
+                    ctl.record_hang(HangKind::Stalled);
+                    break false;
                 }
+                continue;
             }
-            if all_blocked && !moved {
-                // Everyone is waiting on wall time (held messages,
-                // fail-slow timers) or on the stall quota: nap instead of
-                // spinning. Purely a CPU courtesy — naps never change the
-                // round sequence.
-                std::thread::sleep(IDLE_NAP);
+            stall_streak = 0;
+            match next_wake.into_iter().chain(fabric.next_held_due()).min() {
+                Some(t) => fabric.advance_to(t),
+                None => {
+                    self.naps += 1;
+                    std::thread::sleep(DEADLINE_NAP);
+                }
             }
         };
         if !finished_in_time {
@@ -564,11 +621,10 @@ impl CoopArena {
         }
 
         // Teardown: every parked coroutine sits at a yield point that
-        // re-checks the kill flag, so resuming in rounds terminates —
-        // promptly for blocked ranks, after its bounded delay for a
-        // fail-slow sleeper. This is the coop analog of the threaded
-        // drain, with no wedge case (a coroutine cannot be descheduled
-        // mid-compute, so there is nothing to respawn around).
+        // re-checks the kill flag (a sleeper's `rank_sleep` returns to
+        // one), so resuming in rounds terminates. This is the coop analog
+        // of the threaded drain, with no wedge case (a coroutine cannot be
+        // descheduled mid-compute, so there is nothing to respawn around).
         loop {
             let mut any = false;
             for coro in &coros {

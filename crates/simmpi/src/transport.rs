@@ -68,8 +68,8 @@ use crate::comm::TagKind;
 use crate::control::{JobControl, RankPanic};
 use crate::error::MpiError;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,9 +77,10 @@ use std::time::{Duration, Instant};
 /// before declaring it unrecoverable.
 pub const MAX_RETRANSMITS: u32 = 3;
 
-/// Hold time of a delay-faulted message. Bounded and far below every
-/// watchdog window, so a delayed message is always *deliverable* — the
-/// outcome of the run cannot depend on it.
+/// Hold time of a delay-faulted message on the job clock
+/// ([`Fabric::now`]). Bounded and far below every watchdog window, so a
+/// delayed message is always *deliverable* — the outcome of the run cannot
+/// depend on it.
 pub const MSG_DELAY: Duration = Duration::from_millis(30);
 
 /// The transport-level fault taxonomy.
@@ -278,14 +279,63 @@ struct MailboxState {
     queue: VecDeque<Msg>,
     /// `(src, tag)` the owning rank is currently blocked on, if any.
     waiting: Option<(usize, u64)>,
-    /// Delay-faulted messages awaiting their release instant.
-    held: Vec<(Instant, Msg)>,
+    /// Delay-faulted messages and the job-clock time each is due: timers
+    /// on [`Fabric::now`], released by the owning rank's next poll.
+    held: Vec<(Duration, Msg)>,
     /// Drop-faulted messages addressed to this mailbox.
     dropped: Vec<DroppedEntry>,
-    /// Per-source next sequence number for messages into this mailbox.
-    next_seq: HashMap<usize, u64>,
-    /// `(src, seqno)` pairs already consumed (resilient mode only).
-    consumed: HashSet<(usize, u64)>,
+    /// Next sequence number per source rank (grown on a source's first
+    /// message into this mailbox).
+    next_seq: Vec<u64>,
+    /// Sequence numbers already consumed, per source rank (resilient mode
+    /// only; grown like `next_seq`).
+    consumed: Vec<SeqSet>,
+}
+
+/// The set of sequence numbers consumed from one source: one bit per
+/// seqno. Seqnos are dense from zero per `(src, dst)` pair, but a dropped
+/// message recovered by retransmission never enters the set, so the set
+/// has gaps and a low-water mark could not stand in for it.
+#[derive(Debug, Default)]
+struct SeqSet {
+    words: Vec<u64>,
+}
+
+impl SeqSet {
+    fn contains(&self, seqno: u64) -> bool {
+        self.words
+            .get((seqno / 64) as usize)
+            .is_some_and(|w| (w >> (seqno % 64)) & 1 == 1)
+    }
+
+    fn insert(&mut self, seqno: u64) {
+        let word = (seqno / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (seqno % 64);
+    }
+}
+
+/// `v[i]`, growing `v` with defaults first when `i` is past its end.
+fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= v.len() {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
+}
+
+/// The job's clock. The threaded engine lives on the wall clock; under
+/// the coop scheduler time is purely logical — it stands still while any
+/// rank can run and is advanced only by the scheduler's jump to the
+/// earliest pending timer, so the order timers fire in is a function of
+/// the program, not of the host.
+#[derive(Debug)]
+enum Clock {
+    /// Wall time since the fabric was created.
+    Wall(Instant),
+    /// Nanoseconds of logical time, set by [`Fabric::advance_to`].
+    Logical(AtomicU64),
 }
 
 #[derive(Debug, Default)]
@@ -375,6 +425,11 @@ pub struct Fabric {
     armed_partition: Vec<Mutex<Option<ArmedPartition>>>,
     /// Resilient (checksum/ack/retransmit) delivery protocol enabled.
     resilient: bool,
+    clock: Clock,
+    /// Messages currently held across all mailboxes, so the scheduler's
+    /// timer scan costs nothing while no delay fault is in flight. Read
+    /// only by the coop scheduler, on the one thread that also wrote it.
+    held_count: AtomicUsize,
     /// Total bytes ever enqueued, for diagnostics/benchmarks.
     bytes_sent: AtomicU64,
     /// Progress epoch: bumped (under the destination mailbox lock) on every
@@ -399,11 +454,23 @@ impl Fabric {
     /// delivery protocol (per-message checksum, duplicate suppression,
     /// bounded retransmission).
     pub fn with_mode(n: usize, resilient: bool) -> Arc<Fabric> {
+        Fabric::with_clock(n, resilient, false)
+    }
+
+    /// As [`Fabric::with_mode`], on a logical clock when `logical` (the
+    /// coop scheduler's fabric) and on the wall clock otherwise.
+    pub(crate) fn with_clock(n: usize, resilient: bool, logical: bool) -> Arc<Fabric> {
         Arc::new(Fabric {
             boxes: (0..n).map(|_| Mailbox::default()).collect(),
             armed: (0..n).map(|_| Mutex::new(None)).collect(),
             armed_partition: (0..n).map(|_| Mutex::new(None)).collect(),
             resilient,
+            clock: if logical {
+                Clock::Logical(AtomicU64::new(0))
+            } else {
+                Clock::Wall(Instant::now())
+            },
+            held_count: AtomicUsize::new(0),
             bytes_sent: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             fault_fired: AtomicBool::new(false),
@@ -433,6 +500,44 @@ impl Fabric {
     /// Current progress epoch (see the struct docs for the guarantee).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Time on the job's clock since the job started. Held messages and
+    /// [`rank_sleep`](crate::sched::rank_sleep) are timers against it.
+    pub fn now(&self) -> Duration {
+        match &self.clock {
+            Clock::Wall(origin) => origin.elapsed(),
+            Clock::Logical(nanos) => Duration::from_nanos(nanos.load(Ordering::Relaxed)),
+        }
+    }
+
+    /// Jump a logical clock forward to `t` (the coop scheduler, when no
+    /// rank can run until a timer fires). A wall clock advances itself.
+    pub(crate) fn advance_to(&self, t: Duration) {
+        if let Clock::Logical(nanos) = &self.clock {
+            nanos.fetch_max(t.as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// The earliest time after [`now`](Fabric::now) at which a held
+    /// message falls due, if any. Messages already due are no timer: the
+    /// owning rank's next poll releases them.
+    pub(crate) fn next_held_due(&self) -> Option<Duration> {
+        if self.held_count.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let now = self.now();
+        self.boxes
+            .iter()
+            .filter_map(|m| {
+                let st = m.state.lock();
+                st.held
+                    .iter()
+                    .map(|(due, _)| *due)
+                    .filter(|&d| d > now)
+                    .min()
+            })
+            .min()
     }
 
     /// Snapshot of the message-fault / recovery counters.
@@ -560,12 +665,13 @@ impl Fabric {
         let partition = self.partition_for(src, dst, tag);
         let mut st = mbox.state.lock();
         let seqno = {
-            let c = st.next_seq.entry(src).or_insert(0);
+            let c = slot(&mut st.next_seq, src);
             let v = *c;
             *c += 1;
             v
         };
-        let checksum = fnv1a(&data);
+        // Only the resilient receiver verifies it.
+        let checksum = if self.resilient { fnv1a(&data) } else { 0 };
         let mut msg = Msg {
             src,
             tag,
@@ -632,7 +738,8 @@ impl Fabric {
                 }
                 MsgFaultKind::Delay => {
                     self.note_msg_fault();
-                    st.held.push((Instant::now() + MSG_DELAY, msg));
+                    st.held.push((self.now() + MSG_DELAY, msg));
+                    self.held_count.fetch_add(1, Ordering::Relaxed);
                     // Held, not delivered: no epoch bump. The receiver's
                     // poll loop releases it once due.
                 }
@@ -674,11 +781,15 @@ impl Fabric {
 
     /// Move due held (delay-faulted) messages into the queue.
     fn release_due(&self, st: &mut MailboxState) {
-        let now = Instant::now();
+        if st.held.is_empty() {
+            return;
+        }
+        let now = self.now();
         let mut i = 0;
         while i < st.held.len() {
             if st.held[i].0 <= now {
                 let (_, msg) = st.held.remove(i);
+                self.held_count.fetch_sub(1, Ordering::Relaxed);
                 st.queue.push_back(msg);
                 self.epoch.fetch_add(1, Ordering::Release);
             } else {
@@ -704,12 +815,14 @@ impl Fabric {
         };
         let mut st = mbox.state.lock();
         st.waiting = Some((src, tag));
+        let mut past_deadline = false;
         loop {
             self.release_due(&mut st);
             while let Some(pos) = st.queue.iter().position(|m| m.src == src && m.tag == tag) {
                 let msg = st.queue.remove(pos).expect("position just found");
                 if self.resilient {
-                    if st.consumed.contains(&(msg.src, msg.seqno)) {
+                    let seen = st.consumed.get(msg.src);
+                    if seen.is_some_and(|s| s.contains(msg.seqno)) {
                         // A duplicate of something already delivered:
                         // suppress and keep scanning.
                         self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
@@ -722,7 +835,7 @@ impl Fabric {
                         return match (msg.sticky, msg.pristine) {
                             (false, Some(pristine)) => {
                                 self.retransmits.fetch_add(1, Ordering::Relaxed);
-                                st.consumed.insert((msg.src, msg.seqno));
+                                slot(&mut st.consumed, msg.src).insert(msg.seqno);
                                 st.waiting = None;
                                 self.epoch.fetch_add(1, Ordering::Release);
                                 pristine
@@ -730,7 +843,7 @@ impl Fabric {
                             _ => self.transport_failure(&mut st),
                         };
                     }
-                    st.consumed.insert((msg.src, msg.seqno));
+                    slot(&mut st.consumed, msg.src).insert(msg.seqno);
                 }
                 st.waiting = None;
                 self.epoch.fetch_add(1, Ordering::Release);
@@ -758,16 +871,14 @@ impl Fabric {
                     drop(st);
                     loop {
                         ctl.note_op(me);
-                        if ctl.should_die() {
-                            std::panic::panic_any(RankPanic::Killed);
-                        }
+                        ctl.check();
                     }
                 }
                 // Plain mode without a budget: keep blocking; only the
                 // wall-clock backstop can end this (campaigns always set a
                 // budget).
             }
-            if ctl.should_die() {
+            if ctl.killed() || past_deadline {
                 st.waiting = None;
                 drop(st);
                 std::panic::panic_any(RankPanic::Killed);
@@ -775,13 +886,20 @@ impl Fabric {
             // THE blocking point. On the coop engine, park the rank
             // coroutine (lock released across the switch — the scheduler
             // and the other ranks run on this same thread) and rescan on
-            // the next round; on a rank thread, the condvar nap.
+            // the next round; the scheduler owns the wall-clock backstop
+            // there. On a rank thread, the condvar nap — and only a nap
+            // that timed out reads the deadline, so a receive outside any
+            // supervisor still ends.
             if crate::sched::in_coroutine() {
                 drop(st);
                 crate::sched::yield_blocked();
                 st = mbox.state.lock();
             } else {
-                mbox.cv.wait_for(&mut st, Duration::from_millis(2));
+                past_deadline = mbox
+                    .cv
+                    .wait_for(&mut st, Duration::from_millis(2))
+                    .timed_out()
+                    && ctl.should_die();
             }
         }
     }
@@ -940,6 +1058,91 @@ mod tests {
         f.send(1, 0, 7, vec![42]).unwrap();
         assert_eq!(h.join().unwrap(), vec![42]);
         assert!(!f.stuck(0), "satisfied receiver is no longer stuck");
+    }
+
+    // ----- consumed-seqno bitset -----
+
+    proptest::proptest! {
+        /// `SeqSet` is exactly a set of `u64`: against a `HashSet` model,
+        /// any interleaving of inserts and lookups agrees — out of order,
+        /// with duplicates, with gaps never filled, several words deep.
+        #[test]
+        fn seqset_matches_a_hashset_model(
+            ops in proptest::collection::vec((0u64..700, 0u8..3), 1..400),
+        ) {
+            let mut set = SeqSet::default();
+            let mut model = std::collections::HashSet::new();
+            for (seqno, op) in ops {
+                if op == 0 {
+                    proptest::prop_assert_eq!(set.contains(seqno), model.contains(&seqno));
+                } else {
+                    set.insert(seqno);
+                    model.insert(seqno);
+                }
+            }
+            for seqno in 0..768 {
+                proptest::prop_assert_eq!(set.contains(seqno), model.contains(&seqno), "seqno {}", seqno);
+            }
+        }
+    }
+
+    #[test]
+    fn seqset_keeps_gaps_and_reaches_past_several_words() {
+        let mut set = SeqSet::default();
+        // Consume out of order, skipping 3 (a dropped message recovered by
+        // retransmission never enters the set) and jumping words ahead.
+        for s in [5, 0, 1, 2, 4, 200, 64, 63] {
+            set.insert(s);
+        }
+        for s in [0, 1, 2, 4, 5, 63, 64, 200] {
+            assert!(set.contains(s), "{s}");
+        }
+        for s in [3, 6, 62, 65, 199, 201, 1 << 40] {
+            assert!(!set.contains(s), "{s}");
+        }
+        set.insert(5);
+        assert!(set.contains(5), "a duplicate insert changes nothing");
+        assert!(!set.contains(3), "and fills no gap");
+    }
+
+    #[test]
+    fn resilient_duplicate_suppression_is_per_source_and_gap_exact() {
+        let f = Fabric::with_mode(3, true);
+        // Source 0's seqno 0 is dropped (recovered by retransmission, so
+        // never marked consumed); its seqno 1 is duplicated on the wire.
+        f.arm(0, COMM, 0, plan(MsgFaultKind::Drop));
+        f.send(0, 2, coll_tag(COMM, 0, 0), vec![10]).unwrap();
+        f.arm(0, COMM, 1, plan(MsgFaultKind::Duplicate));
+        f.send(0, 2, coll_tag(COMM, 1, 0), vec![11]).unwrap();
+        // Source 1 reuses the same seqnos into the same mailbox.
+        f.send(1, 2, coll_tag(COMM, 0, 0), vec![20]).unwrap();
+        f.send(1, 2, coll_tag(COMM, 1, 0), vec![21]).unwrap();
+        let c = ctl();
+        assert_eq!(f.recv(2, 0, coll_tag(COMM, 1, 0), &c), vec![11]);
+        assert_eq!(f.recv(2, 1, coll_tag(COMM, 1, 0), &c), vec![21]);
+        assert_eq!(f.recv(2, 1, coll_tag(COMM, 0, 0), &c), vec![20]);
+        assert_eq!(f.recv(2, 0, coll_tag(COMM, 0, 0), &c), vec![10]);
+        let s = f.stats();
+        assert_eq!(s.retransmits, 1);
+        assert_eq!(s.dup_suppressed, 0, "the copy is still queued");
+        assert_eq!(f.queued(2), 1);
+    }
+
+    #[test]
+    fn logical_clock_moves_only_when_advanced() {
+        let f = Fabric::with_clock(2, false, true);
+        assert_eq!(f.now(), Duration::ZERO);
+        f.arm(0, COMM, 0, plan(MsgFaultKind::Delay));
+        f.send(0, 1, scoped_tag(), vec![42]).unwrap();
+        std::thread::sleep(MSG_DELAY + Duration::from_millis(5));
+        assert_eq!(f.now(), Duration::ZERO, "host time is not job time");
+        assert!(!f.probe(1, 0, scoped_tag()), "still held");
+        assert_eq!(f.next_held_due(), Some(MSG_DELAY));
+        f.advance_to(MSG_DELAY);
+        assert_eq!(f.next_held_due(), None, "a due message is no timer");
+        assert!(f.probe(1, 0, scoped_tag()), "released by the next poll");
+        f.advance_to(Duration::from_millis(1));
+        assert_eq!(f.now(), MSG_DELAY, "the clock never runs backwards");
     }
 
     // ----- message faults -----

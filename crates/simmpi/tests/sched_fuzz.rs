@@ -6,9 +6,11 @@
 //! tests are what would catch anyone deleting it.
 
 use simmpi::ctx::{RankCtx, RankOutput};
+use simmpi::hook::{CollCall, CollHook, CollKind};
 use simmpi::op::ReduceOp;
 use simmpi::runtime::{AppFn, JobOutcome, JobResult, JobSpec};
 use simmpi::sched::CoopArena;
+use simmpi::transport::{MsgFaultKind, MsgFaultPlan, RankFaultPlan};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -89,11 +91,45 @@ fn outputs(res: &JobResult) -> Vec<u64> {
 /// One traced coop run of `churn_app` with an optional perturbation
 /// seed. Returns the rank-step trace and the bitwise outputs.
 fn traced_run(nranks: usize, perturb: Option<u64>) -> (Vec<u32>, Vec<u64>) {
-    let mut arena = CoopArena::new(nranks);
+    traced_run_of(&spec(nranks), perturb)
+}
+
+fn traced_run_of(spec: &JobSpec, perturb: Option<u64>) -> (Vec<u32>, Vec<u64>) {
+    let mut arena = CoopArena::new(spec.nranks);
     arena.set_perturb(perturb);
     arena.set_trace(true);
-    let res = arena.run(&spec(nranks), churn_app());
+    let res = arena.run(spec, churn_app());
     (arena.take_trace(), outputs(&res))
+}
+
+/// Arms timers all over `churn_app`: every rank's second and fifth
+/// allreduce has its first send held for `MSG_DELAY`, and ranks stall
+/// for rank-dependent fail-slow delays at their third, so several timers
+/// with different due times are pending at once.
+struct TimersEverywhere;
+
+impl CollHook for TimersEverywhere {
+    fn before(&self, call: &mut CollCall<'_>) {
+        if call.kind != CollKind::Allreduce {
+            return;
+        }
+        // `churn_app` has two allreduce sites; tell them apart by line
+        // parity so both get timers.
+        let step = call.invocation * 2 + u64::from(call.site.line % 2);
+        if step == 1 || step == 4 {
+            call.msg_fault = Some(MsgFaultPlan {
+                kind: MsgFaultKind::Delay,
+                nth_send: 0,
+                payload_bit: 0,
+                sticky: false,
+            });
+        }
+        if step == 2 {
+            call.rank_fault = Some(RankFaultPlan::FailSlow {
+                millis: 5 + 7 * (call.rank as u64 % 5),
+            });
+        }
+    }
 }
 
 /// Adversarial ready-queue perturbation must not move a single rank
@@ -175,4 +211,41 @@ fn soak_20_runs_under_cpu_saturation_trace_stable() {
         }
         assert_eq!(arena.jobs_run(), 20);
     });
+}
+
+/// With timers armed the schedule used to depend on when the host's clock
+/// crossed each due time. On the job's logical clock it cannot: held
+/// messages and fail-slow sleeps pending all over the job leave the
+/// rank-step trace perturbation-invariant, identical run to run, and
+/// identical under CPU saturation.
+#[test]
+fn timers_armed_trace_is_perturbation_invariant_and_repeatable() {
+    for nranks in [3, 8] {
+        let spec = JobSpec {
+            hook: Some(Arc::new(TimersEverywhere)),
+            ..spec(nranks)
+        };
+        let (reference, ref_out) = traced_run_of(&spec, None);
+        let (clean, clean_out) = traced_run(nranks, None);
+        assert_ne!(reference, clean, "the timers must reshape the schedule");
+        assert_eq!(ref_out, clean_out, "and must not reach the outputs");
+        for seed in [1u64, 0xDEAD_BEEF, u64::MAX, 42] {
+            let (trace, out) = traced_run_of(&spec, Some(seed));
+            assert_eq!(
+                trace, reference,
+                "perturb seed {seed:#x} moved a rank step with timers armed ({nranks} ranks)"
+            );
+            assert_eq!(out, ref_out);
+        }
+        under_cpu_load(|| {
+            for run in 0..5 {
+                let (trace, out) = traced_run_of(&spec, None);
+                assert_eq!(
+                    trace, reference,
+                    "run {run} under load diverged with timers armed ({nranks} ranks)"
+                );
+                assert_eq!(out, ref_out);
+            }
+        });
+    }
 }

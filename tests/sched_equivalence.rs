@@ -139,6 +139,45 @@ fn timeline_journals_byte_identical_across_engines() {
     );
 }
 
+/// Timers are where the engines differ most: the threaded engine waits
+/// a held message's `MSG_DELAY` and a fail-slow stall out on the wall
+/// clock, the coop engine jumps its logical clock over them. Message
+/// draws (a fifth of them delays), fail-slow stalls and `burst:4` (four
+/// consecutive fault kinds per trial, so nearly every trial holds a
+/// message) must journal the same bytes either way, on both transports.
+#[test]
+fn timer_faults_journal_byte_identical_across_engines() {
+    let cases: [(&str, FaultChannel, Option<&str>); 3] = [
+        ("delay", FaultChannel::Message, None),
+        ("failslow", FaultChannel::FailSlow, None),
+        ("burst4", FaultChannel::Message, Some("burst:4")),
+    ];
+    for (tag, channel, timeline) in cases {
+        for resilient in [false, true] {
+            let cfg = || {
+                let mut cfg = CampaignConfig {
+                    trials_per_point: 4,
+                    fault_channel: channel,
+                    resilient,
+                    ..Default::default()
+                };
+                if let Some(t) = timeline {
+                    cfg.set_timeline(FaultTimeline::parse(t).unwrap());
+                }
+                cfg
+            };
+            let journals: Vec<_> = ENGINES
+                .iter()
+                .map(|&e| journal_on(&format!("timer-{tag}-{resilient}"), e, cfg()))
+                .collect();
+            assert_eq!(
+                journals[0], journals[1],
+                "{tag} journal must not depend on the rank scheduler (resilient {resilient})"
+            );
+        }
+    }
+}
+
 /// Observer that persists to a store but simulates a crash (panics)
 /// after a fixed budget of fresh — journal-backed — trials.
 struct CrashAfter {

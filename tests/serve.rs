@@ -198,14 +198,16 @@ fn cancelled_campaign_leaves_repairable_journal() {
     let h = start(serve_cfg(&root)).expect("daemon starts");
     let addr = h.addr().to_string();
 
-    // Enough trials that the campaign is comfortably mid-flight when the
-    // cancel lands.
+    // The campaign parks after its third journaled trial, so the cancel
+    // lands mid-flight however fast a trial is.
+    h.hold_campaigns_after(3);
     let mut spec = param_spec();
     spec.trials = Some(24);
     let id = submit(&addr, &spec);
-    wait_status(&addr, &id, "first fresh trial", |_, v| {
-        v.get("trials_fresh").and_then(Json::as_u64).unwrap_or(0) >= 1
-    });
+    assert!(
+        h.wait_held(&id, DEADLINE),
+        "campaign reached the hold after three trials"
+    );
     let r = http_request(&addr, "DELETE", &format!("/campaigns/{id}"), None).unwrap();
     assert!(
         r.status == 202 || r.status == 200,
@@ -220,15 +222,12 @@ fn cancelled_campaign_leaves_repairable_journal() {
     // Repair: resume the daemon's store directory locally to completion.
     let daemon_dir = root.join("campaigns").join(&id);
     let c = Campaign::prepare(resolve_workload(&spec), resolve_config(&spec));
-    let total = (c.points().len() * 24) as u64;
-    assert!(
-        journaled < total,
-        "cancel must land before the campaign finished ({journaled}/{total})"
-    );
+    assert_eq!(journaled, 3, "the campaign stopped where it was held");
     let meta = campaign_meta(&c, c.points(), None);
     let store = CampaignStore::open(&daemon_dir, meta).expect("reopen cancelled store");
-    assert!(
-        store.replayable_trials() >= 1,
+    assert_eq!(
+        store.replayable_trials(),
+        3,
         "cancelled journal replays its paid-for trials"
     );
     c.run_all_observed(&store);
