@@ -5,17 +5,11 @@
 //! schema-stable `BENCH.json` so every PR can diff the perf trajectory:
 //!
 //! - **golden-run latency** per workload (clean run, no fault, no record);
-//! - **trials/sec** per workload, measured over the *same* seeded trial
-//!   sequence in interleaved rounds: on the persistent
-//!   [`simmpi::arena::JobArena`] worker pool and with fresh per-trial
-//!   thread spawn — their ratio is the **arena speedup**;
-//! - **dispatch overhead**: arena-vs-spawn on a barrier-only job, which
-//!   isolates exactly the cost the arena amortises (thread spawn/teardown
-//!   and first-touch stack/allocator warm-up). Whole-trial speedup depends
-//!   on how much of a trial the application itself occupies — on a
-//!   single-core host trials are messaging-bound and the whole-trial ratio
-//!   is modest even though the dispatch ratio is large — so CI gates on
-//!   the dispatch ratio, which is machine-stable;
+//! - **trials/sec** per workload over a fixed seeded trial sequence, on
+//!   the campaign's [`simmpi::arena::ArenaPool`] (`arena_trials_per_sec`,
+//!   the name the committed `BENCH_PR*.json` trajectory uses);
+//! - **rank-scheduler A/B**: the same trials, and a barrier-only dispatch
+//!   micro, on the coop and the thread-per-rank engine;
 //! - **journal append throughput** of the write-ahead trial journal;
 //! - **service throughput**: submission round-trip latency against a live
 //!   `fastfit-served` daemon and the aggregate trials/sec of N campaigns
@@ -25,8 +19,7 @@
 //! fresh-trials-only counter `status.json` reports — so the bench and the
 //! live campaign telemetry can never drift apart.
 //!
-//! Knobs: `FASTFIT_BENCH_TRIALS` (trials per workload and mode, default
-//! 32), `FASTFIT_BENCH_JOURNAL_RECORDS` (default 20000), `FASTFIT_BENCH_OUT`
+//! Knobs: `FASTFIT_BENCH_TRIALS` (trials per workload, default 32), `FASTFIT_BENCH_JOURNAL_RECORDS` (default 20000), `FASTFIT_BENCH_OUT`
 //! (output path, default `BENCH.json`), plus the usual `FASTFIT_RANKS` /
 //! `FASTFIT_CLASS` scale knobs.
 
@@ -45,25 +38,24 @@ use std::time::{Duration, Instant};
 
 /// Schema version of `BENCH.json`. Bump only when a key is renamed or
 /// removed; adding keys is backward-compatible.
-pub const BENCH_SCHEMA: u32 = 1;
+pub const BENCH_SCHEMA: u32 = 2;
 
 /// The workloads the bench sweeps, in report order.
 pub const BENCH_WORKLOADS: [&str; 5] = ["IS", "FT", "MG", "LU", "minimd"];
 
-/// Fixed seed for the bench's fault-bit draws: both execution modes replay
-/// the identical trial sequence, so their wall-clock ratio is a fair
-/// apples-to-apples speedup.
+/// Fixed seed for the bench's fault-bit draws: every run (and both sides
+/// of the scheduler A/B) replays the identical trial sequence.
 const BENCH_POINT_SEED: u64 = 0xBE7C;
 
 /// Clean golden runs timed per workload (the minimum is reported).
 const GOLDEN_RUNS: usize = 3;
 
-/// Interleaved measurement rounds per workload: each round times a batch
-/// of trials on the arena and a batch with fresh spawn back-to-back, so
-/// slow drift in machine load cancels out of the speedup ratio.
+/// Interleaved measurement rounds per scheduler-A/B workload: each round
+/// times a batch of trials on either engine back-to-back, so slow drift in
+/// machine load cancels out of the speedup ratio.
 const BENCH_ROUNDS: usize = 4;
 
-/// Jobs per mode in the dispatch-overhead microbenchmark.
+/// Jobs per engine in the scheduler A/B dispatch micro.
 const DISPATCH_JOBS: usize = 40;
 
 /// Campaigns submitted per round in the service benchmark.
@@ -85,7 +77,7 @@ const SCHED_DISPATCH_RANKS: usize = 64;
 /// Bench configuration (resolved from the environment).
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
-    /// Supervised trials measured per workload per execution mode.
+    /// Supervised trials measured per workload.
     pub trials: usize,
     /// Records appended in the journal-throughput measurement.
     pub journal_records: usize,
@@ -138,12 +130,8 @@ pub struct WorkloadBench {
     pub points: usize,
     /// Best-of-[`GOLDEN_RUNS`] clean-run latency, seconds.
     pub golden_secs: f64,
-    /// Fresh-trial throughput on the persistent worker pool.
+    /// Fresh-trial throughput on the campaign's arena pool.
     pub arena_trials_per_sec: f64,
-    /// Fresh-trial throughput with per-trial thread spawn.
-    pub spawn_trials_per_sec: f64,
-    /// `arena_trials_per_sec / spawn_trials_per_sec`.
-    pub speedup: f64,
 }
 
 /// The full bench report — the in-memory form of `BENCH.json`.
@@ -153,12 +141,10 @@ pub struct BenchReport {
     pub ranks: usize,
     /// Problem class token (`FASTFIT_CLASS`).
     pub class: String,
-    /// Trials per workload per mode.
+    /// Trials per workload.
     pub trials: usize,
     /// Per-workload measurements, [`BENCH_WORKLOADS`] order.
     pub workloads: Vec<WorkloadBench>,
-    /// Dispatch-overhead microbenchmark (the machine-stable arena gain).
-    pub dispatch: DispatchBench,
     /// Records appended in the journal measurement.
     pub journal_records: usize,
     /// Journal write-ahead append throughput, records/sec.
@@ -197,8 +183,8 @@ impl CampaignObserver for TelemetryObserver<'_> {
     }
 }
 
-/// Best-of-N clean-run latency on a persistent arena (first run warms the
-/// workers, then [`GOLDEN_RUNS`] timed runs).
+/// Best-of-N clean-run latency on one arena (first run warms it, then
+/// [`GOLDEN_RUNS`] timed runs).
 fn golden_latency(w: &Workload) -> f64 {
     let spec = JobSpec {
         nranks: w.nranks,
@@ -241,66 +227,28 @@ fn run_trial_batch(campaign: &Campaign, trials: usize) -> (u64, f64) {
     (snap.trials_fresh, snap.elapsed_secs)
 }
 
-/// Measure one workload: golden latency, then the identical seeded trial
-/// sequence on the arena pool and with fresh per-trial spawn, in
-/// interleaved rounds so load drift cancels out of the ratio.
+/// Measure one workload: golden latency, then a fixed seeded trial
+/// sequence on the campaign's arena pool.
 fn bench_workload(w: Workload, trials: usize) -> WorkloadBench {
     let name = w.name.clone();
     let nranks = w.nranks;
     eprintln!("[bench] {}: golden latency ({} runs)...", name, GOLDEN_RUNS);
     let golden_secs = golden_latency(&w);
-    let mut campaign = Campaign::prepare(w, CampaignConfig::from_env());
+    let campaign = Campaign::prepare(w, CampaignConfig::from_env());
     assert!(
         !campaign.points().is_empty(),
         "workload must have injection points"
     );
-    // Warm the arena pool so neither mode pays one-time setup in the
-    // timed window.
-    campaign.cfg.reuse_workers = true;
+    // Warm the arena pool so one-time setup stays out of the timed window.
     let _ = run_trial_batch(&campaign, 1);
-    let rounds = BENCH_ROUNDS.min(trials).max(1);
-    let batch = trials.div_ceil(rounds);
+    eprintln!("[bench] {}: {} trials...", name, trials);
+    let (done, secs) = run_trial_batch(&campaign, trials);
+    let arena_tps = if secs > 0.0 { done as f64 / secs } else { 0.0 };
     eprintln!(
-        "[bench] {}: {} trials per mode ({} interleaved rounds)...",
-        name, trials, rounds
-    );
-    let (mut arena_done, mut arena_secs) = (0u64, 0f64);
-    let (mut spawn_done, mut spawn_secs) = (0u64, 0f64);
-    let mut left = trials;
-    while left > 0 {
-        let n = batch.min(left);
-        campaign.cfg.reuse_workers = true;
-        let (d, s) = run_trial_batch(&campaign, n);
-        arena_done += d;
-        arena_secs += s;
-        campaign.cfg.reuse_workers = false;
-        let (d, s) = run_trial_batch(&campaign, n);
-        spawn_done += d;
-        spawn_secs += s;
-        left -= n;
-    }
-    let arena_tps = if arena_secs > 0.0 {
-        arena_done as f64 / arena_secs
-    } else {
-        0.0
-    };
-    let spawn_tps = if spawn_secs > 0.0 {
-        spawn_done as f64 / spawn_secs
-    } else {
-        0.0
-    };
-    let speedup = if spawn_tps > 0.0 {
-        arena_tps / spawn_tps
-    } else {
-        0.0
-    };
-    eprintln!(
-        "[bench] {}: golden {:.1} ms, arena {:.1} trials/s, spawn {:.1} trials/s, speedup {:.2}x",
+        "[bench] {}: golden {:.1} ms, {:.1} trials/s",
         name,
         golden_secs * 1e3,
-        arena_tps,
-        spawn_tps,
-        speedup
+        arena_tps
     );
     WorkloadBench {
         name,
@@ -308,74 +256,6 @@ fn bench_workload(w: Workload, trials: usize) -> WorkloadBench {
         points: campaign.points().len(),
         golden_secs,
         arena_trials_per_sec: arena_tps,
-        spawn_trials_per_sec: spawn_tps,
-        speedup,
-    }
-}
-
-/// Dispatch-overhead microbenchmark result: arena vs fresh-spawn on a
-/// barrier-only job, isolating exactly the per-trial cost the arena
-/// removes (thread spawn/teardown plus stack/allocator warm-up).
-#[derive(Debug, Clone)]
-pub struct DispatchBench {
-    /// Ranks per job.
-    pub ranks: usize,
-    /// Jobs timed per mode.
-    pub jobs: usize,
-    /// Mean arena dispatch time, seconds/job.
-    pub arena_secs_per_job: f64,
-    /// Mean fresh-spawn dispatch time, seconds/job.
-    pub spawn_secs_per_job: f64,
-    /// `spawn_secs_per_job / arena_secs_per_job`.
-    pub speedup: f64,
-}
-
-/// Time a barrier-only job on both execution paths. The rounds alternate
-/// modes so machine-load drift cancels out of the ratio.
-fn bench_dispatch(nranks: usize) -> DispatchBench {
-    let app: simmpi::runtime::AppFn = std::sync::Arc::new(|ctx: &mut simmpi::ctx::RankCtx| {
-        let w = ctx.world();
-        ctx.barrier(w);
-        simmpi::ctx::RankOutput::new()
-    });
-    let spec = JobSpec {
-        nranks,
-        timeout: Duration::from_secs(30),
-        ..Default::default()
-    };
-    let mut arena = JobArena::new(nranks);
-    // Warm both paths.
-    let _ = arena.run(&spec, app.clone());
-    let _ = simmpi::runtime::run_job(&spec, app.clone());
-    let rounds = 4;
-    let per_round = DISPATCH_JOBS.div_ceil(rounds);
-    let (mut arena_secs, mut spawn_secs) = (0f64, 0f64);
-    let mut jobs = 0usize;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        for _ in 0..per_round {
-            let _ = arena.run(&spec, app.clone());
-        }
-        arena_secs += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        for _ in 0..per_round {
-            let _ = simmpi::runtime::run_job(&spec, app.clone());
-        }
-        spawn_secs += t0.elapsed().as_secs_f64();
-        jobs += per_round;
-    }
-    let arena_per = arena_secs / jobs as f64;
-    let spawn_per = spawn_secs / jobs as f64;
-    DispatchBench {
-        ranks: nranks,
-        jobs,
-        arena_secs_per_job: arena_per,
-        spawn_secs_per_job: spawn_per,
-        speedup: if arena_per > 0.0 {
-            spawn_per / arena_per
-        } else {
-            0.0
-        },
     }
 }
 
@@ -397,8 +277,7 @@ pub struct SchedWorkloadBench {
 }
 
 /// Scheduler A/B section: per-workload whole-trial throughput plus a
-/// wide barrier-only dispatch micro (same interleaved-rounds protocol
-/// as the arena-vs-spawn section, so the ratios are comparable).
+/// wide barrier-only dispatch micro (same interleaved-rounds protocol).
 #[derive(Debug, Clone)]
 pub struct SchedBench {
     /// Per-workload A/B, [`SCHED_BENCH_WORKLOADS`] order.
@@ -787,7 +666,7 @@ pub struct ServeBench {
 /// the experiment rank count, fixed seed so rounds are comparable.
 fn serve_spec(trials: usize) -> CampaignSpec {
     let mut s = CampaignSpec::new("IS");
-    s.ranks = Some(crate::experiment_ranks());
+    s.ranks = Some(default_ranks());
     s.trials = Some(trials);
     s.seed = Some(BENCH_POINT_SEED);
     s
@@ -842,7 +721,7 @@ fn serve_wait_done(addr: &str, id: &str) -> u64 {
 /// `max_campaigns` at once, [`SERVE_CAMPAIGNS`] identical submissions run
 /// to completion. Returns `(aggregate trials/sec, best submit seconds)`.
 fn serve_round(root: &Path, max_campaigns: usize, trials: usize) -> (f64, f64) {
-    let nranks = crate::experiment_ranks();
+    let nranks = default_ranks();
     let h = start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         worker_budget: SERVE_CAMPAIGNS * nranks,
@@ -927,14 +806,6 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         .iter()
         .map(|name| bench_workload(bench_workload_by_name(name), cfg.trials))
         .collect();
-    eprintln!("[bench] dispatch overhead (barrier-only job)...");
-    let dispatch = bench_dispatch(crate::experiment_ranks());
-    eprintln!(
-        "[bench] dispatch: arena {:.3} ms/job, spawn {:.3} ms/job, speedup {:.2}x",
-        dispatch.arena_secs_per_job * 1e3,
-        dispatch.spawn_secs_per_job * 1e3,
-        dispatch.speedup
-    );
     eprintln!(
         "[bench] journal append throughput ({} records)...",
         cfg.journal_records
@@ -947,11 +818,10 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     eprintln!("[bench] active learning (cold vs warm-started ML loops)...");
     let ml = bench_ml(cfg.trials);
     BenchReport {
-        ranks: crate::experiment_ranks(),
+        ranks: default_ranks(),
         class: class.into(),
         trials: cfg.trials,
         workloads,
-        dispatch,
         journal_records: cfg.journal_records,
         journal_appends_per_sec,
         serve,
@@ -995,28 +865,10 @@ impl BenchReport {
                                 ("points", Json::U64(w.points as u64)),
                                 ("golden_secs", Json::F64(w.golden_secs)),
                                 ("arena_trials_per_sec", Json::F64(w.arena_trials_per_sec)),
-                                ("spawn_trials_per_sec", Json::F64(w.spawn_trials_per_sec)),
-                                ("speedup", Json::F64(w.speedup)),
                             ])
                         })
                         .collect(),
                 ),
-            ),
-            (
-                "dispatch",
-                Json::obj([
-                    ("ranks", Json::U64(self.dispatch.ranks as u64)),
-                    ("jobs", Json::U64(self.dispatch.jobs as u64)),
-                    (
-                        "arena_secs_per_job",
-                        Json::F64(self.dispatch.arena_secs_per_job),
-                    ),
-                    (
-                        "spawn_secs_per_job",
-                        Json::F64(self.dispatch.spawn_secs_per_job),
-                    ),
-                    ("speedup", Json::F64(self.dispatch.speedup)),
-                ]),
             ),
             (
                 "journal",
@@ -1143,16 +995,7 @@ mod tests {
                 points: 3,
                 golden_secs: 0.01,
                 arena_trials_per_sec: 100.0,
-                spawn_trials_per_sec: 40.0,
-                speedup: 2.5,
             }],
-            dispatch: DispatchBench {
-                ranks: 8,
-                jobs: 40,
-                arena_secs_per_job: 2e-4,
-                spawn_secs_per_job: 8e-4,
-                speedup: 4.0,
-            },
             journal_records: 100,
             journal_appends_per_sec: 5e4,
             serve: ServeBench {
@@ -1200,7 +1043,7 @@ mod tests {
             },
         };
         let v = report.to_json();
-        assert_eq!(v.get("schema").and_then(Json::as_u64), Some(1));
+        assert_eq!(v.get("schema").and_then(Json::as_u64), Some(2));
         let cfg = v.get("config").expect("config key");
         assert_eq!(cfg.get("ranks").and_then(Json::as_u64), Some(8));
         assert_eq!(cfg.get("class").and_then(Json::as_str), Some("mini"));
@@ -1212,20 +1055,8 @@ mod tests {
             "points",
             "golden_secs",
             "arena_trials_per_sec",
-            "spawn_trials_per_sec",
-            "speedup",
         ] {
             assert!(ws[0].get(key).is_some(), "workload missing {:?}", key);
-        }
-        let d = v.get("dispatch").expect("dispatch key");
-        for key in [
-            "ranks",
-            "jobs",
-            "arena_secs_per_job",
-            "spawn_secs_per_job",
-            "speedup",
-        ] {
-            assert!(d.get(key).is_some(), "dispatch missing {:?}", key);
         }
         let j = v.get("journal").expect("journal key");
         assert_eq!(j.get("records").and_then(Json::as_u64), Some(100));
@@ -1340,12 +1171,11 @@ mod tests {
     #[test]
     fn is_bench_smoke() {
         // A two-trial sweep of the smallest kernel: exercises golden
-        // latency, both execution modes, and the speedup arithmetic.
+        // latency and the trial-rate arithmetic.
         let wb = bench_workload(bench_workload_by_name("IS"), 2);
         assert_eq!(wb.name, "IS");
         assert!(wb.golden_secs > 0.0);
         assert!(wb.arena_trials_per_sec > 0.0);
-        assert!(wb.spawn_trials_per_sec > 0.0);
         assert!(wb.points > 0);
     }
 }

@@ -18,7 +18,7 @@
 //! `experiments` run then resumes its campaigns instead of remeasuring.
 
 use fastfit::prelude::*;
-use fastfit_bench::{experiment_campaign_config, experiment_ranks, lammps_workload, npb_workload};
+use fastfit_bench::{experiment_campaign_config, lammps_workload, npb_workload};
 use fastfit_store::{campaign_meta, CampaignStore};
 use randomforest::{gaussian_fit, histogram, ForestParams, RandomForest};
 use simmpi::hook::{CollKind, ParamId};
@@ -234,33 +234,24 @@ fn bench_verb() {
     use fastfit_bench::bench::{run_bench, BenchConfig};
     banner(
         "bench",
-        "trial-throughput benchmark (arena vs fresh spawn)",
+        "trial-throughput benchmark",
         "n/a — reproduction perf trajectory, diffed across PRs",
     );
     let cfg = BenchConfig::from_env();
     let report = run_bench(&cfg);
     println!(
-        "\n{:<8} {:>6} {:>12} {:>14} {:>14} {:>9}",
-        "workload", "points", "golden ms", "arena tr/s", "spawn tr/s", "speedup"
+        "\n{:<8} {:>6} {:>12} {:>14}",
+        "workload", "points", "golden ms", "trials/s"
     );
     for w in &report.workloads {
         println!(
-            "{:<8} {:>6} {:>12.2} {:>14.1} {:>14.1} {:>8.2}x",
+            "{:<8} {:>6} {:>12.2} {:>14.1}",
             w.name,
             w.points,
             w.golden_secs * 1e3,
-            w.arena_trials_per_sec,
-            w.spawn_trials_per_sec,
-            w.speedup
+            w.arena_trials_per_sec
         );
     }
-    println!(
-        "dispatch: arena {:.3} ms/job vs spawn {:.3} ms/job ({:.2}x, n={})",
-        report.dispatch.arena_secs_per_job * 1e3,
-        report.dispatch.spawn_secs_per_job * 1e3,
-        report.dispatch.speedup,
-        report.dispatch.ranks
-    );
     println!(
         "journal: {:.0} appends/s over {} records",
         report.journal_appends_per_sec, report.journal_records
@@ -311,7 +302,7 @@ fn profile_report() {
     );
     println!(
         "[setup] ranks={} trials/point={} class={:?}",
-        experiment_ranks(),
+        default_ranks(),
         trials(),
         npb::Class::from_env()
     );
@@ -987,7 +978,7 @@ fn ext_cg() {
         "n/a — beyond the paper; §VIII names this as future work",
     );
     let (app, tol) = npb::kernel_by_name("CG", npb::Class::from_env());
-    let w = Workload::new("CG", app, tol, experiment_ranks());
+    let w = Workload::new("CG", app, tol, default_ranks());
     let c = Campaign::prepare(w, experiment_campaign_config(ParamsMode::All));
     let r = c.run_all();
     println!(
@@ -1166,7 +1157,7 @@ fn ext_algos() {
             out.push("spot", buf[elems - 1] + recv[m - 1]);
             out
         });
-        Workload::new(format!("algos-{}", elems), app, 1e-12, experiment_ranks())
+        Workload::new(format!("algos-{}", elems), app, 1e-12, default_ranks())
     };
     let small_elems = 64;
     let large_elems = (BCAST_LARGE_THRESHOLD.max(ALLREDUCE_LARGE_THRESHOLD) / 8) * 2;

@@ -26,8 +26,8 @@ use fastfit_bench::{lammps_workload, npb_workload};
 use fastfit_mlstore::{schema_hash, ModelRegistry, StoredModel, MODELS_DIR};
 use fastfit_scenario::{filter_by_cost, CostModel, Grammar};
 use fastfit_serve::{
-    http_request_retry, run_worker, signal, CampaignSpec, GoldenCostModel, ServeConfig,
-    WorkerConfig, DEFAULT_ADDR,
+    http_request_retry, run_worker, signal, validate_spec, CampaignSpec, GoldenCostModel,
+    ServeConfig, WorkerConfig, DEFAULT_ADDR,
 };
 use fastfit_store::json::Json;
 use fastfit_store::telemetry::STATUS_FILE;
@@ -101,24 +101,48 @@ fn usage() -> ! {
                 --op-budget-mult N (INF_LOOP op budget, × golden op count)\n\
                 --site file.rs:LINE  --param sendbuf|recvbuf|count|datatype|op|root|comm\n\
                 --rank R  --invocation I  --steps N (LAMMPS run length)\n\
-         env:   FASTFIT_TIMEOUT_MULT  FASTFIT_MAX_RETRIES  FASTFIT_RANKS  FASTFIT_STORE_DIR\n\
-                FASTFIT_FAULT_CHANNEL  FASTFIT_RESILIENT  FASTFIT_TIMELINE"
+         env:   FASTFIT_TIMEOUT_MULT (wall backstop = golden wall x this; default 30)\n\
+                FASTFIT_MAX_RETRIES  FASTFIT_RANKS  FASTFIT_STORE_DIR\n\
+                FASTFIT_FAULT_CHANNEL  FASTFIT_RESILIENT  FASTFIT_TIMELINE\n\
+         --workload, --ranks and --trials are checked as the daemon checks a submission;\n\
+         a value it would answer with a 400 (or one that does not parse) exits 2."
     );
     std::process::exit(2)
 }
 
+/// A numeric flag, if given: an unparsable value is an error (exit 2),
+/// never a silent fall-back to the default.
+fn parse_flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
+    flags.get(key).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("bad --{key} value {v:?}");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// Build the workload the identity flags name. They are first held, as
+/// the submission document the daemon would get, to the daemon's own
+/// admission check: what `POST /campaigns` answers with a 400,
+/// `profile`/`campaign`/`point` refuse with exit 2 and the same message.
 fn build_workload(flags: &HashMap<String, String>) -> Workload {
-    let name = flags.get("workload").cloned().unwrap_or_else(|| usage());
-    let mut w = if name.eq_ignore_ascii_case("lammps") {
+    let mut spec = CampaignSpec::new(flags.get("workload").cloned().unwrap_or_else(|| usage()));
+    spec.ranks = parse_flag(flags, "ranks");
+    spec.trials = parse_flag(flags, "trials");
+    if let Err(e) = validate_spec(&spec) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+    let mut w = if spec.workload.eq_ignore_ascii_case("lammps") {
         let steps = flags
             .get("steps")
             .and_then(|s| s.parse().ok())
             .unwrap_or(10);
         lammps_workload(steps)
     } else {
-        npb_workload(&name)
+        npb_workload(&spec.workload)
     };
-    if let Some(r) = flags.get("ranks").and_then(|s| s.parse::<usize>().ok()) {
+    if let Some(r) = spec.ranks {
         w.nranks = r;
     }
     w
@@ -138,7 +162,7 @@ fn apply_supervision_flags(cfg: &mut CampaignConfig, flags: &HashMap<String, Str
 
 fn build_config(flags: &HashMap<String, String>) -> CampaignConfig {
     let mut cfg = CampaignConfig::from_env();
-    if let Some(t) = flags.get("trials").and_then(|s| s.parse().ok()) {
+    if let Some(t) = parse_flag(flags, "trials") {
         cfg.trials_per_point = t;
     }
     cfg.params = match flags.get("params").map(String::as_str) {
@@ -430,8 +454,8 @@ fn cmd_fleet(flags: &HashMap<String, String>) {
 fn cmd_submit(flags: &HashMap<String, String>) {
     let workload = flags.get("workload").cloned().unwrap_or_else(|| usage());
     let mut spec = CampaignSpec::new(workload);
-    spec.ranks = flags.get("ranks").and_then(|s| s.parse().ok());
-    spec.trials = flags.get("trials").and_then(|s| s.parse().ok());
+    spec.ranks = parse_flag(flags, "ranks");
+    spec.trials = parse_flag(flags, "trials");
     spec.params = flags.get("params").map(|tok| {
         ParamsMode::from_token(tok).unwrap_or_else(|| {
             eprintln!("unknown params mode {tok:?}");

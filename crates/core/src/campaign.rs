@@ -29,7 +29,7 @@ use simmpi::arena::ArenaPool;
 use simmpi::control::HangKind;
 use simmpi::ctx::RankOutput;
 use simmpi::hook::CollKind;
-use simmpi::runtime::{run_job, AppFn, JobOutcome, JobResult, JobSpec};
+use simmpi::runtime::{AppFn, JobOutcome, JobSpec};
 use simmpi::sched::Engine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -208,11 +208,6 @@ pub struct CampaignConfig {
     /// Run trials on the resilient transport (checksum/ack/retransmit
     /// recovery) instead of the plain one.
     pub resilient: bool,
-    /// Run trials on a persistent rank-worker pool ([`ArenaPool`]) instead
-    /// of spawning fresh OS threads per trial. Execution detail only — it
-    /// changes trial throughput, never classification, journal bytes or
-    /// campaign identity (`FASTFIT_REUSE_WORKERS=0` disables).
-    pub reuse_workers: bool,
     /// Restrict the campaign to injection points whose call site executes
     /// one of these collective kinds (`None` = all kinds). Part of the
     /// campaign identity: it changes the measured point set.
@@ -240,7 +235,6 @@ impl Default for CampaignConfig {
             seed: 0xFA57,
             fault_channel: FaultChannel::Param,
             resilient: false,
-            reuse_workers: true,
             colls: None,
             timeline: FaultTimeline::default(),
         }
@@ -276,9 +270,6 @@ impl CampaignConfig {
         }
         if let Ok(r) = std::env::var("FASTFIT_RESILIENT") {
             cfg.resilient = matches!(r.as_str(), "1" | "true" | "yes");
-        }
-        if let Ok(r) = std::env::var("FASTFIT_REUSE_WORKERS") {
-            cfg.reuse_workers = !matches!(r.as_str(), "0" | "false" | "no");
         }
         if let Ok(t) = std::env::var("FASTFIT_TIMELINE") {
             if let Ok(t) = FaultTimeline::parse(&t) {
@@ -316,6 +307,19 @@ pub fn ranks_from_env() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| (1..=256).contains(&n))
         .unwrap_or(16)
+}
+
+/// Rank count for a workload that does not name one: `FASTFIT_RANKS`
+/// rounded down to a power of two and capped at 16 (FT's slab layout and
+/// MG's grid need the rank count to divide the problem edge), at least 2.
+/// The one rule behind the experiment harness, the CLI and the daemon.
+pub fn default_ranks() -> usize {
+    let n = ranks_from_env();
+    let mut p = 1usize;
+    while p * 2 <= n && p * 2 <= 16 {
+        p *= 2;
+    }
+    p.max(2)
 }
 
 /// Measurements for one injection point.
@@ -447,8 +451,7 @@ pub struct Campaign {
     pub full_points: u64,
     /// Feature lookup for §III-C.
     pub extractor: FeatureExtractor,
-    /// Persistent rank-worker pool trials run on when
-    /// [`CampaignConfig::reuse_workers`] is set. One arena per concurrent
+    /// The arena pool every trial runs on. One arena per concurrent
     /// caller (rayon point-parallelism checks out distinct arenas), reused
     /// across trials and points. Shared (`Arc`) so a multi-campaign
     /// scheduler can hand several same-rank-count campaigns one pool.
@@ -476,18 +479,12 @@ impl Campaign {
     }
 
     /// As [`Campaign::prepare`], but with trials pinned to `engine`
-    /// regardless of `FASTFIT_SCHED`: a private engine-pinned
-    /// [`ArenaPool`] is created and `reuse_workers` is forced on so every
-    /// trial runs on it. This is the A/B seam the scheduler-equivalence
-    /// suite and the coop-vs-threads bench rounds use — two campaigns
-    /// prepared from the same spec on different engines must produce
-    /// byte-identical journals.
-    pub fn prepare_on_engine(
-        workload: Workload,
-        mut cfg: CampaignConfig,
-        engine: Engine,
-    ) -> Campaign {
-        cfg.reuse_workers = true;
+    /// instead of the platform's: a private engine-pinned [`ArenaPool`].
+    /// This is the in-process A/B seam the scheduler-equivalence suite and
+    /// the coop-vs-threads bench rounds use — two campaigns prepared from
+    /// the same spec on different engines must produce byte-identical
+    /// journals.
+    pub fn prepare_on_engine(workload: Workload, cfg: CampaignConfig, engine: Engine) -> Campaign {
         let pool = Arc::new(ArenaPool::with_engine(workload.nranks, engine));
         Campaign::prepare_with_pool(workload, cfg, &NullObserver, Some(pool))
     }
@@ -576,19 +573,6 @@ impl Campaign {
     /// scheduler when prepared via [`Campaign::prepare_with_pool`]).
     pub fn arena_pool(&self) -> &Arc<ArenaPool> {
         &self.arena
-    }
-
-    /// Execute one trial job: on the persistent arena pool when
-    /// [`CampaignConfig::reuse_workers`] is set, otherwise with fresh
-    /// per-trial thread spawn ([`run_job`]). The two paths are
-    /// semantically identical — same supervision, same determinism — and
-    /// differ only in throughput.
-    fn exec_job(&self, spec: &JobSpec, app: AppFn) -> JobResult {
-        if self.cfg.reuse_workers {
-            self.arena.run(spec, app)
-        } else {
-            run_job(spec, app)
-        }
     }
 
     /// The injection points that survived pruning.
@@ -697,7 +681,7 @@ impl Campaign {
     pub fn run_trial_detailed(&self, point: &InjectionPoint, bit: u64) -> TrialOutcome {
         let hook = Arc::new(InjectorHook::new(self.fault_spec(point, bit)));
         let spec = self.trial_spec(hook.clone(), 0);
-        let result = self.exec_job(&spec, self.workload.app.clone());
+        let result = self.arena.run(&spec, self.workload.app.clone());
         let events = self.trial_events(&hook, &result.transport);
         self.classify_trial(&result.outcome, events, result.transport.retransmits)
     }
@@ -751,7 +735,7 @@ impl Campaign {
         let spec = self.trial_spec(hook.clone(), escalation);
         let app = self.workload.app.clone();
         let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.exec_job(&spec, app)
+            self.arena.run(&spec, app)
         })) {
             Ok(r) => r,
             // Harness trouble (e.g. thread-spawn failure under fd/mem
@@ -1181,6 +1165,12 @@ mod tests {
             min_timeout: Duration::from_millis(300),
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn default_ranks_are_pow2_capped() {
+        let r = default_ranks();
+        assert!(r.is_power_of_two() && (2..=16).contains(&r));
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub mod timeline;
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::campaign::{
-        ranks_from_env, Campaign, CampaignConfig, CampaignResult, CancelToken, PointResult,
-        TrialOutcome, Workload,
+        default_ranks, ranks_from_env, Campaign, CampaignConfig, CampaignResult, CancelToken,
+        PointResult, TrialOutcome, Workload,
     };
     pub use crate::export::{histograms_csv, maybe_write, points_csv, series_csv};
     pub use crate::fault::{FaultSpec, InjectorHook};

@@ -82,12 +82,6 @@ pub struct ServeConfig {
     /// Heartbeat deadline: a lease not renewed within this window is
     /// expired and re-leased (with exponential backoff).
     pub lease_ttl: Duration,
-    /// Rank scheduler for campaign arenas. The worker budget is priced
-    /// in **carrier threads**: under [`Engine::Threads`] a campaign
-    /// costs its rank count, under [`Engine::Coop`] it costs one carrier
-    /// per arena regardless of width, so the same budget admits far more
-    /// concurrent coop campaigns.
-    pub engine: Engine,
 }
 
 impl ServeConfig {
@@ -102,7 +96,6 @@ impl ServeConfig {
             fleet: false,
             lease_trials: 8,
             lease_ttl: Duration::from_secs(3),
-            engine: Engine::from_env(),
         }
     }
 }
@@ -283,20 +276,19 @@ impl Daemon {
     }
 
     pub(crate) fn pool_for(&self, ranks: usize) -> Arc<ArenaPool> {
-        let engine = self.cfg.engine;
         self.pools
             .lock()
             .expect("pool registry lock poisoned")
             .entry(ranks)
-            .or_insert_with(|| Arc::new(ArenaPool::with_engine(ranks, engine)))
+            .or_insert_with(|| Arc::new(ArenaPool::new(ranks)))
             .clone()
     }
 
     /// What a campaign of `ranks` ranks costs against the worker budget:
-    /// the carrier threads its arena actually occupies under the
-    /// configured engine.
+    /// the carrier threads its arena actually occupies on this
+    /// platform's engine.
     fn carrier_cost(&self, ranks: usize) -> usize {
-        self.cfg.engine.carrier_threads(ranks)
+        Engine::platform().carrier_threads(ranks)
     }
 
     /// Handle `POST /campaigns`.
@@ -699,7 +691,7 @@ impl Daemon {
             self.cfg.worker_budget,
             occupancy,
             busy,
-            self.cfg.engine.name(),
+            Engine::platform().name(),
         );
         text.push_str(&self.fleet_metrics_text());
         text

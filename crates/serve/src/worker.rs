@@ -31,7 +31,6 @@ use fastfit::prelude::{
 };
 use fastfit_store::json::Json;
 use fastfit_store::{campaign_meta, Record, TrialRecord};
-use simmpi::sched::Engine;
 
 /// Worker configuration.
 #[derive(Debug, Clone)]
@@ -47,10 +46,6 @@ pub struct WorkerConfig {
     /// Wait before the next lease poll when the coordinator is
     /// unreachable, or answers an empty poll without a `retry_ms` hint.
     pub idle_wait: Duration,
-    /// Rank scheduler leased trials run on. Journal bytes are
-    /// engine-invariant, so a fleet may mix coop and threaded workers
-    /// and still merge to the canonical journal.
-    pub engine: Engine,
 }
 
 impl WorkerConfig {
@@ -61,7 +56,6 @@ impl WorkerConfig {
             name: name.into(),
             attempts: 8,
             idle_wait: Duration::from_millis(200),
-            engine: Engine::from_env(),
         }
     }
 }
@@ -233,11 +227,7 @@ pub fn run_worker(cfg: &WorkerConfig, stop: &(dyn Fn() -> bool + Sync)) -> io::R
                     continue;
                 }
             };
-            let campaign = Campaign::prepare_on_engine(
-                resolve_workload(&spec),
-                resolve_config(&spec),
-                cfg.engine,
-            );
+            let campaign = Campaign::prepare(resolve_workload(&spec), resolve_config(&spec));
             let local_sha = campaign_meta(&campaign, campaign.points(), None).campaign_id();
             if local_sha != grant.sha {
                 report_error(

@@ -9,27 +9,15 @@
 //! HTTP 400, not a panic inside a runner thread.
 
 use crate::spec::CampaignSpec;
-use fastfit::prelude::{
-    ranks_from_env, CampaignConfig, FaultTimeline, MlConfig, MlTarget, Workload,
-};
+use fastfit::prelude::{CampaignConfig, FaultTimeline, MlConfig, MlTarget, Workload};
 use minimd::{md_app, MdConfig};
 use npb::{kernel_by_name, Class, ALL_KERNELS};
 
 /// Default LAMMPS run length (the CLI's `--steps` default).
 pub const DEFAULT_LAMMPS_STEPS: usize = 10;
 
-/// Default rank count when the spec does not name one: `FASTFIT_RANKS`
-/// rounded down to a power of two and capped at 16 — the same constraint
-/// the experiment harness applies (FT's slab layout and MG's grid need
-/// the rank count to divide the problem edge).
-pub fn default_ranks() -> usize {
-    let n = ranks_from_env();
-    let mut p = 1usize;
-    while p * 2 <= n && p * 2 <= 16 {
-        p *= 2;
-    }
-    p.max(2)
-}
+/// Rank count for a spec that names none (one rule, in `fastfit`).
+pub use fastfit::campaign::default_ranks;
 
 /// Validate a spec without building anything: the submission-time check
 /// behind HTTP 400. Returns a human-readable reason on rejection.
@@ -247,11 +235,5 @@ mod tests {
         let (target, ml) = resolve_ml(&spec).unwrap();
         assert_eq!(target, MlTarget::RateLevels(3));
         assert!((ml.accuracy_threshold - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_ranks_are_pow2_capped() {
-        let r = default_ranks();
-        assert!(r.is_power_of_two() && (2..=16).contains(&r));
     }
 }

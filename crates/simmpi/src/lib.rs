@@ -3,7 +3,9 @@
 //! This crate stands in for the MPI library + PMPI interposition layer that
 //! the FastFIT paper instruments on a real supercomputer. It provides:
 //!
-//! - **Ranks as threads** over a channel-based [`transport::Fabric`];
+//! - **Ranks as coroutines** on the calling thread ([`sched`]; rank
+//!   threads where the stack switch is not implemented) over a
+//!   channel-based [`transport::Fabric`];
 //! - **Collectives** ([`coll`]) implemented with the classic deterministic
 //!   algorithms (binomial trees, recursive doubling, ring, pairwise
 //!   exchange, dissemination barrier, linear scans), size-tuned variants
@@ -18,9 +20,10 @@
 //! - **A page-granular memory model** for out-of-bounds effects of
 //!   corrupted counts (reads within a page succeed and return garbage,
 //!   anything further is a simulated segmentation fault);
-//! - **A supervised job runner** ([`runtime`]) with a watchdog that turns
-//!   deadlocks into clean `INF_LOOP`-style outcomes and maps rank panics
-//!   onto the paper's response taxonomy;
+//! - **A supervised job runner** ([`arena`], [`runtime`]) with one
+//!   watchdog for both engines that turns deadlocks into clean
+//!   `INF_LOOP`-style outcomes and maps rank panics onto the paper's
+//!   response taxonomy;
 //! - **Call recording** ([`record`]) with phases, error-handling flags and
 //!   annotated call stacks — the data source for the profiling substrate.
 //!

@@ -1,5 +1,7 @@
-//! The job runner: spawns one thread per rank, supervises them with a
-//! watchdog, and collapses the per-rank exits into a single job outcome.
+//! The job: its specification, its outcome taxonomy, and [`run_job`].
+//! The engines that execute one, the supervisor that watches it and the
+//! collapse of per-rank exits into a single outcome live in
+//! [`crate::arena`] and [`crate::sched`].
 //!
 //! The outcome taxonomy maps one-to-one onto the paper's Table I:
 //!
@@ -32,9 +34,8 @@ use std::panic;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Prefix used to name rank threads, so the global panic hook can silence
-/// their (intentional) unwinds. Both the one-shot `run_job` path and the
-/// persistent [`crate::arena::JobArena`] workers use it.
+/// Prefix the thread-per-rank engine names its rank threads with, so the
+/// global panic hook can silence their (intentional) unwinds.
 pub(crate) const RANK_THREAD_PREFIX: &str = "simmpi-rank-";
 
 /// The application entry point: one closure, run by every rank.
@@ -163,11 +164,10 @@ pub(crate) fn install_quiet_panic_hook() {
 
 /// Run `app` on `spec.nranks` simulated ranks and collect the outcome.
 ///
-/// This is the one-shot path: it builds a throwaway [`JobArena`] (spawning
-/// `nranks` worker threads), runs the single job on it, and tears the
-/// workers down again. Callers that run many jobs should hold a
-/// [`JobArena`] (or [`crate::arena::ArenaPool`]) and reuse it — same
-/// semantics, without the per-job thread spawn/teardown.
+/// This is the one-shot path: a throwaway [`JobArena`]. Callers that run
+/// many jobs should hold a [`JobArena`] (or [`crate::arena::ArenaPool`])
+/// and reuse it — same semantics, and the coop engine's rank stacks are
+/// allocated once instead of per job.
 pub fn run_job(spec: &JobSpec, app: AppFn) -> JobResult {
     JobArena::new(spec.nranks).run(spec, app)
 }

@@ -1,15 +1,14 @@
 //! Cooperative rank scheduler: ranks as stackful coroutines multiplexed
 //! onto one carrier thread, driven by a deterministic round-robin loop.
 //!
-//! The thread-per-rank engine ([`crate::arena::ThreadArena`]) pays an OS
-//! context switch for every message handoff; a 16-rank trial on one core
-//! is a context-switch storm, which is why BENCH_PR4/PR5 saw dispatch get
-//! 3.8x faster while whole-trial throughput barely moved. This module
-//! multiplexes all ranks of a job onto the *calling* thread: each rank is
-//! a stackful coroutine that runs to its next blocking point (a receive
-//! with no matching message, an injected fail-slow delay, a cooperative
-//! yield) and then switches back to the scheduler with two instructions'
-//! worth of register traffic instead of a trip through the kernel.
+//! The thread-per-rank engine pays an OS context switch for every message
+//! handoff; a 16-rank trial on one core is a context-switch storm. This
+//! module multiplexes all ranks of a job onto the *calling* thread: each
+//! rank is a stackful coroutine that runs to its next blocking point (a
+//! receive with no matching message, an injected fail-slow delay, a
+//! cooperative yield) and then switches back to the scheduler with two
+//! instructions' worth of register traffic instead of a trip through the
+//! kernel.
 //!
 //! ## Determinism
 //!
@@ -20,9 +19,8 @@
 //! and the armed faults. Everything the trial journal records (outcome
 //! classification, retransmit counts, fatal-rank attribution, op-budget
 //! ordinals, timeline event counts) was already schedule-independent on
-//! the threaded engine — that is what the arena-vs-spawn byte-identity
-//! tests prove — so the two engines journal byte-identical records and
-//! the engine choice is *excluded* from journal identity.
+//! the threaded engine, so the two engines journal byte-identical records
+//! and the engine is *excluded* from journal identity.
 //! `tests/sched_equivalence.rs` holds the proof obligation.
 //!
 //! ## Supervision and time
@@ -36,76 +34,68 @@
 //! time passes, and the order timers fire in is a function of the program.
 //! A sleeping rank is skipped by the round loop until its timer is due.
 //!
-//! The same all-blocked, unmoved round is where the watchdog looks
-//! (verdicts mirror the threaded engine's exactly):
-//! - **Stall sweep**: if every live rank is provably blocked on an
-//!   unsatisfiable receive ([`Fabric::stuck`](crate::transport::Fabric::stuck))
-//!   the round is a stall candidate; `stall_quota` consecutive candidates
-//!   prove a deadlock ([`HangKind::Stalled`]). Held and recoverable
-//!   (dropped-but-resilient) messages keep `stuck` false, so delays are
-//!   never misfiled. Candidates follow each other without a pause: on one
-//!   carrier the first already is the proof.
-//! - **Fail-stop drain**: a candidate round with a fatal recorded means
-//!   every survivor has run to its own deterministic fate — teardown
-//!   without recording a hang, so fatal attribution (lowest rank wins)
-//!   matches the threaded engine.
-//! - **Wall clock**: read once between rounds — the only wall-clock read
-//!   on the coop path — and only ever attributed when no deterministic
-//!   detector claimed the job first. (A rank that never yields reads it
-//!   itself, once per 1024 ops, in `JobControl::note_op`.)
+//! The watchdog is the one both engines share (`Supervisor::step` in
+//! [`crate::arena`]): the scheduler
+//! steps it once between rounds — its read of the wall clock is the only
+//! one on the coop path (a rank that never yields reads it itself, once
+//! per 1024 ops, in `JobControl::note_op`) — and reports the job parked
+//! only after that same all-blocked, unmoved round, so that is the only
+//! time the stall sweep runs. Held and recoverable (dropped-but-resilient)
+//! messages keep [`Fabric::stuck`](crate::transport::Fabric::stuck) false,
+//! so delays are never misfiled as deadlocks. Stall candidates follow each
+//! other without a pause: on one carrier the first already is the proof.
 //!
 //! The one pause left: an all-blocked, unmoved round that is neither a
 //! stall candidate nor has a timer to jump to (stall detection off, or a
 //! budget-less receive of a dropped message) can only end at the
 //! wall-clock deadline, and naps a millisecond rather than spin a core.
 //!
-//! Teardown needs no drain-grace/respawn machinery: a suspended coroutine
-//! is always parked at a yield point that re-checks the kill flag, so
-//! resuming every live rank until all finish is guaranteed to terminate.
+//! Teardown: a suspended coroutine is always parked at a yield point that
+//! re-checks the kill flag, so resuming every live rank until all finish
+//! is guaranteed to terminate.
 //!
 //! ## Engine selection
 //!
-//! `FASTFIT_SCHED=coop|threads` picks the engine; the default is `coop`
-//! on x86_64 and `threads` elsewhere (the stack switch is hand-written
-//! sysv64 assembly). [`Engine`] is plumbed through
-//! [`crate::arena::JobArena`], [`crate::arena::ArenaPool`], and the serve
-//! daemon's worker budget; it is deliberately *not* part of any campaign
-//! or journal identity.
+//! The platform picks: coop on x86_64 (the stack switch is hand-written
+//! sysv64 assembly), threads elsewhere ([`Engine::platform`]). Tests and
+//! the coop-vs-threads bench pin an [`Engine`] through
+//! [`JobArena::with_engine`](crate::arena::JobArena::with_engine) /
+//! [`ArenaPool::with_engine`](crate::arena::ArenaPool::with_engine); no
+//! user-facing setting selects one, and the engine is deliberately *not*
+//! part of any campaign or journal identity.
 
-use crate::arena::{run_rank, JobState};
-use crate::control::HangKind;
-use crate::runtime::{install_quiet_panic_hook, AppFn, JobOutcome, JobResult, JobSpec};
+use crate::arena::{run_rank, Supervisor, Verdict};
+use crate::runtime::{install_quiet_panic_hook, AppFn, JobResult, JobSpec};
 use crate::transport::Fabric;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which execution engine runs a job's ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// One OS thread per rank (the original engine; `FASTFIT_SCHED=threads`).
+    /// One OS thread per rank: the only engine where the stack switch is
+    /// not implemented, and the reference coop is proved against.
     Threads,
-    /// All ranks as coroutines on the calling thread (the default).
+    /// All ranks as coroutines on the calling thread.
     Coop,
 }
 
 impl Engine {
-    /// Engine selected by `FASTFIT_SCHED` (`coop` / `threads`), defaulting
-    /// to the cooperative scheduler where the stack switch is implemented.
-    pub fn from_env() -> Engine {
-        match std::env::var("FASTFIT_SCHED").as_deref() {
-            Ok("threads") => Engine::Threads,
-            Ok("coop") => Engine::Coop,
-            _ => Engine::Coop,
-        }
-        .effective()
-    }
-
-    /// The engine that will actually run: `Coop` degrades to `Threads` on
-    /// targets without a stack-switch implementation.
-    pub fn effective(self) -> Engine {
+    /// The engine jobs run on here: the cooperative scheduler where the
+    /// stack switch is implemented, rank threads elsewhere.
+    pub fn platform() -> Engine {
         if cfg!(target_arch = "x86_64") {
-            self
+            Engine::Coop
         } else {
             Engine::Threads
+        }
+    }
+
+    /// The engine that will actually run when this one is pinned: `Coop`
+    /// degrades to `Threads` on targets without a stack switch.
+    pub fn effective(self) -> Engine {
+        match self {
+            Engine::Coop => Engine::platform(),
+            Engine::Threads => Engine::Threads,
         }
     }
 
@@ -119,7 +109,7 @@ impl Engine {
         }
     }
 
-    /// Token used by `FASTFIT_SCHED` and reports.
+    /// Token used in reports and the daemon's `sched_engine` gauge.
     pub fn name(self) -> &'static str {
         match self {
             Engine::Threads => "threads",
@@ -426,8 +416,7 @@ pub fn rank_sleep(fabric: &Fabric, dur: Duration) {
 const DEADLINE_NAP: Duration = Duration::from_millis(1);
 
 /// The cooperative engine's arena: per-rank coroutine stacks, reused
-/// across jobs exactly as [`crate::arena::ThreadArena`] reuses its worker
-/// threads.
+/// across jobs so a campaign pays the allocation once per rank.
 pub struct CoopArena {
     nranks: usize,
     stacks: Vec<Stack>,
@@ -505,25 +494,30 @@ impl CoopArena {
         order
     }
 
-    /// Run one job, multiplexing all ranks onto the calling thread.
-    /// Semantically identical to [`crate::arena::ThreadArena::run`]: same
-    /// job-state isolation, same supervision verdicts, same outcome
-    /// derivation — only the execution substrate differs.
+    /// Run one job, multiplexing all ranks onto the calling thread, under
+    /// the supervisor both engines share.
     pub fn run(&mut self, spec: &JobSpec, app: AppFn) -> JobResult {
         assert_eq!(
             spec.nranks, self.nranks,
             "CoopArena built for {} ranks cannot run a {}-rank job",
             self.nranks, spec.nranks
         );
-        let start = Instant::now();
-        let n = self.nranks;
         self.jobs_run += 1;
+        Supervisor::run(spec, app, Engine::Coop, |sup| self.drive(sup))
+    }
+
+    /// The round loop. It doubles as the job's clock (module docs,
+    /// "Supervision and time"): a round after which every live rank is
+    /// blocked and the epoch has not moved is where the supervisor sweeps
+    /// for a proven deadlock or a drained failure, and failing that the
+    /// clock jumps to the earliest timer.
+    fn drive(&mut self, sup: &mut Supervisor) {
+        let n = self.nranks;
         while self.stacks.len() < n {
             self.stacks.push(Stack::new());
         }
-        let job = JobState::for_spec(spec, app, Engine::Coop);
-        let ctl = job.ctl.clone();
-        let fabric = job.fabric.clone();
+        let job = sup.job.clone();
+        let (ctl, fabric) = (&job.ctl, &job.fabric);
         let coros: Vec<Coroutine> = (0..n)
             .map(|rank| {
                 let job = job.clone();
@@ -531,22 +525,15 @@ impl CoopArena {
             })
             .collect();
 
-        // The round loop doubles as the watchdog and as the job's clock
-        // (module docs, "Supervision and time"). A round after which
-        // every live rank is blocked and the epoch has not moved is where
-        // both act: the stall sweep looks for a proven deadlock or a
-        // drained failure, and failing that the clock jumps to the
-        // earliest timer.
         let mut live = vec![true; n];
-        let mut stall_streak: u32 = 0;
         let mut round: u64 = 0;
-        let finished_in_time = loop {
+        loop {
             let e0 = fabric.epoch();
             let now = fabric.now();
             let order = self.round_order(&live, round);
             round += 1;
             if order.is_empty() {
-                break true;
+                break;
             }
             let mut all_blocked = true;
             // Earliest wake time among the ranks asleep after this round.
@@ -572,100 +559,35 @@ impl CoopArena {
                 }
             }
             if ctl.done_count() == n {
-                break true;
+                break;
             }
-            if ctl.should_die() {
-                if ctl.fatal().is_none() && ctl.hang().is_none() {
-                    ctl.record_hang(HangKind::WallClock);
-                }
-                ctl.kill();
-                break false;
+            // A rank waiting in `recv` always parks blocked, so only an
+            // all-blocked round that moved nothing can be a stall
+            // candidate — the sweep (one mailbox lock per rank) is not
+            // worth taking after any other.
+            let parked = (all_blocked && fabric.epoch() == e0).then_some(e0);
+            match sup.step(parked) {
+                Verdict::Stop => break,
+                Verdict::Continue => {}
+                // Nothing can run and nothing is proven: jump to the
+                // earliest timer, or wait out the deadline.
+                Verdict::Idle => match next_wake.into_iter().chain(fabric.next_held_due()).min() {
+                    Some(t) => fabric.advance_to(t),
+                    None => {
+                        self.naps += 1;
+                        std::thread::sleep(DEADLINE_NAP);
+                    }
+                },
             }
-            if !all_blocked || fabric.epoch() != e0 {
-                stall_streak = 0;
-                continue;
-            }
-            // Nothing can run. A rank waiting in `recv` always parks
-            // blocked, so only such a round can be a stall candidate —
-            // the sweep (one mailbox lock per rank) is not worth taking
-            // after any other. Consecutive candidates share one epoch:
-            // any round that moves it resets the streak above.
-            let candidate = spec.stall_quota > 0 && {
-                let stuck = (0..n).filter(|&r| fabric.stuck(r)).count();
-                stuck > 0 && stuck + ctl.done_count() >= n
-            };
-            if candidate {
-                if ctl.fatal().is_some() {
-                    // Drained failure: no hang recorded, fatal attribution
-                    // is already complete.
-                    break false;
-                }
-                stall_streak += 1;
-                if stall_streak >= spec.stall_quota {
-                    ctl.record_hang(HangKind::Stalled);
-                    break false;
-                }
-                continue;
-            }
-            stall_streak = 0;
-            match next_wake.into_iter().chain(fabric.next_held_due()).min() {
-                Some(t) => fabric.advance_to(t),
-                None => {
-                    self.naps += 1;
-                    std::thread::sleep(DEADLINE_NAP);
-                }
-            }
-        };
-        if !finished_in_time {
-            ctl.kill();
         }
 
         // Teardown: every parked coroutine sits at a yield point that
         // re-checks the kill flag (a sleeper's `rank_sleep` returns to
-        // one), so resuming in rounds terminates. This is the coop analog
-        // of the threaded drain, with no wedge case (a coroutine cannot be
-        // descheduled mid-compute, so there is nothing to respawn around).
-        loop {
-            let mut any = false;
-            for coro in &coros {
-                if !coro.finished() {
-                    any = true;
-                    coro.resume();
-                }
+        // one), so resuming in rounds terminates.
+        while coros.iter().any(|c| !c.finished()) {
+            for coro in coros.iter().filter(|c| !c.finished()) {
+                coro.resume();
             }
-            if !any {
-                break;
-            }
-        }
-
-        let recs = job
-            .records
-            .iter()
-            .map(|m| std::mem::take(&mut *m.lock()))
-            .collect();
-        let outcome = if let Some((rank, kind)) = ctl.fatal() {
-            JobOutcome::Fatal { rank, kind }
-        } else if let Some(kind) = ctl.hang() {
-            JobOutcome::TimedOut { kind }
-        } else if !finished_in_time {
-            JobOutcome::TimedOut {
-                kind: HangKind::WallClock,
-            }
-        } else {
-            let outs: Option<Vec<_>> = job.outputs.iter().map(|m| m.lock().clone()).collect();
-            match outs {
-                Some(outputs) => JobOutcome::Completed { outputs },
-                None => JobOutcome::TimedOut {
-                    kind: HangKind::WallClock,
-                },
-            }
-        };
-        JobResult {
-            outcome,
-            records: recs,
-            ops: ctl.ops_snapshot(),
-            wall: start.elapsed(),
-            transport: fabric.stats(),
         }
     }
 }
@@ -676,6 +598,7 @@ mod tests {
     use crate::control::HangKind;
     use crate::ctx::{RankCtx, RankOutput};
     use crate::op::ReduceOp;
+    use crate::runtime::JobOutcome;
     use std::sync::Arc;
 
     fn spec(n: usize) -> JobSpec {

@@ -1,11 +1,11 @@
-//! Arena-reuse poisoning: the persistent rank-worker pool must not leak
-//! state from a trial that ended badly into the trial that follows it.
-//! After each of the ugly endings — SEG_FAULT (rank panic), INF_LOOP via
-//! a dropped message burning the op budget, MPI_ERR_TRANSPORT from an
+//! Arena-reuse poisoning: a campaign's arena pool must not leak state
+//! from a trial that ended badly into the trial that follows it. After
+//! each of the ugly endings — SEG_FAULT (rank panic), INF_LOOP via a
+//! dropped message burning the op budget, MPI_ERR_TRANSPORT from an
 //! exhausted resilient recovery, and a wall-clock quarantine — the next
-//! trial on the *same* arena must classify exactly as it would on a
-//! fresh-spawn campaign. A soak under CPU saturation repeats the cycle
-//! to catch reset bugs that only show under scheduler pressure.
+//! trial on the *same* arena must classify exactly as the first trial of
+//! a freshly prepared campaign does. A soak under CPU saturation repeats
+//! the cycle to catch reset bugs that only show under scheduler pressure.
 
 use fastfit::prelude::*;
 use fastfit::supervise::{QuarantineReason, TrialDisposition};
@@ -20,8 +20,8 @@ use std::time::Duration;
 const NRANKS: usize = 4;
 
 /// App behaviours, selected through a shared atomic so ONE prepared
-/// campaign — and therefore one persistent arena — runs poison trials
-/// and clean trials back to back on the same worker threads.
+/// campaign — and therefore one pooled arena — runs poison trials and
+/// clean trials back to back on the same rank stacks.
 const MODE_CLEAN: usize = 0;
 const MODE_SEGFAULT: usize = 1;
 const MODE_SLOW: usize = 2;
@@ -80,13 +80,12 @@ struct Rig {
     point: InjectionPoint,
 }
 
-fn rig(reuse_workers: bool) -> Rig {
+fn rig() -> Rig {
     let mode = Arc::new(AtomicUsize::new(MODE_CLEAN));
     let w = Workload::new("arena-poison", modal_app(mode.clone()), 1e-12, NRANKS);
     let cfg = CampaignConfig {
         fault_channel: FaultChannel::Message,
         min_timeout: Duration::from_millis(400),
-        reuse_workers,
         ..Default::default()
     };
     let campaign = Campaign::prepare(w, cfg);
@@ -114,6 +113,13 @@ fn probes(rig: &Rig) -> (TrialOutcome, TrialOutcome) {
         rig.campaign.run_trial_detailed(&rig.point, DELAY_BIT),
         rig.campaign.run_trial_detailed(&rig.point, DROP_BIT),
     )
+}
+
+/// The reference: a probe as the *first* trial of a freshly prepared
+/// campaign, on an arena pool that has run nothing yet.
+fn fresh_probe(bit: u64) -> TrialOutcome {
+    let fresh = rig();
+    fresh.campaign.run_trial_detailed(&fresh.point, bit)
 }
 
 const POISONS: [&str; 4] = [
@@ -148,7 +154,7 @@ fn apply_poison(rig: &mut Rig, which: &str) {
         "quarantine" => {
             // Shrink the wall backstop far below the slow app's runtime;
             // every escalated attempt is killed mid-progress and the
-            // supervisor quarantines. The kills leave workers mid-app —
+            // supervisor quarantines. The kills leave ranks mid-app —
             // exactly the residue the arena must clear.
             rig.mode.store(MODE_SLOW, Ordering::SeqCst);
             let saved = (
@@ -179,17 +185,16 @@ fn apply_poison(rig: &mut Rig, which: &str) {
 }
 
 /// After every poison scenario, classification on the reused arena must
-/// equal a fresh-spawn campaign's — full `TrialOutcome` equality, not
-/// just the response token.
+/// equal a freshly prepared campaign's first trial — full `TrialOutcome`
+/// equality, not just the response token.
 #[test]
-fn poisoned_arena_classifies_next_trial_like_fresh_spawn() {
-    let fresh = rig(false);
-    let baseline = probes(&fresh);
+fn poisoned_arena_classifies_next_trial_like_fresh_campaign() {
+    let baseline = (fresh_probe(DELAY_BIT), fresh_probe(DROP_BIT));
     assert_eq!(baseline.0.response, Response::Success, "fresh delay probe");
     assert!(baseline.0.fired, "fresh delay probe must fire");
     assert_eq!(baseline.1.response, Response::InfLoop, "fresh drop probe");
 
-    let mut arena = rig(true);
+    let mut arena = rig();
     assert_eq!(probes(&arena), baseline, "unpoisoned arena");
     for which in POISONS {
         apply_poison(&mut arena, which);
@@ -198,8 +203,8 @@ fn poisoned_arena_classifies_next_trial_like_fresh_spawn() {
 }
 
 /// Burn every core with spinners while `f` runs (the `tests/supervision.rs`
-/// harness): state reset must hold when kills, drains and respawns race
-/// real scheduler pressure, not just on an idle machine.
+/// harness): state reset must hold when kills and teardowns race real
+/// scheduler pressure, not just on an idle machine.
 fn under_cpu_load<T>(f: impl FnOnce() -> T) -> T {
     let stop = Arc::new(AtomicBool::new(false));
     let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
@@ -228,11 +233,10 @@ fn under_cpu_load<T>(f: impl FnOnce() -> T) -> T {
 /// equality is covered above.
 #[test]
 fn arena_poison_soak_under_cpu_load() {
-    let fresh = rig(false);
-    let baseline = fresh.campaign.run_trial_detailed(&fresh.point, DELAY_BIT);
+    let baseline = fresh_probe(DELAY_BIT);
     assert_eq!(baseline.response, Response::Success, "fresh delay probe");
 
-    let mut arena = rig(true);
+    let mut arena = rig();
     under_cpu_load(|| {
         for i in 0..20 {
             let which = POISONS[i % POISONS.len()];

@@ -308,111 +308,6 @@ fn timeline_journals_byte_identical_across_kill_resume() {
     std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
-/// Timeline triggers must also be blind to the execution engine: the
-/// arena pool and fresh-spawn `run_job` journal byte-identical records
-/// under a burst+heal schedule on both transports.
-#[test]
-fn timeline_arena_and_fresh_spawn_are_byte_identical() {
-    for resilient in [false, true] {
-        let campaign = |reuse: bool| {
-            let w = Workload::new("noisy", noisy_app(), 0.0, 4);
-            let mut cfg = CampaignConfig {
-                trials_per_point: 3,
-                resilient,
-                reuse_workers: reuse,
-                ..Default::default()
-            };
-            cfg.set_timeline(FaultTimeline::parse("burst:2+heal:3").unwrap());
-            Campaign::prepare(w, cfg)
-        };
-        let mut journals = Vec::new();
-        for reuse in [true, false] {
-            let dir = std::env::temp_dir().join(format!(
-                "fastfit-tl-arena-{}-{}-{}",
-                std::process::id(),
-                resilient,
-                reuse
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let c = campaign(reuse);
-            let meta = campaign_meta(&c, c.points(), None);
-            let store = CampaignStore::open(&dir, meta).unwrap();
-            c.run_all_observed(&store);
-            store.finish().unwrap();
-            journals.push(durable_journal_lines(&dir));
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        assert_eq!(
-            journals[0], journals[1],
-            "timeline journal bytes must not depend on the execution engine \
-             (resilient {})",
-            resilient
-        );
-    }
-}
-
-/// Execution-engine equivalence: the persistent worker pool must be an
-/// invisible optimisation. For every fault channel × transport mode, a
-/// fixed-seed campaign measured on the arena pool and with fresh-spawn
-/// `run_job` journals byte-identical meta/trial records and produces
-/// identical `CampaignResult`s.
-#[test]
-fn arena_and_fresh_spawn_campaigns_are_byte_identical() {
-    for (channel, resilient) in [
-        (FaultChannel::Param, false),
-        (FaultChannel::Param, true),
-        (FaultChannel::Message, false),
-        (FaultChannel::Message, true),
-    ] {
-        let campaign = |reuse: bool| {
-            let w = Workload::new("noisy", noisy_app(), 0.0, 4);
-            Campaign::prepare(
-                w,
-                CampaignConfig {
-                    trials_per_point: 3,
-                    fault_channel: channel,
-                    resilient,
-                    reuse_workers: reuse,
-                    ..Default::default()
-                },
-            )
-        };
-        let mut journals = Vec::new();
-        let mut results = Vec::new();
-        for reuse in [true, false] {
-            let dir = std::env::temp_dir().join(format!(
-                "fastfit-arena-det-{}-{:?}-{}-{}",
-                std::process::id(),
-                channel,
-                resilient,
-                reuse
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let c = campaign(reuse);
-            let meta = campaign_meta(&c, c.points(), None);
-            let store = CampaignStore::open(&dir, meta).unwrap();
-            results.push(c.run_all_observed(&store));
-            store.finish().unwrap();
-            journals.push(durable_journal_lines(&dir));
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        assert_eq!(
-            journals[0], journals[1],
-            "journal bytes must not depend on the execution engine \
-             (channel {:?}, resilient {})",
-            channel, resilient
-        );
-        let (a, b) = (&results[0], &results[1]);
-        assert_eq!(a.results.len(), b.results.len());
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.point, y.point);
-            assert_eq!(x.hist, y.hist, "point {:?}", x.point);
-            assert_eq!(x.fired, y.fired, "point {:?}", x.point);
-            assert_eq!(x.fatal_ranks, y.fatal_ranks, "point {:?}", x.point);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12, .. ProptestConfig::default()

@@ -317,7 +317,6 @@ fn fleet_range_shard_on_coop_matches_threaded_local_run() {
         fleet: true,
         lease_trials: 4,
         lease_ttl: Duration::from_secs(3),
-        engine: Engine::Coop,
         ..ServeConfig::new(&root)
     })
     .expect("coordinator starts");
@@ -326,10 +325,7 @@ fn fleet_range_shard_on_coop_matches_threaded_local_run() {
     let workers: Vec<_> = ["coop-a", "coop-b"]
         .iter()
         .map(|n| {
-            let cfg = WorkerConfig {
-                engine: Engine::Coop,
-                ..WorkerConfig::new(&addr, *n)
-            };
+            let cfg = WorkerConfig::new(&addr, *n);
             let stop = stop.clone();
             std::thread::Builder::new()
                 .name(format!("fleet-worker-{n}"))

@@ -42,7 +42,6 @@ rand = { path = "tools/offline-stubs/rand" }
 rand_chacha = { path = "tools/offline-stubs/rand_chacha" }
 rayon = { path = "tools/offline-stubs/rayon" }
 parking_lot = { path = "tools/offline-stubs/parking_lot" }
-crossbeam = { path = "tools/offline-stubs/crossbeam" }
 proptest = { path = "tools/offline-stubs/proptest" }
 criterion = { path = "tools/offline-stubs/criterion" }
 EOF

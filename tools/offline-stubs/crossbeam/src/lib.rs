@@ -1,17 +1,4 @@
-//! Offline stub of `crossbeam`. The workspace declares the dependency but
-//! currently uses none of its API, so the stub only needs to exist for
-//! dependency resolution. `channel` is provided (over `std::sync::mpsc`)
-//! as the most likely first API to be wanted.
-
-/// Multi-producer channels over `std::sync::mpsc`.
-pub mod channel {
-    /// Sender half.
-    pub type Sender<T> = std::sync::mpsc::Sender<T>;
-    /// Receiver half.
-    pub type Receiver<T> = std::sync::mpsc::Receiver<T>;
-
-    /// Unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        std::sync::mpsc::channel()
-    }
-}
+//! Placeholder for `crossbeam`. Nothing in the workspace depends on it any
+//! more; the package exists only because `benchmark/run.sh` still names it
+//! in the `[patch.crates-io]` section of its offline manifest, and cargo
+//! refuses a patch whose path is missing (an unused one is just a warning).
