@@ -304,7 +304,10 @@ fn bench_sched_workload(name: &str, trials: usize) -> SchedWorkloadBench {
         let (app, tol) = npb::kernel_by_name(name, npb::Class::from_env());
         Workload::new(name, app, tol, SCHED_BENCH_RANKS)
     };
-    let coop = Campaign::prepare_on_engine(wide(), CampaignConfig::from_env(), Engine::Coop);
+    let mut coop = Campaign::prepare_on_engine(wide(), CampaignConfig::from_env(), Engine::Coop);
+    // One trial at a time on both sides: the thread engine never runs
+    // trials ahead (DESIGN.md §19), and this ratio is about the engines.
+    coop.pin_width(1);
     let threads = Campaign::prepare_on_engine(wide(), CampaignConfig::from_env(), Engine::Threads);
     let nranks = coop.workload.nranks;
     // Warm both pools so neither engine pays one-time setup in the

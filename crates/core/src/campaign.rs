@@ -7,6 +7,13 @@
 //! [`Campaign::run_with_ml`] instead drives the §III-C feedback loop,
 //! measuring points until the model is accurate enough and predicting the
 //! rest.
+//!
+//! Every one of them measures through the same loop,
+//! `Campaign::measure_segments`: the calling thread commits trials to the
+//! observer strictly in canonical `(point, trial)` order while scoped
+//! helper threads run trials ahead of it on the host's idle cores — as
+//! many as the *process* has carriers to spare — so a campaign journals
+//! exactly what it would running one trial at a time (DESIGN.md §19).
 
 use crate::fault::{FaultSpec, InjectorHook};
 use crate::features::FeatureExtractor;
@@ -24,23 +31,30 @@ use crate::timeline::FaultTimeline;
 use mpiprof::{profile_app_run, ApplicationProfile};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
-use simmpi::arena::ArenaPool;
+use simmpi::arena::{ArenaPool, CarrierCharge};
 use simmpi::control::HangKind;
 use simmpi::ctx::RankOutput;
 use simmpi::hook::CollKind;
 use simmpi::runtime::{AppFn, JobOutcome, JobSpec};
 use simmpi::sched::Engine;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Name prefix of the scoped threads that run trials ahead of a
+/// campaign's commit point (`fastfit-trial-0`, ...). They exist only
+/// inside a measurement call and are joined before it returns or unwinds.
+pub const HELPER_THREAD_PREFIX: &str = "fastfit-trial-";
 
 /// Cooperative cancellation handle shared between a campaign and its
 /// controller (a service scheduler, a signal handler).
 ///
-/// The campaign loops check the token **between trials** — never inside
-/// one — so cancellation always lands on a journal-record boundary: every
-/// trial the store has journaled is complete, and a cancelled campaign's
+/// The measurement loop checks the token **between commits** — never
+/// inside a trial — so cancellation always lands on a journal-record
+/// boundary: every trial the store has journaled is complete, trials run
+/// ahead of the commit point are discarded, and a cancelled campaign's
 /// directory is exactly as resumable as one interrupted by a crash. The
 /// token itself carries no policy; whoever observes `cancelled` on the
 /// result decides whether that means `cancelled` or `interrupted`.
@@ -107,8 +121,9 @@ impl CancelToken {
 
     /// The campaign's side of the gate: one fresh trial was journaled.
     /// Once the armed count is reached the gate is shut — this and every
-    /// later trial boundary (other threads of a parallel campaign) parks
-    /// until the token is cancelled.
+    /// later trial boundary (of every campaign holding a clone) parks
+    /// until the token is cancelled. Only committing threads call this, so
+    /// trials running ahead of a parked commit point are never journaled.
     fn trial_journaled(&self) {
         let mut gate = self.0.gate.lock().expect("cancel gate poisoned");
         if !gate.shut {
@@ -174,8 +189,8 @@ impl std::fmt::Debug for Workload {
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Fault-injection tests per injection point (the paper uses ≥ 100;
-    /// scaled down by default for the 1-core host, override with
-    /// `FASTFIT_TRIALS`).
+    /// the default is scaled down so the experiments finish in minutes,
+    /// override with `FASTFIT_TRIALS`).
     pub trials_per_point: usize,
     /// Which parameters to inject (§V-C default: the data buffer).
     pub params: ParamsMode,
@@ -197,8 +212,6 @@ pub struct CampaignConfig {
     pub max_retries: u32,
     /// Base backoff before a retry; doubles per attempt.
     pub retry_backoff: Duration,
-    /// Measure points in parallel with rayon.
-    pub parallel: bool,
     /// Seed for fault-bit selection.
     pub seed: u64,
     /// Which layer receives the faults: `Param` (the paper's bit flips in
@@ -231,7 +244,6 @@ impl Default for CampaignConfig {
             min_op_budget: 10_000,
             max_retries: 2,
             retry_backoff: Duration::from_millis(25),
-            parallel: false,
             seed: 0xFA57,
             fault_channel: FaultChannel::Param,
             resilient: false,
@@ -353,6 +365,35 @@ pub struct PointResult {
 }
 
 impl PointResult {
+    /// The measurement of `point` before any trial.
+    fn empty(point: InjectionPoint) -> PointResult {
+        PointResult {
+            point,
+            hist: ResponseHistogram::new(),
+            fired: 0,
+            fatal_ranks: Vec::new(),
+            quarantined: 0,
+            retransmits: 0,
+            events_fired: 0,
+            events_lifted: 0,
+        }
+    }
+
+    /// Fold one committed trial in.
+    fn add(&mut self, disposition: TrialDisposition) {
+        match disposition {
+            TrialDisposition::Classified(t) => {
+                self.hist.add(t.response);
+                self.fired += u64::from(t.fired);
+                self.retransmits += t.retransmits;
+                self.events_fired += t.events_fired;
+                self.events_lifted += t.events_lifted;
+                self.fatal_ranks.extend(t.fatal_rank);
+            }
+            TrialDisposition::Quarantined { .. } => self.quarantined += 1,
+        }
+    }
+
     /// Fraction of fatal trials whose first fatal event fired on a rank
     /// *other* than the injected one (`None` if no trial was fatal).
     pub fn remote_detection_fraction(&self) -> Option<f64> {
@@ -428,6 +469,134 @@ impl CampaignResult {
     }
 }
 
+/// One point's share of a measurement: trials `lo..hi` of the bit-draw
+/// stream seeded `seed`. A measurement's canonical `(point, trial, bit)`
+/// sequence is its segments in order, each in trial order.
+struct Segment<'a> {
+    point: &'a InjectionPoint,
+    lo: usize,
+    hi: usize,
+    seed: u64,
+}
+
+/// One trial of the canonical sequence, handed to whichever thread
+/// claimed it.
+#[derive(Clone, Copy)]
+struct Claim {
+    /// Index of the trial's segment.
+    seg: usize,
+    trial: usize,
+    bit: u64,
+}
+
+/// What running (or replaying) a claimed trial produced.
+struct Finished {
+    trial: SupervisedTrial,
+    /// The disposition came from `observer.replay`, not a fresh run.
+    replayed: bool,
+}
+
+/// Generator of the canonical sequence: the next trial nobody has
+/// claimed yet.
+struct Cursor<'a> {
+    segments: &'a [Segment<'a>],
+    seg: usize,
+    trial: usize,
+    /// Bit-draw stream of segment `seg`, seeded on its first draw.
+    rng: Option<ChaCha8Rng>,
+}
+
+impl Cursor<'_> {
+    fn next(&mut self) -> Option<Claim> {
+        loop {
+            let segment = self.segments.get(self.seg)?;
+            if self.trial >= segment.hi {
+                self.seg += 1;
+                self.trial = 0;
+                self.rng = None;
+                continue;
+            }
+            // Every trial consumes its bit draw — skipped ones too, and
+            // whatever its disposition turns out to be — so the stream
+            // stays aligned across resumes and across slice boundaries.
+            let bit: u64 = self
+                .rng
+                .get_or_insert_with(|| ChaCha8Rng::seed_from_u64(segment.seed))
+                .gen();
+            let trial = self.trial;
+            self.trial += 1;
+            if trial >= segment.lo {
+                return Some(Claim {
+                    seg: self.seg,
+                    trial,
+                    bit,
+                });
+            }
+        }
+    }
+}
+
+/// A claimed trial's place in the window: its result once it has one (a
+/// helper's caught panic travels as the `Err`).
+type Slot = Option<std::thread::Result<Finished>>;
+
+/// What the threads of one measurement call share.
+struct Pipeline<'a> {
+    state: Mutex<PipelineState<'a>>,
+    /// Signalled when a helper hands a result in.
+    head_ready: Condvar,
+    /// Signalled when a commit finds a carrier spare, and at stop.
+    room: Condvar,
+    /// Most trials claimed but not yet committed.
+    capacity: usize,
+}
+
+struct PipelineState<'a> {
+    cursor: Cursor<'a>,
+    /// Claimed, uncommitted trials in canonical order; the front is the
+    /// head of the line, the next to commit.
+    window: VecDeque<(Claim, Slot)>,
+    /// Trials the calling thread has taken off the front.
+    committed: usize,
+    /// The calling thread has left the loop (done, cancelled or
+    /// unwinding): helpers claim nothing more.
+    stop: bool,
+}
+
+impl<'a> Pipeline<'a> {
+    fn lock(&self) -> MutexGuard<'_, PipelineState<'a>> {
+        self.state.lock().expect("trial pipeline lock poisoned")
+    }
+}
+
+impl PipelineState<'_> {
+    /// Claim the next trial of the sequence; the second value says where
+    /// its result goes ([`PipelineState::finish`]).
+    fn claim(&mut self) -> Option<(Claim, usize)> {
+        let claim = self.cursor.next()?;
+        self.window.push_back((claim, None));
+        Some((claim, self.committed + self.window.len() - 1))
+    }
+
+    fn finish(&mut self, slot: usize, done: std::thread::Result<Finished>) {
+        self.window[slot - self.committed].1 = Some(done);
+    }
+}
+
+/// Tells a pipeline's helpers to stop when dropped.
+struct StopOnExit<'a, 'b>(&'a Pipeline<'b>);
+
+impl Drop for StopOnExit<'_, '_> {
+    fn drop(&mut self) {
+        // Every update leaves the state valid, and this may run during
+        // an unwind: take the guard poisoned or not.
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.stop = true;
+        drop(state);
+        self.0.room.notify_all();
+    }
+}
+
 /// A prepared campaign: profile + pruning products.
 pub struct Campaign {
     /// The workload under study.
@@ -452,10 +621,14 @@ pub struct Campaign {
     /// Feature lookup for §III-C.
     pub extractor: FeatureExtractor,
     /// The arena pool every trial runs on. One arena per concurrent
-    /// caller (rayon point-parallelism checks out distinct arenas), reused
-    /// across trials and points. Shared (`Arc`) so a multi-campaign
+    /// caller (each thread of the trial pipeline checks out its own),
+    /// reused across trials and points. Shared (`Arc`) so a multi-campaign
     /// scheduler can hand several same-rank-count campaigns one pool.
     arena: Arc<ArenaPool>,
+    /// Trials the measurement loop may have running at once, and the
+    /// process-wide carrier count its helper threads stay within: the
+    /// host's `available_parallelism()` (see [`Campaign::pin_width`]).
+    width: usize,
     /// Cooperative cancellation flag, checked between trials and between
     /// points. Defaults to a private never-cancelled token.
     cancel: CancelToken,
@@ -552,8 +725,18 @@ impl Campaign {
             full_points,
             extractor,
             arena,
+            width: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cancel: CancelToken::new(),
         }
+    }
+
+    /// Test seam: use `width` in place of `available_parallelism()` —
+    /// for the number of helper threads and for the carrier limit they
+    /// stay within alike — so a 1-CPU host can exercise the pipeline and
+    /// a many-core one can pin the serial order.
+    #[doc(hidden)]
+    pub fn pin_width(&mut self, width: usize) {
+        self.width = width.max(1);
     }
 
     /// Install a cancellation token. Clones of the token held elsewhere
@@ -805,69 +988,226 @@ impl Campaign {
         seed: u64,
         observer: &dyn CampaignObserver,
     ) -> PointResult {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut hist = ResponseHistogram::new();
-        let mut fired = 0u64;
-        let mut fatal_ranks = Vec::new();
-        let mut quarantined = 0u64;
-        let mut retransmits = 0u64;
-        let mut events_fired = 0u64;
-        let mut events_lifted = 0u64;
-        for trial in 0..hi {
-            // Every trial consumes its bit draw — including skipped and
-            // quarantined ones — so the RNG stream stays aligned across
-            // resumes and across slice boundaries.
-            let bit: u64 = rng.gen();
-            if trial < lo {
-                continue;
-            }
-            // Cancellation lands only on trial boundaries: every journaled
-            // trial is complete, so a cancelled directory resumes exactly
-            // like a crashed one.
-            if self.cancel.is_cancelled() {
-                break;
-            }
-            let (disposition, retries, replayed) = match observer.replay(point, trial, bit) {
-                Some(d) => (d, 0, true),
-                None => {
-                    let s = self.run_trial_supervised(point, bit);
-                    (s.disposition, s.retries, false)
+        let mut measured = None;
+        let segment = Segment {
+            point,
+            lo,
+            hi,
+            seed,
+        };
+        self.measure_segments(&[segment], observer, &mut |r| measured = Some(r));
+        // Cancelled before its first trial committed.
+        measured.unwrap_or_else(|| PointResult::empty(*point))
+    }
+
+    /// The measurement loop — the only one: commit the trials of
+    /// `segments` to `observer` strictly in canonical order, while up to
+    /// `width − 1` helper threads run trials ahead of the commit point.
+    ///
+    /// The calling thread is the only one that checks cancellation, calls
+    /// `observer.on_event` or passes the [`CancelToken::hold_after`] gate;
+    /// it takes the next unclaimed trial itself whenever the head of the
+    /// line is not ready, so with no helper (width 1, the thread-per-rank
+    /// engine, a gate that never opens) it claims, runs and commits one
+    /// trial after another. A trial is a pure function of (campaign,
+    /// point, bit) and the one load-sensitive outcome, the wall-clock
+    /// backstop, is retried and never journaled — so what is committed
+    /// does not depend on who ran it, or on how many ran at once.
+    ///
+    /// `on_point` receives each segment's measurement once its last
+    /// trial has committed, and that of a segment a cancel cut short if
+    /// any of its trials had.
+    fn measure_segments(
+        &self,
+        segments: &[Segment<'_>],
+        observer: &dyn CampaignObserver,
+        on_point: &mut dyn FnMut(PointResult),
+    ) {
+        let trials: usize = segments.iter().map(|s| s.hi.saturating_sub(s.lo)).sum();
+        // The thread-per-rank engine fills the host with one job's rank
+        // threads and waits on the wall clock; it never speculates.
+        let helpers = match self.arena.engine() {
+            Engine::Coop => (self.width - 1).min(trials.saturating_sub(1)),
+            Engine::Threads => 0,
+        };
+        let pipe = Pipeline {
+            state: Mutex::new(PipelineState {
+                cursor: Cursor {
+                    segments,
+                    seg: 0,
+                    trial: 0,
+                    rng: None,
+                },
+                window: VecDeque::new(),
+                committed: 0,
+                stop: false,
+            }),
+            head_ready: Condvar::new(),
+            room: Condvar::new(),
+            // Enough claimed-but-uncommitted trials that a carrier whose
+            // result waits behind a slow head of line still finds work;
+            // also the most a cancel or a crash can throw away.
+            capacity: 2 * self.width,
+        };
+        // This thread is a running carrier for the whole call, whatever
+        // else the process runs; helpers charge per trial, and only while
+        // the process stays within `width` carriers.
+        let _carrier = self.arena.charge_carriers();
+        std::thread::scope(|scope| {
+            // Dropped when this closure returns *or unwinds*, before the
+            // scope joins: helpers finish the trial they are in and leave.
+            let _stop = StopOnExit(&pipe);
+            let mut spawned = 0;
+            // A helper is worth waking (or creating) only while the
+            // process has a carrier to spare; otherwise it would find the
+            // same count and go back to sleep.
+            let mut recruit = || {
+                if CarrierCharge::running() >= self.width {
+                    return;
+                }
+                pipe.room.notify_all();
+                if spawned < helpers {
+                    let helper = std::thread::Builder::new()
+                        .name(format!("{HELPER_THREAD_PREFIX}{spawned}"))
+                        .spawn_scoped(scope, || self.speculate(&pipe, segments, observer));
+                    // Under thread or memory pressure: fewer helpers,
+                    // same journal.
+                    spawned += usize::from(helper.is_ok());
                 }
             };
-            observer.on_event(&ProgressEvent::TrialFinished {
-                point,
-                trial,
-                bit,
-                disposition: &disposition,
-                retries,
-                replayed,
-            });
-            if !replayed {
-                self.cancel.trial_journaled();
-            }
-            match disposition {
-                TrialDisposition::Classified(t) => {
-                    hist.add(t.response);
-                    fired += u64::from(t.fired);
-                    retransmits += t.retransmits;
-                    events_fired += t.events_fired;
-                    events_lifted += t.events_lifted;
-                    if let Some(r) = t.fatal_rank {
-                        fatal_ranks.push(r);
+            for (index, segment) in segments.iter().enumerate() {
+                let mut result = PointResult::empty(*segment.point);
+                for _ in segment.lo..segment.hi {
+                    // Cancellation lands only on trial boundaries: every
+                    // journaled trial is complete, so a cancelled
+                    // directory resumes exactly like a crashed one.
+                    // Results already run ahead of here are dropped.
+                    if self.cancel.is_cancelled() {
+                        if result.hist.total() + result.quarantined > 0 {
+                            on_point(result);
+                        }
+                        return;
                     }
+                    recruit();
+                    let (claim, done) = self.head_of_line(&pipe, segments, observer);
+                    debug_assert_eq!(claim.seg, index, "commits follow the canonical order");
+                    observer.on_event(&ProgressEvent::TrialFinished {
+                        point: segment.point,
+                        trial: claim.trial,
+                        bit: claim.bit,
+                        disposition: &done.trial.disposition,
+                        retries: done.trial.retries,
+                        replayed: done.replayed,
+                    });
+                    if !done.replayed {
+                        self.cancel.trial_journaled();
+                    }
+                    result.add(done.trial.disposition);
                 }
-                TrialDisposition::Quarantined { .. } => quarantined += 1,
+                on_point(result);
             }
+        });
+    }
+
+    /// The calling thread's half of the pipeline: return the head-of-line
+    /// trial with its result, running the next unclaimed trial itself
+    /// (the head, when nothing runs ahead) for as long as the head is not
+    /// ready and the window has room.
+    fn head_of_line(
+        &self,
+        pipe: &Pipeline<'_>,
+        segments: &[Segment<'_>],
+        observer: &dyn CampaignObserver,
+    ) -> (Claim, Finished) {
+        let mut state = pipe.lock();
+        loop {
+            if matches!(state.window.front(), Some((_, Some(_)))) {
+                let Some((claim, Some(done))) = state.window.pop_front() else {
+                    unreachable!("the front was just matched");
+                };
+                state.committed += 1;
+                drop(state);
+                // A panic a helper caught surfaces here, at the trial's
+                // own place in the order, as if this thread had run it.
+                return (claim, done.unwrap_or_else(|panic| resume_unwind(panic)));
+            }
+            if state.window.len() < pipe.capacity {
+                if let Some((claim, slot)) = state.claim() {
+                    drop(state);
+                    let done = self.execute(segments[claim.seg].point, claim, observer);
+                    state = pipe.lock();
+                    state.finish(slot, Ok(done));
+                    continue;
+                }
+            }
+            assert!(
+                !state.window.is_empty(),
+                "the canonical sequence ended before its last commit"
+            );
+            // Window full or sequence exhausted: the head is on a helper.
+            state = pipe
+                .head_ready
+                .wait(state)
+                .expect("trial pipeline lock poisoned");
         }
-        PointResult {
-            point: *point,
-            hist,
-            fired,
-            fatal_ranks,
-            quarantined,
-            retransmits,
-            events_fired,
-            events_lifted,
+    }
+
+    /// A helper thread's whole life: claim the next trial while the
+    /// window has room and the process a carrier to spare, run it, hand
+    /// the result in; leave when told to stop or when nothing is left.
+    fn speculate(
+        &self,
+        pipe: &Pipeline<'_>,
+        segments: &[Segment<'_>],
+        observer: &dyn CampaignObserver,
+    ) {
+        let mut state = pipe.lock();
+        while !state.stop {
+            let charge = if state.window.len() < pipe.capacity {
+                self.arena.charge_carriers_within(self.width)
+            } else {
+                None
+            };
+            let Some(charge) = charge else {
+                // Woken by the next commit that finds a carrier spare.
+                state = pipe.room.wait(state).expect("trial pipeline lock poisoned");
+                continue;
+            };
+            let Some((claim, slot)) = state.claim() else {
+                return;
+            };
+            drop(state);
+            let done = catch_unwind(AssertUnwindSafe(|| {
+                self.execute(segments[claim.seg].point, claim, observer)
+            }));
+            drop(charge);
+            state = pipe.lock();
+            state.finish(slot, done);
+            pipe.head_ready.notify_one();
+        }
+    }
+
+    /// Produce one claimed trial's result, on whichever thread claimed
+    /// it: the journaled disposition if the observer has one, else a
+    /// fresh supervised run (retries and their backoff included).
+    fn execute(
+        &self,
+        point: &InjectionPoint,
+        claim: Claim,
+        observer: &dyn CampaignObserver,
+    ) -> Finished {
+        match observer.replay(point, claim.trial, claim.bit) {
+            Some(disposition) => Finished {
+                trial: SupervisedTrial {
+                    disposition,
+                    retries: 0,
+                },
+                replayed: true,
+            },
+            None => Finished {
+                trial: self.run_trial_supervised(point, claim.bit),
+                replayed: false,
+            },
         }
     }
 
@@ -904,17 +1244,19 @@ impl Campaign {
         let tpp = self.cfg.trials_per_point as u64;
         let points = self.points();
         let end = end.min(points.len() as u64 * tpp);
+        let mut segments = Vec::new();
         let mut g = start;
         while g < end {
-            if self.cancel.is_cancelled() {
-                return false;
-            }
             let pi = (g / tpp) as usize;
-            let lo = (g % tpp) as usize;
-            let hi = (tpp.min(end - pi as u64 * tpp)) as usize;
-            self.measure_point_slice_observed(&points[pi], lo, hi, self.point_seed(pi), observer);
+            segments.push(Segment {
+                point: &points[pi],
+                lo: (g % tpp) as usize,
+                hi: (tpp.min(end - pi as u64 * tpp)) as usize,
+                seed: self.point_seed(pi),
+            });
             g = (pi as u64 + 1) * tpp;
         }
+        self.measure_segments(&segments, observer, &mut |_| {});
         !self.cancel.is_cancelled()
     }
 
@@ -949,31 +1291,27 @@ impl Campaign {
             points_total: points.len(),
             trials_per_point: trials,
         });
-        let measure = |(i, p): (usize, &InjectionPoint)| {
-            let r = self.measure_point_observed(p, trials, self.point_seed(i), observer);
+        let segments: Vec<Segment<'_>> = points
+            .iter()
+            .enumerate()
+            .map(|(i, point)| Segment {
+                point,
+                lo: 0,
+                hi: trials,
+                seed: self.point_seed(i),
+            })
+            .collect();
+        let mut results = Vec::with_capacity(points.len());
+        self.measure_segments(&segments, observer, &mut |r| {
             // A cancelled point is partial — don't journal it as finished.
             if !self.cancel.is_cancelled() {
                 observer.on_event(&ProgressEvent::PointFinished {
-                    point: p,
+                    point: &r.point,
                     result: &r,
                 });
             }
-            r
-        };
-        let results: Vec<PointResult> = if self.cfg.parallel {
-            // In-flight points drain immediately once the token trips
-            // (each remaining trial loop breaks on entry).
-            points.par_iter().enumerate().map(measure).collect()
-        } else {
-            let mut rs = Vec::with_capacity(points.len());
-            for entry in points.iter().enumerate() {
-                if self.cancel.is_cancelled() {
-                    break;
-                }
-                rs.push(measure(entry));
-            }
-            rs
-        };
+            results.push(r);
+        });
         let total_trials = results.iter().map(|r| r.hist.total()).sum();
         let quarantined = results.iter().map(|r| r.quarantined).sum();
         observer.on_event(&ProgressEvent::PhaseFinished {

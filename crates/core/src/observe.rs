@@ -134,9 +134,14 @@ pub enum ProgressEvent<'a> {
 }
 
 /// Observer of a running campaign. All methods have no-op defaults so
-/// implementations opt into exactly the hooks they need; implementations
-/// must be thread-safe because `CampaignConfig::parallel` measures points
-/// from rayon workers.
+/// implementations opt into exactly the hooks they need.
+///
+/// Threading contract: a measurement calls `on_event` from its calling
+/// thread only, in canonical `(point, trial)` order, whatever ran ahead
+/// of the commit point. `replay` is read-only and may be called ahead of
+/// commit, from any of the measurement's threads and concurrently —
+/// hence `Send + Sync`. A trial whose `replay` was consulted is not
+/// necessarily reported: a cancel or a crash discards what ran ahead.
 pub trait CampaignObserver: Send + Sync {
     /// Return the recorded disposition of `(point, trial)` if this exact
     /// trial was already measured (checkpoint/resume) — quarantined trials

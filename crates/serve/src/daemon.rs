@@ -17,6 +17,13 @@
 //! one [`ArenaPool`] from a registry keyed by rank count — idle worker
 //! arenas migrate between campaigns instead of piling up per campaign.
 //!
+//! The budget admits *campaigns*. A running campaign may besides run
+//! trials ahead of its commit point on cores nothing else is using (the
+//! trial pipeline's helper threads, `fastfit::campaign`); those are held
+//! to the host's `available_parallelism()` by a process-wide carrier
+//! count, so two campaigns on two cores stay at one carrier each and a
+//! lone one takes both.
+//!
 //! ## Durability
 //!
 //! Submissions are journaled to `queue.jsonl` (one fsync per request)
@@ -69,8 +76,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Daemon root: holds `queue.jsonl` and `campaigns/<id>/` stores.
     pub root: PathBuf,
-    /// Global worker budget: simulated ranks the running campaigns may
-    /// occupy at once.
+    /// Global worker budget: carrier threads the running campaigns'
+    /// arenas may occupy at once (a campaign costs
+    /// `Engine::carrier_threads(ranks)`: 1 under coop, its rank count on
+    /// the thread-per-rank engine).
     pub worker_budget: usize,
     /// Campaigns allowed to run concurrently.
     pub max_campaigns: usize,
@@ -86,7 +95,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A config rooted at `root` on the default address with modest
-    /// concurrency (two campaigns, 32 ranks of budget), fleet mode off.
+    /// concurrency (two campaigns, 32 carriers of budget), fleet mode off.
     pub fn new(root: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             addr: DEFAULT_ADDR.to_string(),

@@ -42,7 +42,7 @@ use crate::sched::{CoopArena, Engine};
 use crate::transport::Fabric;
 use parking_lot::Mutex;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -386,11 +386,39 @@ impl JobArena {
     }
 }
 
+/// Carrier threads this process has committed to running jobs: what
+/// [`CarrierCharge`]s currently hold. Process-wide, because the cores
+/// the carriers compete for are.
+static CARRIERS: AtomicUsize = AtomicUsize::new(0);
+
+/// A charge against the process-wide count of running carrier threads,
+/// returned when dropped (also on unwind). A campaign's measurement loop
+/// holds one for its calling thread, and each thread that runs trials
+/// ahead of it takes one per trial — conditionally, so the process as a
+/// whole never speculates past the cores it has (see
+/// [`ArenaPool::charge_carriers_within`]).
+#[derive(Debug)]
+pub struct CarrierCharge(usize);
+
+impl CarrierCharge {
+    /// Carrier threads charged right now, process-wide.
+    pub fn running() -> usize {
+        CARRIERS.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for CarrierCharge {
+    fn drop(&mut self) {
+        CARRIERS.fetch_sub(self.0, Ordering::SeqCst);
+    }
+}
+
 /// A checkout/checkin pool of [`JobArena`]s, for callers that run jobs
-/// from several threads (e.g. rayon point-parallel campaigns). Each
-/// concurrent caller gets its own arena — created on first use, parked in
-/// the pool afterwards — so coroutine stacks are reused across both
-/// trials and points without any cross-trial sharing of job state.
+/// from several threads (a campaign's trial pipeline, the daemon's
+/// concurrent campaigns). Each concurrent caller gets its own arena —
+/// created on first use, parked in the pool afterwards — so coroutine
+/// stacks are reused across both trials and points without any
+/// cross-trial sharing of job state.
 pub struct ArenaPool {
     nranks: usize,
     engine: Engine,
@@ -455,7 +483,33 @@ impl ArenaPool {
     /// occupies exactly the one calling thread, which is what a worker
     /// budget should charge for.
     pub fn busy_workers(&self) -> u64 {
-        self.busy.load(Ordering::Relaxed) * self.engine.carrier_threads(self.nranks) as u64
+        self.busy.load(Ordering::Relaxed) * self.carrier_cost() as u64
+    }
+
+    /// Carrier threads one job of this pool occupies.
+    fn carrier_cost(&self) -> usize {
+        self.engine.carrier_threads(self.nranks)
+    }
+
+    /// Charge one job's carrier threads to the process-wide count,
+    /// unconditionally: the caller runs its jobs whatever else does.
+    pub fn charge_carriers(&self) -> CarrierCharge {
+        let cost = self.carrier_cost();
+        CARRIERS.fetch_add(cost, Ordering::SeqCst);
+        CarrierCharge(cost)
+    }
+
+    /// Charge one job's carrier threads only if the process-wide count
+    /// stays within `limit` — check and charge are one atomic step, so
+    /// concurrent callers cannot jointly overshoot.
+    pub fn charge_carriers_within(&self, limit: usize) -> Option<CarrierCharge> {
+        let cost = self.carrier_cost();
+        CARRIERS
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |running| {
+                (running + cost <= limit).then_some(running + cost)
+            })
+            .ok()
+            .map(|_| CarrierCharge(cost))
     }
 
     /// Run one job on a pooled arena (checking one out, or creating a new
@@ -589,6 +643,27 @@ mod tests {
         assert_eq!(pool.arenas_created(), 1);
         assert_eq!(pool.jobs_dispatched(), 2);
         assert_eq!(pool.busy_workers(), 0, "nothing in flight after run");
+    }
+
+    #[test]
+    fn carrier_charges_are_conditional_and_returned_on_drop() {
+        // The only test in this binary that charges, so the process-wide
+        // count is its own.
+        let pool = ArenaPool::with_engine(4, Engine::Threads);
+        assert_eq!(CarrierCharge::running(), 0);
+        let caller = pool.charge_carriers();
+        assert_eq!(CarrierCharge::running(), 4);
+        assert!(pool.charge_carriers_within(7).is_none());
+        assert_eq!(
+            CarrierCharge::running(),
+            4,
+            "a refused charge takes nothing"
+        );
+        let helper = pool.charge_carriers_within(8).expect("8 carriers fit in 8");
+        assert_eq!(CarrierCharge::running(), 8);
+        drop(caller);
+        drop(helper);
+        assert_eq!(CarrierCharge::running(), 0);
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //! the journal's content-addressed campaign ID matches the campaign
 //! being run. On resume the journaled trials become the replay map the
 //! campaign loop consults before paying for a trial; fresh trials are
-//! appended as they complete. The store is safe to share across rayon
-//! workers: counters are atomic and the journal writer sits behind a
-//! mutex.
+//! appended as they commit. A campaign calls `on_event` from its calling
+//! thread only, in canonical trial order — so the journal is the same
+//! whatever ran ahead of the commit point — and `replay`, a read of the
+//! immutable replay map, from whichever thread claimed the trial. The
+//! store is nonetheless safe to share (the daemon reads snapshots from
+//! HTTP threads): counters are atomic and the journal writer sits behind
+//! a mutex.
 
 use crate::journal::{
     read_journal, repair_journal, CampaignMeta, JournalWriter, MlMeta, Record, TrialRecord,

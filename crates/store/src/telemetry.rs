@@ -1,7 +1,8 @@
 //! Live campaign telemetry: lock-free counters flushed to `status.json`.
 //!
-//! The measurement loop can run thousands of trials from rayon workers,
-//! so the hot path is all `AtomicU64` — no locks, no allocation. A
+//! The measurement loop commits thousands of trials while other threads
+//! (the daemon's HTTP handlers) read snapshots, so the hot path is all
+//! `AtomicU64` — no locks, no allocation. A
 //! snapshot is periodically rendered to `status.json` in the campaign
 //! directory (atomic tmp + rename, so readers never observe a partial
 //! file); `fastfit-cli status <dir>` is just a pretty-printer over it.

@@ -40,7 +40,6 @@ cat >> "$manifest" <<'EOF'
 [patch.crates-io]
 rand = { path = "tools/offline-stubs/rand" }
 rand_chacha = { path = "tools/offline-stubs/rand_chacha" }
-rayon = { path = "tools/offline-stubs/rayon" }
 parking_lot = { path = "tools/offline-stubs/parking_lot" }
 proptest = { path = "tools/offline-stubs/proptest" }
 criterion = { path = "tools/offline-stubs/criterion" }

@@ -1,66 +1,4 @@
-//! Offline stub of `rayon`: `par_iter`-style entry points that fall back
-//! to sequential `std` iterators. Everything that type-checks against this
-//! stub type-checks against real rayon for the patterns this workspace
-//! uses (`par_iter().enumerate().map(...).collect()`), because the stub
-//! returns genuine `std` iterators.
-
-/// The rayon prelude: parallel-iterator entry points.
-pub mod prelude {
-    /// Stub of `rayon::iter::IntoParallelRefIterator` — sequential.
-    pub trait IntoParallelRefIterator<'a> {
-        /// Item type.
-        type Item: 'a;
-        /// Iterator type.
-        type Iter: Iterator<Item = Self::Item>;
-
-        /// "Parallel" iteration (sequential in the stub).
-        fn par_iter(&'a self) -> Self::Iter;
-    }
-
-    impl<'a, T: 'a + Sync> IntoParallelRefIterator<'a> for [T] {
-        type Item = &'a T;
-        type Iter = std::slice::Iter<'a, T>;
-
-        fn par_iter(&'a self) -> Self::Iter {
-            self.iter()
-        }
-    }
-
-    impl<'a, T: 'a + Sync> IntoParallelRefIterator<'a> for Vec<T> {
-        type Item = &'a T;
-        type Iter = std::slice::Iter<'a, T>;
-
-        fn par_iter(&'a self) -> Self::Iter {
-            self.iter()
-        }
-    }
-
-    /// Stub of `rayon::iter::IntoParallelIterator` — sequential.
-    pub trait IntoParallelIterator {
-        /// Item type.
-        type Item;
-        /// Iterator type.
-        type Iter: Iterator<Item = Self::Item>;
-
-        /// "Parallel" iteration (sequential in the stub).
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    impl<T> IntoParallelIterator for Vec<T> {
-        type Item = T;
-        type Iter = std::vec::IntoIter<T>;
-
-        fn into_par_iter(self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-
-    impl IntoParallelIterator for std::ops::Range<usize> {
-        type Item = usize;
-        type Iter = std::ops::Range<usize>;
-
-        fn into_par_iter(self) -> Self::Iter {
-            self
-        }
-    }
-}
+//! Placeholder for `rayon`. Nothing in the workspace depends on it any
+//! more; the package exists only because `benchmark/run.sh` still names it
+//! in the `[patch.crates-io]` section of its offline manifest, and cargo
+//! refuses a patch whose path is missing (an unused one is just a warning).
