@@ -704,6 +704,7 @@ fn cmd_profile(flags: &HashMap<String, String>) {
         100.0 * c.total_reduction()
     );
     println!("golden run of {}: {:?}", name, c.golden_wall);
+    println!("{}", fastfit::report::replay_summary(&c));
 }
 
 /// The store directory for this invocation: `--store` beats
@@ -952,6 +953,7 @@ fn run_ml_campaign(
         100.0 * ml_cfg.accuracy_threshold,
         100.0 * out.tests_saved
     );
+    println!("{}", fastfit::report::replay_summary(c));
     let names: Vec<String> = match target {
         MlTarget::ErrorType => ALL_RESPONSES.iter().map(|r| r.name().to_string()).collect(),
         MlTarget::RateLevels(k) => Levels::even(k).names(),

@@ -1,8 +1,9 @@
 //! Campaign orchestration — FastFIT's three-phase architecture (§IV):
 //! profiling, injection, and learning.
 //!
-//! [`Campaign::prepare`] runs the profiling phase (one recorded clean run)
-//! and applies semantic + context pruning. [`Campaign::run_all`] measures
+//! [`Campaign::prepare`] runs the profiling phase (one recorded clean run,
+//! [`GoldenRun::record`]) and applies semantic + context pruning
+//! ([`Campaign::from_golden`]). [`Campaign::run_all`] measures
 //! every surviving point with `trials_per_point` random single-bit faults.
 //! [`Campaign::run_with_ml`] instead drives the §III-C feedback loop,
 //! measuring points until the model is accurate enough and predicting the
@@ -14,9 +15,17 @@
 //! helper threads run trials ahead of it on the host's idle cores — as
 //! many as the *process* has carriers to spare — so a campaign journals
 //! exactly what it would running one trial at a time (DESIGN.md §19).
+//!
+//! A trial is a bit-for-bit re-run of the golden job up to its injection
+//! point, and its collectives ahead of that point return what the golden
+//! run recorded instead of exchanging it again (DESIGN.md §20) — the
+//! un-replayed path stays as the fallback for an attempt that cannot prove
+//! the recorded results are its own, and as the reference
+//! `tests/prefix_equivalence.rs` compares against.
 
 use crate::fault::{FaultSpec, InjectorHook};
 use crate::features::FeatureExtractor;
+use crate::golden::GoldenRun;
 use crate::observe::{CampaignObserver, CampaignPhase, NullObserver, ProgressEvent};
 use crate::prune::{
     context_prune, ml_driven_active, semantic_prune, ActiveOptions, ContextPrune, MlConfig,
@@ -28,18 +37,17 @@ use crate::supervise::{
     AttemptOutcome, QuarantineReason, SupervisedTrial, TrialDisposition, TrialSupervisor,
 };
 use crate::timeline::FaultTimeline;
-use mpiprof::{profile_app_run, ApplicationProfile};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simmpi::arena::{ArenaPool, CarrierCharge};
 use simmpi::control::HangKind;
-use simmpi::ctx::RankOutput;
 use simmpi::hook::CollKind;
-use simmpi::runtime::{AppFn, JobOutcome, JobSpec};
+use simmpi::replay::ReplayPrefix;
+use simmpi::runtime::{AppFn, JobOutcome, JobResult, JobSpec};
 use simmpi::sched::Engine;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -597,21 +605,35 @@ impl Drop for StopOnExit<'_, '_> {
     }
 }
 
-/// A prepared campaign: profile + pruning products.
+/// Where a campaign's prefix replay went (telemetry: never journaled, and
+/// outside campaign identity like the engine and the pipeline width).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayStats {
+    /// Collective calls, summed over ranks and trials, that returned the
+    /// golden run's recorded result instead of exchanging one.
+    pub replayed_calls: u64,
+    /// Trial attempts that ended diverged — the fault reached a rank still
+    /// inside its replayed prefix — and were run again without replay.
+    pub fallbacks: u64,
+    /// Bytes of recorded results the golden run's log holds.
+    pub log_bytes: u64,
+}
+
+/// A prepared campaign: the golden run + pruning products.
+///
+/// Reads of `campaign.profile`, `campaign.golden` and
+/// `campaign.golden_ops` go through to the shared [`GoldenRun`].
 pub struct Campaign {
     /// The workload under study.
     pub workload: Workload,
     /// Configuration.
     pub cfg: CampaignConfig,
-    /// The profiling-phase output.
-    pub profile: ApplicationProfile,
-    /// Golden (fault-free) outputs.
-    pub golden: Vec<RankOutput>,
-    /// Wall time of the golden run.
+    /// What the profiling phase yielded (profile, golden outputs and op
+    /// counts, result log); shared with every campaign pruned from it.
+    pub golden_run: Arc<GoldenRun>,
+    /// Wall time of the golden run: the base of this campaign's
+    /// wall-clock backstop.
     pub golden_wall: Duration,
-    /// Per-rank logical op counts of the golden run — the baseline the
-    /// deterministic op budget is derived from.
-    pub golden_ops: Vec<u64>,
     /// §III-A result.
     pub semantic: SemanticPrune,
     /// §III-B result (the surviving points).
@@ -632,6 +654,18 @@ pub struct Campaign {
     /// Cooperative cancellation flag, checked between trials and between
     /// points. Defaults to a private never-cancelled token.
     cancel: CancelToken,
+    /// Replay the golden prefix of every trial (see [`Campaign::pin_replay`]).
+    replay: bool,
+    replayed_calls: AtomicU64,
+    replay_fallbacks: AtomicU64,
+}
+
+impl std::ops::Deref for Campaign {
+    type Target = GoldenRun;
+
+    fn deref(&self) -> &GoldenRun {
+        &self.golden_run
+    }
 }
 
 impl Campaign {
@@ -674,6 +708,25 @@ impl Campaign {
         observer: &dyn CampaignObserver,
         pool: Option<Arc<ArenaPool>>,
     ) -> Campaign {
+        let golden = Arc::new(GoldenRun::record(&workload));
+        observer.on_event(&ProgressEvent::PhaseFinished {
+            phase: CampaignPhase::Profile,
+            wall: golden.wall,
+        });
+        Campaign::from_golden(workload, cfg, golden, observer, pool)
+    }
+
+    /// The pruning half of [`Campaign::prepare_with_pool`]: semantic and
+    /// context pruning of a golden run that was recorded earlier — by
+    /// [`GoldenRun::record`] on this `workload`, possibly for another
+    /// campaign (nothing in `cfg` shapes a golden run).
+    pub fn from_golden(
+        workload: Workload,
+        cfg: CampaignConfig,
+        golden: Arc<GoldenRun>,
+        observer: &dyn CampaignObserver,
+        pool: Option<Arc<ArenaPool>>,
+    ) -> Campaign {
         if let Some(p) = &pool {
             assert_eq!(
                 p.nranks(),
@@ -681,33 +734,22 @@ impl Campaign {
                 "shared ArenaPool rank count must match the workload"
             );
         }
-        let spec = JobSpec {
-            nranks: workload.nranks,
-            seed: workload.seed,
-            timeout: Duration::from_secs(60),
-            record: true,
-            hook: None,
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let run = profile_app_run(&spec, workload.app.clone());
-        let (profile, golden, golden_ops) = (run.profile, run.outputs, run.ops);
-        let golden_wall = t0.elapsed();
-        observer.on_event(&ProgressEvent::PhaseFinished {
-            phase: CampaignPhase::Profile,
-            wall: golden_wall,
-        });
+        let profile = &golden.profile;
+        assert_eq!(
+            profile.nranks, workload.nranks,
+            "the golden run must be one of this workload"
+        );
         let t1 = Instant::now();
-        let semantic = semantic_prune(&profile);
-        let mut context = context_prune(&profile, &semantic, &cfg.params);
+        let semantic = semantic_prune(profile);
+        let mut context = context_prune(profile, &semantic, &cfg.params);
         // The collective-subset knob restricts the measured point set (and
         // with it the campaign identity) *after* pruning, so a scenario
         // sweep over collective subsets reuses the same pruning pipeline.
         if let Some(kinds) = &cfg.colls {
             context.points.retain(|p| kinds.contains(&p.kind));
         }
-        let full_points = full_space_count(&profile, &cfg.params);
-        let extractor = FeatureExtractor::new(&profile);
+        let full_points = full_space_count(profile, &cfg.params);
+        let extractor = FeatureExtractor::new(profile);
         observer.on_event(&ProgressEvent::PhaseFinished {
             phase: CampaignPhase::Prune,
             wall: t1.elapsed(),
@@ -716,10 +758,8 @@ impl Campaign {
         Campaign {
             workload,
             cfg,
-            profile,
-            golden,
-            golden_wall,
-            golden_ops,
+            golden_wall: golden.wall,
+            golden_run: golden,
             semantic,
             context,
             full_points,
@@ -727,6 +767,26 @@ impl Campaign {
             arena,
             width: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cancel: CancelToken::new(),
+            replay: true,
+            replayed_calls: AtomicU64::new(0),
+            replay_fallbacks: AtomicU64::new(0),
+        }
+    }
+
+    /// Test seam: `false` exchanges every collective of every trial for
+    /// real — the path a diverged attempt falls back to, and the reference
+    /// `tests/prefix_equivalence.rs` holds the replayed one against.
+    #[doc(hidden)]
+    pub fn pin_replay(&mut self, replay: bool) {
+        self.replay = replay;
+    }
+
+    /// Where this campaign's prefix replay went so far.
+    pub fn replay_stats(&self) -> ReplayStats {
+        ReplayStats {
+            replayed_calls: self.replayed_calls.load(Ordering::Relaxed),
+            fallbacks: self.replay_fallbacks.load(Ordering::Relaxed),
+            log_bytes: self.log.bytes(),
         }
     }
 
@@ -785,7 +845,12 @@ impl Campaign {
     /// Job spec for one trial attempt at the given escalation level (0 for
     /// the first attempt; each retry doubles both the wall backstop and
     /// the op budget so a retried trial gets strictly more room).
-    fn trial_spec(&self, hook: Arc<InjectorHook>, escalation: u32) -> JobSpec {
+    fn trial_spec(
+        &self,
+        hook: Arc<InjectorHook>,
+        escalation: u32,
+        replay: Option<ReplayPrefix>,
+    ) -> JobSpec {
         let grow = 1u32 << escalation.min(10);
         JobSpec {
             nranks: self.workload.nranks,
@@ -795,7 +860,43 @@ impl Campaign {
             record: false,
             resilient_transport: self.cfg.resilient,
             hook: Some(hook),
+            replay,
             ..Default::default()
+        }
+    }
+
+    /// Run the job of one trial attempt: with the golden prefix replayed
+    /// up to the call the golden run issued at `point` — the first call
+    /// any event of the trial's timeline can act on — and, should that
+    /// attempt end diverged, once more with every collective exchanged for
+    /// real. The diverged attempt is discarded whole (fresh hook, fresh
+    /// job): it touches neither the supervisor's retry count nor the
+    /// journal. The one place a trial's job is run.
+    fn run_trial_job(
+        &self,
+        point: &InjectionPoint,
+        bit: u64,
+        escalation: u32,
+    ) -> (Arc<InjectorHook>, JobResult) {
+        let mut replay = self
+            .replay
+            .then(|| self.anchor(point))
+            .flatten()
+            .map(|(comm, seq)| ReplayPrefix {
+                log: self.log.clone(),
+                comm,
+                seq,
+            });
+        loop {
+            let hook = Arc::new(InjectorHook::new(self.fault_spec(point, bit)));
+            let spec = self.trial_spec(hook.clone(), escalation, replay.take());
+            let result = self.arena.run(&spec, self.workload.app.clone());
+            if !result.diverged {
+                self.replayed_calls
+                    .fetch_add(result.replayed_calls, Ordering::Relaxed);
+                return (hook, result);
+            }
+            self.replay_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -862,9 +963,7 @@ impl Campaign {
     /// [`Campaign::run_trial_supervised`], which retries such suspect
     /// outcomes instead.
     pub fn run_trial_detailed(&self, point: &InjectionPoint, bit: u64) -> TrialOutcome {
-        let hook = Arc::new(InjectorHook::new(self.fault_spec(point, bit)));
-        let spec = self.trial_spec(hook.clone(), 0);
-        let result = self.arena.run(&spec, self.workload.app.clone());
+        let (hook, result) = self.run_trial_job(point, bit, 0);
         let events = self.trial_events(&hook, &result.transport);
         self.classify_trial(&result.outcome, events, result.transport.retransmits)
     }
@@ -914,11 +1013,8 @@ impl Campaign {
         bit: u64,
         escalation: u32,
     ) -> AttemptOutcome {
-        let hook = Arc::new(InjectorHook::new(self.fault_spec(point, bit)));
-        let spec = self.trial_spec(hook.clone(), escalation);
-        let app = self.workload.app.clone();
-        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.arena.run(&spec, app)
+        let (hook, result) = match catch_unwind(AssertUnwindSafe(|| {
+            self.run_trial_job(point, bit, escalation)
         })) {
             Ok(r) => r,
             // Harness trouble (e.g. thread-spawn failure under fd/mem
@@ -1473,7 +1569,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::ctx::RankCtx;
+    use simmpi::ctx::{RankCtx, RankOutput};
     use simmpi::hook::ParamId;
     use simmpi::op::ReduceOp;
     use simmpi::record::Phase;

@@ -290,6 +290,7 @@ impl CollHook for InjectorHook {
             ParamId::Comm => flip_u32(&mut call.params.comm, bit),
         };
         if fired {
+            call.corrupted = true;
             self.fired.store(true, Ordering::Release);
         }
     }
@@ -332,6 +333,7 @@ mod tests {
             params,
             sendbuf,
             recvbuf: None,
+            corrupted: false,
             msg_fault: None,
             rank_fault: None,
         }

@@ -101,6 +101,7 @@ mod tests {
             kind: CollKind::Allreduce,
             invocation: inv,
             comm_code: 1,
+            seq: 0,
             comm_size: 2,
             count: 2,
             root: 0,

@@ -46,6 +46,7 @@ pub mod campaign;
 pub mod export;
 pub mod fault;
 pub mod features;
+pub mod golden;
 pub mod observe;
 pub mod prune;
 pub mod report;
@@ -58,11 +59,12 @@ pub mod timeline;
 pub mod prelude {
     pub use crate::campaign::{
         default_ranks, ranks_from_env, Campaign, CampaignConfig, CampaignResult, CancelToken,
-        PointResult, TrialOutcome, Workload,
+        PointResult, ReplayStats, TrialOutcome, Workload,
     };
     pub use crate::export::{histograms_csv, maybe_write, points_csv, series_csv};
     pub use crate::fault::{FaultSpec, InjectorHook};
     pub use crate::features::{FeatureExtractor, FEATURE_NAMES, TABLE4_COLUMNS};
+    pub use crate::golden::GoldenRun;
     pub use crate::observe::{
         point_key, CampaignObserver, CampaignPhase, NullObserver, ProgressEvent,
     };

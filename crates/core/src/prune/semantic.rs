@@ -63,6 +63,7 @@ mod tests {
             kind,
             invocation: 0,
             comm_code: 1,
+            seq: 0,
             comm_size: 8,
             count: 4,
             root: 0,

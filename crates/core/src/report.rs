@@ -236,8 +236,20 @@ pub fn campaign_summary(c: &Campaign, r: &CampaignResult) -> String {
     if retransmits > 0 {
         let _ = writeln!(out, "transport recoveries: {} retransmit(s)", retransmits);
     }
+    let _ = writeln!(out, "{}", replay_summary(c));
     let _ = writeln!(out, "{}", histogram_row(&r.aggregate()));
     out
+}
+
+/// Where the campaign's prefix replay went so far, on one line: calls
+/// that returned the golden run's recorded result, the size of the log
+/// they came from, and attempts that diverged and ran again without it.
+pub fn replay_summary(c: &Campaign) -> String {
+    let s = c.replay_stats();
+    format!(
+        "prefix replay: {} collective call(s) replayed from a {}-byte golden result log, {} diverged attempt(s) re-run without it",
+        s.replayed_calls, s.log_bytes, s.fallbacks
+    )
 }
 
 #[cfg(test)]

@@ -202,6 +202,7 @@ mod tests {
             kind,
             invocation: inv,
             comm_code: 1,
+            seq: 0,
             comm_size: 2,
             count: 1,
             root: 0,

@@ -78,6 +78,7 @@ mod tests {
             kind,
             invocation: 0,
             comm_code: 0,
+            seq: 0,
             comm_size: 2,
             count: 0,
             root: 0,

@@ -76,6 +76,7 @@ mod tests {
             kind,
             invocation: 0,
             comm_code: 1,
+            seq: 0,
             comm_size: 4,
             count: 1,
             root: 0,

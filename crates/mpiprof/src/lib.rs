@@ -57,6 +57,10 @@ pub struct ProfiledRun {
     pub ops: Vec<u64>,
     /// Wall time of the clean run.
     pub wall: Duration,
+    /// What every collective call of the clean run returned on every rank:
+    /// what a fault trial replays ahead of its injection point instead of
+    /// exchanging it again.
+    pub log: simmpi::replay::ReplayLog,
 }
 
 /// Run one recorded (profiling) execution of `app` and return its profile
@@ -84,6 +88,7 @@ pub fn profile_app_run(spec: &JobSpec, app: AppFn) -> ProfiledRun {
             outputs,
             ops: result.ops,
             wall: result.wall,
+            log: result.replay_log.expect("a recorded job returns its log"),
         },
         other => panic!(
             "profiling run must complete cleanly, got {:?} (records from {} ranks)",

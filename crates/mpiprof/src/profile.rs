@@ -202,6 +202,7 @@ mod tests {
             kind: CollKind::Allreduce,
             invocation: inv,
             comm_code: 7,
+            seq: 0,
             comm_size: 4,
             count: 1,
             root: 0,

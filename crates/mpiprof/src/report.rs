@@ -91,6 +91,7 @@ mod tests {
             kind: CollKind::Allreduce,
             invocation: 0,
             comm_code: 1,
+            seq: 0,
             comm_size: 2,
             count: 4,
             root: 0,
@@ -127,6 +128,7 @@ mod tests {
             kind: CollKind::Allgather,
             invocation: 0,
             comm_code: 1,
+            seq: 0,
             comm_size: 2,
             count: 1,
             root: 0,

@@ -28,6 +28,7 @@ fn rec(
         kind: ALL_COLL_KINDS[kind_idx % ALL_COLL_KINDS.len()],
         invocation: inv,
         comm_code: 1,
+        seq: 0,
         comm_size: 4,
         count: 2,
         root: 0,

@@ -186,6 +186,12 @@ pub(crate) struct Metrics {
     failed: AtomicU64,
     /// Fresh (executed, not replayed) trials across all campaigns.
     pub(crate) trials_fresh: AtomicU64,
+    /// Collective calls that returned the golden run's recorded result
+    /// instead of exchanging one, over the campaigns measured so far.
+    prefix_calls_replayed: AtomicU64,
+    /// Trial attempts that diverged from their replayed prefix and were
+    /// run again without it.
+    prefix_fallbacks: AtomicU64,
 }
 
 /// The daemon. Shared by the accept loop, handler threads, the
@@ -688,7 +694,9 @@ impl Daemon {
              worker_budget {}\n\
              worker_occupancy {}\n\
              pool_workers_busy {}\n\
-             sched_engine {}\n",
+             sched_engine {}\n\
+             prefix_calls_replayed {}\n\
+             prefix_fallbacks {}\n",
             self.metrics.accepted.load(Ordering::Relaxed),
             queued,
             running,
@@ -701,6 +709,8 @@ impl Daemon {
             occupancy,
             busy,
             Engine::platform().name(),
+            self.metrics.prefix_calls_replayed.load(Ordering::Relaxed),
+            self.metrics.prefix_fallbacks.load(Ordering::Relaxed),
         );
         text.push_str(&self.fleet_metrics_text());
         text
@@ -919,6 +929,13 @@ impl Daemon {
                 )
             }
         };
+        let replay = campaign.replay_stats();
+        self.metrics
+            .prefix_calls_replayed
+            .fetch_add(replay.replayed_calls, Ordering::Relaxed);
+        self.metrics
+            .prefix_fallbacks
+            .fetch_add(replay.fallbacks, Ordering::Relaxed);
         if campaign.cancel_token().is_cancelled() {
             // Shutdown interrupts; an explicit DELETE cancels. Same
             // checkpoint, different lifecycle state.
@@ -1234,6 +1251,8 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
             cancelled: AtomicU64::new(cancelled),
             failed: AtomicU64::new(failed),
             trials_fresh: AtomicU64::new(0),
+            prefix_calls_replayed: AtomicU64::new(0),
+            prefix_fallbacks: AtomicU64::new(0),
         },
         shutdown: AtomicBool::new(false),
         hold_after: AtomicU64::new(0),

@@ -34,6 +34,7 @@ use crate::control::{FatalKind, HangKind, JobControl, RankPanic};
 use crate::ctx::{RankCtx, RankOutput};
 use crate::hook::CollHook;
 use crate::record::CallRecord;
+use crate::replay::{RecordedCall, ReplayLog, ReplayPrefix};
 use crate::runtime::{
     install_quiet_panic_hook, panic_message, AppFn, JobOutcome, JobResult, JobSpec,
     RANK_THREAD_PREFIX,
@@ -54,15 +55,20 @@ const SWEEP: Duration = Duration::from_millis(5);
 /// verbatim by both engines — which is what makes engine equivalence hold
 /// by construction rather than by re-implementation.
 pub(crate) struct JobState {
-    nranks: usize,
-    seed: u64,
-    record: bool,
-    hook: Option<Arc<dyn CollHook>>,
+    pub(crate) nranks: usize,
+    pub(crate) seed: u64,
+    pub(crate) record: bool,
+    pub(crate) hook: Option<Arc<dyn CollHook>>,
+    pub(crate) replay: Option<ReplayPrefix>,
     app: AppFn,
     pub(crate) fabric: Arc<Fabric>,
     pub(crate) ctl: Arc<JobControl>,
     outputs: Vec<Mutex<Option<RankOutput>>>,
     records: Vec<Mutex<Vec<CallRecord>>>,
+    /// What each rank's collective calls returned (recorded jobs).
+    results: Vec<Mutex<Vec<RecordedCall>>>,
+    /// Calls that returned a recorded result, over all ranks.
+    replayed: AtomicU64,
 }
 
 impl JobState {
@@ -76,11 +82,14 @@ impl JobState {
             seed: spec.seed,
             record: spec.record,
             hook: spec.hook.clone(),
+            replay: spec.replay.clone(),
             app,
             fabric: Fabric::with_clock(n, spec.resilient_transport, engine == Engine::Coop),
             ctl: Arc::new(JobControl::with_budget(n, spec.timeout, spec.op_budget)),
             outputs: (0..n).map(|_| Mutex::new(None)).collect(),
             records: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            results: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            replayed: AtomicU64::new(0),
         })
     }
 }
@@ -91,17 +100,11 @@ impl JobState {
 /// on both engines — a rank thread calls it directly, the coop scheduler
 /// runs it as a coroutine entry.
 pub(crate) fn run_rank(rank: usize, job: &JobState) {
-    let mut ctx = RankCtx::new(
-        rank,
-        job.nranks,
-        job.fabric.clone(),
-        job.ctl.clone(),
-        job.hook.clone(),
-        job.record,
-        job.seed,
-    );
+    let mut ctx = RankCtx::new(rank, job);
     let result = panic::catch_unwind(AssertUnwindSafe(|| (job.app)(&mut ctx)));
     *job.records[rank].lock() = ctx.take_records();
+    *job.results[rank].lock() = ctx.take_results();
+    job.replayed.fetch_add(ctx.replayed(), Ordering::Relaxed);
     match result {
         Ok(out) => {
             *job.outputs[rank].lock() = Some(out);
@@ -199,8 +202,9 @@ impl Supervisor {
             ..
         } = &*self.job;
         if ctl.should_die() {
-            // Killed by a rank's deterministic hang kill (op budget), or
-            // past the deadline.
+            // Killed by a rank's deterministic hang kill (op budget), by
+            // the taint guard (diverged: `result` reports that whatever
+            // is recorded here), or past the deadline.
             if ctl.fatal().is_none() && ctl.hang().is_none() {
                 ctl.record_hang(HangKind::WallClock);
             }
@@ -243,13 +247,23 @@ impl Supervisor {
     /// once every rank has exited.
     fn result(self, start: Instant) -> JobResult {
         let JobState {
+            record,
             fabric,
             ctl,
             outputs,
             records,
+            results,
+            replayed,
             ..
         } = &*self.job;
-        let outcome = if let Some((rank, kind)) = ctl.fatal() {
+        let diverged = fabric.diverged();
+        let outcome = if diverged {
+            // Whatever the ranks left behind is not this job's outcome;
+            // should a caller miss the flag, it reads "suspect, retry".
+            JobOutcome::TimedOut {
+                kind: HangKind::WallClock,
+            }
+        } else if let Some((rank, kind)) = ctl.fatal() {
             JobOutcome::Fatal { rank, kind }
         } else if let Some(kind) = ctl.hang() {
             JobOutcome::TimedOut { kind }
@@ -272,6 +286,16 @@ impl Supervisor {
             ops: ctl.ops_snapshot(),
             wall: start.elapsed(),
             transport: fabric.stats(),
+            replay_log: record.then(|| {
+                ReplayLog::from_ranks(
+                    results
+                        .iter()
+                        .map(|m| std::mem::take(&mut *m.lock()))
+                        .collect(),
+                )
+            }),
+            replayed_calls: replayed.load(Ordering::Relaxed),
+            diverged,
         }
     }
 }

@@ -8,7 +8,10 @@
 //! 3. hand the descriptor to the interposition hook (fault injection seam),
 //! 4. validate and decode the — possibly corrupted — raw parameters exactly
 //!    as an error-checking MPI build would (`MPI_ERRORS_ARE_FATAL`),
-//! 5. execute the collective algorithm on the byte images, and
+//! 5. execute the collective algorithm on the byte images — through
+//!    `RankCtx::exchange`, the one seam where a recorded run stores the
+//!    result and a trial's golden prefix returns the stored one instead of
+//!    exchanging it again ([`crate::replay`]) — and
 //! 6. write the result image back into the user buffer.
 //!
 //! Out-of-bounds effects of corrupted counts follow a page-granularity
@@ -16,6 +19,7 @@
 //! succeed and return garbage (`0xAA`), reads beyond it — and any write
 //! overflow — raise a simulated segmentation fault.
 
+use crate::arena::JobState;
 use crate::coll::{
     allgather::allgather as alg_allgather,
     allreduce::{allreduce as alg_allreduce, allreduce_large as alg_allreduce_large},
@@ -26,6 +30,7 @@ use crate::coll::{
         allgatherv as alg_allgatherv, gather as alg_gather, gatherv as alg_gatherv,
         scatter as alg_scatter, scatterv as alg_scatterv,
     },
+    reduce::reduce as alg_reduce,
     reduce_scatter::reduce_scatter_block as alg_reduce_scatter,
     scan::{exscan as alg_exscan, scan as alg_scan},
     CollEnv,
@@ -37,6 +42,7 @@ use crate::error::MpiError;
 use crate::hook::{CallSite, CollCall, CollHook, CollKind, CollParams};
 use crate::op::ReduceOp;
 use crate::record::{CallRecord, Phase};
+use crate::replay::{CallResult, RecordedCall, ReplayPrefix};
 use crate::transport::{Fabric, RankFaultPlan};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -115,6 +121,16 @@ pub struct RankCtx {
     hook: Option<Arc<dyn CollHook>>,
     recording: bool,
     records: Vec<CallRecord>,
+    /// What each call's algorithm returned (recorded runs).
+    results: Vec<RecordedCall>,
+    /// The recorded run this job replays the prefix of, if any.
+    replay: Option<ReplayPrefix>,
+    /// Sequence number of this rank's last call to replay; `None` once it
+    /// has entered that call (or never had one). Mirrored in the fabric's
+    /// `in_prefix` flag for the taint guard.
+    prefix_last: Option<u64>,
+    /// Calls that returned a recorded result.
+    replayed: u64,
     frames: Vec<&'static str>,
     phase: Phase,
     errhdl_depth: u32,
@@ -123,31 +139,32 @@ pub struct RankCtx {
 }
 
 impl RankCtx {
-    /// Construct a context (used by the job runner).
-    pub(crate) fn new(
-        rank: usize,
-        nranks: usize,
-        fabric: Arc<Fabric>,
-        ctl: Arc<JobControl>,
-        hook: Option<Arc<dyn CollHook>>,
-        recording: bool,
-        seed: u64,
-    ) -> Self {
+    /// Construct `rank`'s context for one job (used by the job runner).
+    pub(crate) fn new(rank: usize, job: &JobState) -> Self {
+        let (fabric, replay) = (job.fabric.clone(), job.replay.clone());
+        let prefix_last = replay
+            .as_ref()
+            .and_then(|r| r.log.last_before(rank, r.comm, r.seq));
+        fabric.set_in_prefix(rank, prefix_last.is_some());
         RankCtx {
             rank,
-            nranks,
+            nranks: job.nranks,
             fabric,
-            ctl,
-            comms: CommRegistry::new_world(nranks, rank),
-            hook,
-            recording,
+            ctl: job.ctl.clone(),
+            comms: CommRegistry::new_world(job.nranks, rank),
+            hook: job.hook.clone(),
+            recording: job.record,
             records: Vec::new(),
+            results: Vec::new(),
+            replay,
+            prefix_last,
+            replayed: 0,
             frames: vec!["main"],
             phase: Phase::Init,
             errhdl_depth: 0,
             site_counts: HashMap::new(),
             rng: ChaCha8Rng::seed_from_u64(
-                seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                job.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
         }
     }
@@ -175,6 +192,16 @@ impl RankCtx {
     /// Take the recorded calls (job runner use).
     pub(crate) fn take_records(&mut self) -> Vec<CallRecord> {
         std::mem::take(&mut self.records)
+    }
+
+    /// Take the recorded call results (job runner use).
+    pub(crate) fn take_results(&mut self) -> Vec<RecordedCall> {
+        std::mem::take(&mut self.results)
+    }
+
+    /// Calls that returned a recorded result instead of exchanging one.
+    pub(crate) fn replayed(&self) -> u64 {
+        self.replayed
     }
 
     // ----- annotations (profiling substrate) -----
@@ -327,14 +354,23 @@ impl RankCtx {
     /// Validate a handle and clone the communicator, bumping its collective
     /// sequence number.
     fn bump_seq(&mut self, comm: CommHandle) -> (Comm, u64) {
-        match self.comms.get_mut(comm) {
+        let (c, seq) = match self.comms.get_mut(comm) {
             Ok(c) => {
                 let seq = c.seq;
                 c.seq += 1;
                 (c.clone(), seq)
             }
             Err(e) => self.fatal(e),
+        };
+        // Entering the last call this rank replays ends its prefix: from
+        // here on the fault may reach it.
+        if let (Some(last), Some(replay)) = (self.prefix_last, &self.replay) {
+            if replay.comm == comm.0 && seq >= last {
+                self.prefix_last = None;
+                self.fabric.set_in_prefix(self.rank, false);
+            }
         }
+        (c, seq)
     }
 
     // ----- point-to-point -----
@@ -424,8 +460,11 @@ impl RankCtx {
     /// Non-blocking completion probe for a posted receive.
     pub fn test<T: MpiType>(&self, req: &RecvRequest<T>) -> bool {
         self.ctl.check();
-        let hit = self.fabric.probe(self.rank, req.src_global, req.tag);
-        if !hit {
+        let hit = self.fabric.peek(self.rank, req.src_global, req.tag);
+        if hit == Some(true) {
+            self.fabric.taint(self.rank, &self.ctl);
+        }
+        if hit.is_none() {
             // A poll miss is a scheduling point on the coop engine: a
             // test/yield spin loop must hand the carrier to the sender or
             // it would never complete. It parks *blocked*: only another
@@ -435,7 +474,7 @@ impl RankCtx {
             // engines.
             crate::sched::yield_blocked();
         }
-        hit
+        hit.is_some()
     }
 
     /// Complete a posted receive into `buf`; returns the element count.
@@ -478,8 +517,10 @@ impl RankCtx {
         let site = caller_site();
         let mut params = CollParams::simple(0, Datatype::Byte, ReduceOp::Sum, 0, comm);
         let d = self.pre_coll(CollKind::Barrier, site, &mut params, None, None);
-        let env = self.env(&d);
-        alg_barrier(&env);
+        self.exchange(&d, |env| {
+            alg_barrier(env);
+            None
+        });
     }
 
     /// `MPI_Bcast`: broadcast `buf` from `root` (in place).
@@ -491,30 +532,27 @@ impl RankCtx {
         let mut params = CollParams::simple(buf.len(), T::DTYPE, ReduceOp::Sum, root, comm);
         let d = self.pre_coll(CollKind::Bcast, site, &mut params, Some(&mut image), None);
         let nbytes = self.nbytes(&d, 1);
-        let env = self.env(&d);
-        let me = env.me();
-        let large = nbytes >= BCAST_LARGE_THRESHOLD;
-        let payload = if me == d.root {
-            let data = self.effective_read(&image, nbytes);
-            if large {
-                alg_bcast_large(&env, d.root, data)
-            } else {
-                alg_bcast(&env, d.root, data)
-            }
+        let is_root = d.comm.my_index == d.root;
+        let data = if is_root {
+            self.effective_read(&image, nbytes)
         } else {
-            let got = if large {
-                alg_bcast_large(&env, d.root, Vec::new())
+            Vec::new()
+        };
+        let payload = self.exchange(&d, |env| {
+            Some(if nbytes >= BCAST_LARGE_THRESHOLD {
+                alg_bcast_large(env, d.root, data)
             } else {
-                alg_bcast(&env, d.root, Vec::new())
-            };
-            if got.len() > nbytes {
+                alg_bcast(env, d.root, data)
+            })
+        });
+        if !is_root {
+            if payload.len() > nbytes {
                 self.fatal(MpiError::Truncate);
             }
-            if got.len() < nbytes {
+            if payload.len() < nbytes {
                 self.fatal(MpiError::Protocol);
             }
-            got
-        };
+        }
         self.writeback(buf, image, payload);
     }
 
@@ -544,12 +582,8 @@ impl RankCtx {
         );
         let nbytes = self.nbytes(&d, 1);
         let contrib = self.effective_read(&simg, nbytes);
-        let env = self.env(&d);
-        let result = alg_reduce_entry(&env, d.op, d.root, contrib);
-        match result {
-            Some(res) => self.writeback(recv, rimg, res),
-            None => self.writeback(recv, rimg, Vec::new()),
-        }
+        let res = self.exchange(&d, |env| alg_reduce(env, d.op, d.root, contrib));
+        self.writeback(recv, rimg, res);
     }
 
     /// `MPI_Allreduce`.
@@ -575,12 +609,13 @@ impl RankCtx {
         );
         let nbytes = self.nbytes(&d, 1);
         let contrib = self.effective_read(&simg, nbytes);
-        let env = self.env(&d);
-        let res = if nbytes >= ALLREDUCE_LARGE_THRESHOLD {
-            alg_allreduce_large(&env, d.op, contrib)
-        } else {
-            alg_allreduce(&env, d.op, contrib)
-        };
+        let res = self.exchange(&d, |env| {
+            Some(if nbytes >= ALLREDUCE_LARGE_THRESHOLD {
+                alg_allreduce_large(env, d.op, contrib)
+            } else {
+                alg_allreduce(env, d.op, contrib)
+            })
+        });
         self.writeback(recv, rimg, res);
     }
 
@@ -619,14 +654,12 @@ impl RankCtx {
             Some(&mut rimg),
         );
         let chunk = self.nbytes(&d, 1);
-        let env = self.env(&d);
-        let me = env.me();
-        let data = if me == d.root {
-            Some(self.effective_read(&simg, chunk * env.n()))
+        let data = if d.comm.my_index == d.root {
+            Some(self.effective_read(&simg, chunk * d.comm.size()))
         } else {
             None
         };
-        let mine = alg_scatter(&env, d.root, data, chunk);
+        let mine = self.exchange(&d, |env| Some(alg_scatter(env, d.root, data, chunk)));
         self.writeback(recv, rimg, mine);
     }
 
@@ -654,11 +687,8 @@ impl RankCtx {
         );
         let chunk = self.nbytes(&d, 1);
         let contrib = self.effective_read(&simg, chunk);
-        let env = self.env(&d);
-        match alg_gather(&env, d.root, contrib) {
-            Some(all) => self.writeback(recv, rimg, all),
-            None => self.writeback(recv, rimg, Vec::new()),
-        }
+        let all = self.exchange(&d, |env| alg_gather(env, d.root, contrib));
+        self.writeback(recv, rimg, all);
     }
 
     /// `MPI_Allgather`: all ranks receive every rank's `send`, concatenated.
@@ -678,8 +708,7 @@ impl RankCtx {
         );
         let chunk = self.nbytes(&d, 1);
         let contrib = self.effective_read(&simg, chunk);
-        let env = self.env(&d);
-        let all = alg_allgather(&env, contrib);
+        let all = self.exchange(&d, |env| Some(alg_allgather(env, contrib)));
         self.writeback(recv, rimg, all);
     }
 
@@ -702,9 +731,8 @@ impl RankCtx {
             Some(&mut rimg),
         );
         let chunk = self.nbytes(&d, 1);
-        let env = self.env(&d);
-        let data = self.effective_read(&simg, chunk * env.n());
-        let out = alg_alltoall(&env, data, chunk);
+        let data = self.effective_read(&simg, chunk * d.comm.size());
+        let out = self.exchange(&d, |env| Some(alg_alltoall(env, data, chunk)));
         self.writeback(recv, rimg, out);
     }
 
@@ -798,8 +826,7 @@ impl RankCtx {
                 rimg.len()
             ));
         }
-        let env = self.env(&d);
-        let out = alg_alltoallv(&env, simg.clone(), &sc, &sd, &rc, &rd);
+        let out = self.exchange(&d, |env| Some(alg_alltoallv(env, simg, &sc, &sd, &rc, &rd)));
         self.writeback(recv, rimg, out);
     }
 
@@ -821,8 +848,7 @@ impl RankCtx {
         );
         let nbytes = self.nbytes(&d, 1);
         let contrib = self.effective_read(&simg, nbytes);
-        let env = self.env(&d);
-        let res = alg_scan(&env, d.op, contrib);
+        let res = self.exchange(&d, |env| Some(alg_scan(env, d.op, contrib)));
         self.writeback(recv, rimg, res);
     }
 
@@ -850,8 +876,7 @@ impl RankCtx {
         );
         let nbytes = self.nbytes(&d, 1);
         let contrib = self.effective_read(&simg, nbytes);
-        let env = self.env(&d);
-        let res = alg_exscan(&env, d.op, contrib);
+        let res = self.exchange(&d, |env| Some(alg_exscan(env, d.op, contrib)));
         self.writeback(recv, rimg, res);
     }
 
@@ -878,9 +903,8 @@ impl RankCtx {
             Some(&mut rimg),
         );
         let block = self.nbytes(&d, 1);
-        let env = self.env(&d);
-        let data = self.effective_read(&simg, block * env.n());
-        let res = alg_reduce_scatter(&env, d.op, data, block);
+        let data = self.effective_read(&simg, block * d.comm.size());
+        let res = self.exchange(&d, |env| Some(alg_reduce_scatter(env, d.op, data, block)));
         self.writeback(recv, rimg, res);
     }
 
@@ -911,18 +935,15 @@ impl RankCtx {
             Some(&mut rimg),
         );
         let (vc, vd) = self.decode_vbytes(&d, simg.len());
-        let env = self.env(&d);
-        let me = env.me();
+        let me = d.comm.my_index;
         let my_count = vc.get(me).copied().unwrap_or(0);
         if my_count > rimg.len() + PAGE_SLACK {
             Self::segfault("scatterv receive window past the buffer");
         }
-        let data = if me == d.root {
-            Some(simg.clone())
-        } else {
-            None
-        };
-        let mine = alg_scatterv(&env, d.root, data, &vc, &vd, my_count);
+        let data = (me == d.root).then_some(simg);
+        let mine = self.exchange(&d, |env| {
+            Some(alg_scatterv(env, d.root, data, &vc, &vd, my_count))
+        });
         self.writeback(recv, rimg, mine);
     }
 
@@ -953,8 +974,7 @@ impl RankCtx {
             Some(&mut rimg),
         );
         let (vc, vd) = self.decode_vbytes(&d, simg.len());
-        let env = self.env(&d);
-        let me = env.me();
+        let me = d.comm.my_index;
         if me == d.root {
             let max_write = vc.iter().zip(&vd).map(|(c, dd)| c + dd).max().unwrap_or(0);
             if max_write > rimg.len() + PAGE_SLACK {
@@ -962,10 +982,8 @@ impl RankCtx {
             }
         }
         let contrib = self.effective_read(&simg, vc.get(me).copied().unwrap_or(0));
-        match alg_gatherv(&env, d.root, contrib, &vc, &vd) {
-            Some(all) => self.writeback(recv, rimg, all),
-            None => self.writeback(recv, rimg, Vec::new()),
-        }
+        let all = self.exchange(&d, |env| alg_gatherv(env, d.root, contrib, &vc, &vd));
+        self.writeback(recv, rimg, all);
     }
 
     /// `MPI_Allgatherv`: every rank receives every rank's `counts[i]`
@@ -994,14 +1012,13 @@ impl RankCtx {
             Some(&mut rimg),
         );
         let (vc, vd) = self.decode_vbytes(&d, simg.len());
-        let env = self.env(&d);
-        let me = env.me();
         let max_write = vc.iter().zip(&vd).map(|(c, dd)| c + dd).max().unwrap_or(0);
         if max_write > rimg.len() + PAGE_SLACK {
             Self::segfault("allgatherv write window past the buffer");
         }
-        let contrib = self.effective_read(&simg, vc.get(me).copied().unwrap_or(0));
-        let all = alg_allgatherv(&env, contrib, &vc, &vd);
+        let mine = vc.get(d.comm.my_index).copied().unwrap_or(0);
+        let contrib = self.effective_read(&simg, mine);
+        let all = self.exchange(&d, |env| Some(alg_allgatherv(env, contrib, &vc, &vd)));
         self.writeback(recv, rimg, all);
     }
 
@@ -1058,18 +1075,20 @@ impl RankCtx {
             v
         };
         if self.recording {
-            let (comm_size, is_root) = match self.comms.get(CommHandle(params.comm)) {
+            let (comm_size, is_root, seq) = match self.comms.get(CommHandle(params.comm)) {
                 Ok(c) => (
                     c.size(),
                     kind.is_rooted() && c.my_index as i32 == params.root,
+                    c.seq,
                 ),
-                Err(_) => (0, false),
+                Err(_) => (0, false, 0),
             };
             self.records.push(CallRecord {
                 site,
                 kind,
                 invocation,
                 comm_code: params.comm,
+                seq,
                 comm_size,
                 count: params.count,
                 root: params.root,
@@ -1091,12 +1110,19 @@ impl RankCtx {
                 params,
                 sendbuf,
                 recvbuf,
+                corrupted: false,
                 msg_fault: None,
                 rank_fault: None,
             };
             hook.before(&mut call);
             msg_fault = call.msg_fault;
             rank_fault = call.rank_fault;
+            // The hook acted: this rank's fault-free past ends here. (Still
+            // ahead of `bump_seq`, so an action on a call this rank would
+            // replay finds it in its prefix and ends the job as diverged.)
+            if call.corrupted || msg_fault.is_some() || rank_fault.is_some() {
+                self.fabric.taint(self.rank, &self.ctl);
+            }
         }
         // Rank faults act at the collective entry, before any validation or
         // traffic: a crash-stop rank dies without sending a byte (survivors
@@ -1162,6 +1188,34 @@ impl RankCtx {
             count: params.count as usize,
             params: params.clone(),
         }
+    }
+
+    /// Step 5 of the pipeline, and the only caller of the collective
+    /// algorithms from the public collectives: run `alg` — or, for a call
+    /// ahead of the trial's anchor that the recorded run has an entry for,
+    /// return that entry and touch the fabric not at all. A recorded run
+    /// stores what `alg` returned under the call's `(communicator, seq)`.
+    ///
+    /// Whether a call is replayed depends on the shared log and the anchor
+    /// alone, so every participant decides alike; a rank the fault has
+    /// touched never gets here with a call to replay (the fabric's taint
+    /// guard has ended the job as diverged).
+    fn exchange(&mut self, d: &Decoded, alg: impl FnOnce(&CollEnv<'_>) -> CallResult) -> Vec<u8> {
+        let (comm, seq) = (d.comm.handle.0, d.seq);
+        if let Some(replay) = &self.replay {
+            if comm == replay.comm && seq < replay.seq {
+                if let Some(recorded) = replay.log.result(self.rank, comm, seq) {
+                    self.replayed += 1;
+                    return recorded.map(<[u8]>::to_vec).unwrap_or_default();
+                }
+            }
+        }
+        let result = alg(&self.env(d));
+        if self.recording {
+            self.results.push((comm, seq, result.clone()));
+        }
+        // A rank the algorithm hands nothing writes nothing back.
+        result.unwrap_or_default()
     }
 
     fn env<'a>(&'a self, d: &'a Decoded) -> CollEnv<'a> {
@@ -1244,13 +1298,4 @@ fn caller_site() -> CallSite {
         file: loc.file(),
         line: loc.line(),
     }
-}
-
-fn alg_reduce_entry(
-    env: &CollEnv<'_>,
-    op: ReduceOp,
-    root: usize,
-    contrib: Vec<u8>,
-) -> Option<Vec<u8>> {
-    crate::coll::reduce::reduce(env, op, root, contrib)
 }

@@ -264,6 +264,11 @@ pub struct CollCall<'a> {
     pub sendbuf: Option<&'a mut Vec<u8>>,
     /// Serialized receive-buffer image, if the kind has one.
     pub recvbuf: Option<&'a mut Vec<u8>>,
+    /// Set by a hook that changed `params`, `sendbuf` or `recvbuf`. With
+    /// `msg_fault` and `rank_fault` this is how the runtime learns that the
+    /// hook *acted* on the call, which ends the rank's fault-free past (the
+    /// taint guard of [`crate::replay`]).
+    pub corrupted: bool,
     /// Message-fault plan to arm for this rank's sends within this
     /// collective invocation. Set by a hook to inject a transport-level
     /// fault instead of (or in addition to) a parameter flip.

@@ -25,7 +25,10 @@
 //!   `INF_LOOP`-style outcomes and maps rank panics onto the paper's
 //!   response taxonomy;
 //! - **Call recording** ([`record`]) with phases, error-handling flags and
-//!   annotated call stacks — the data source for the profiling substrate.
+//!   annotated call stacks — the data source for the profiling substrate —
+//!   and of every call's *result* ([`replay`]), which a fault trial returns
+//!   for the collectives ahead of its injection point instead of
+//!   exchanging them again.
 //!
 //! ## Quick example
 //!
@@ -56,6 +59,7 @@ pub mod error;
 pub mod hook;
 pub mod op;
 pub mod record;
+pub mod replay;
 pub mod runtime;
 pub mod sched;
 pub mod transport;

@@ -57,6 +57,10 @@ pub struct CallRecord {
     pub invocation: u64,
     /// Communicator handle code the call used.
     pub comm_code: u32,
+    /// The call's sequence number on that communicator (0 when the handle
+    /// names none): with `comm_code`, its key in the job's
+    /// [`ReplayLog`](crate::replay::ReplayLog).
+    pub seq: u64,
     /// Size of that communicator.
     pub comm_size: usize,
     /// Element count (average per peer for v-collectives).

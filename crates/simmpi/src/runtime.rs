@@ -29,6 +29,7 @@ use crate::control::{FatalKind, HangKind};
 use crate::ctx::{RankCtx, RankOutput};
 use crate::hook::CollHook;
 use crate::record::CallRecord;
+use crate::replay::{ReplayLog, ReplayPrefix};
 use crate::transport::TransportStats;
 use std::panic;
 use std::sync::Arc;
@@ -58,7 +59,8 @@ pub struct JobSpec {
     /// Consecutive same-epoch all-stuck sweeps required before the stall
     /// detector declares a deadlock; `0` disables stall detection.
     pub stall_quota: u32,
-    /// Record per-call profiling data.
+    /// Record per-call profiling data, and what every collective call
+    /// returned on every rank ([`JobResult::replay_log`]).
     pub record: bool,
     /// Run the fabric in resilient mode: per-message checksums, duplicate
     /// suppression, and bounded retransmission of corrupt/dropped
@@ -66,6 +68,12 @@ pub struct JobSpec {
     pub resilient_transport: bool,
     /// Interposition hook (fault injector); `None` = clean run.
     pub hook: Option<Arc<dyn CollHook>>,
+    /// Replay the collectives ahead of the hook's first possible action
+    /// from a recorded run of the same application instead of exchanging
+    /// them (see [`crate::replay`]); `None` = exchange everything. A job
+    /// that cannot prove the recorded results are its own ends
+    /// [`JobResult::diverged`] and must be run again without this.
+    pub replay: Option<ReplayPrefix>,
 }
 
 impl Default for JobSpec {
@@ -79,6 +87,7 @@ impl Default for JobSpec {
             record: false,
             resilient_transport: false,
             hook: None,
+            replay: None,
         }
     }
 }
@@ -94,6 +103,7 @@ impl std::fmt::Debug for JobSpec {
             .field("record", &self.record)
             .field("resilient_transport", &self.resilient_transport)
             .field("hook", &self.hook.is_some())
+            .field("replay", &self.replay.as_ref().map(|r| (r.comm, r.seq)))
             .finish()
     }
 }
@@ -138,6 +148,18 @@ pub struct JobResult {
     pub wall: Duration,
     /// Message-fault / recovery counters from the fabric.
     pub transport: TransportStats,
+    /// What every collective call returned on every rank (`None` unless
+    /// `JobSpec::record`).
+    pub replay_log: Option<ReplayLog>,
+    /// Collective calls (summed over ranks) that returned a recorded
+    /// result instead of exchanging one (0 without `JobSpec::replay`).
+    pub replayed_calls: u64,
+    /// The job was killed because a rank still inside its replayed prefix
+    /// was touched by the fault: what it replayed may not be what it would
+    /// have exchanged. `outcome` is then the infrastructure-suspect
+    /// `TimedOut { WallClock }` and means nothing; run the job again
+    /// without `JobSpec::replay`.
+    pub diverged: bool,
 }
 
 /// Install a process-wide panic hook that silences the structured unwinds

@@ -149,6 +149,7 @@ mod coro {
     use std::cell::Cell;
     use std::panic::{self, AssertUnwindSafe};
     use std::ptr;
+    use std::sync::OnceLock;
 
     /// Default coroutine stack size (bytes); `FASTFIT_COOP_STACK`
     /// overrides. Virtual allocation — untouched pages stay uncommitted —
@@ -237,12 +238,17 @@ mod coro {
 
     impl Stack {
         pub fn new() -> Stack {
-            let size = std::env::var("FASTFIT_COOP_STACK")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_STACK)
-                .max(64 * 1024)
-                & !0xF;
+            // Read once per process: an arena allocates one stack per
+            // rank, and `env::var` takes the process environment lock.
+            static SIZE: OnceLock<usize> = OnceLock::new();
+            let size = *SIZE.get_or_init(|| {
+                std::env::var("FASTFIT_COOP_STACK")
+                    .ok()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .unwrap_or(DEFAULT_STACK)
+                    .max(64 * 1024)
+                    & !0xF
+            });
             let layout = Layout::from_size_align(size, 16).expect("stack layout");
             let base = unsafe { alloc(layout) };
             assert!(!base.is_null(), "coroutine stack allocation failed");

@@ -63,6 +63,20 @@
 //! [`MAX_RETRANSMITS`] attempts). A fault that persists through every
 //! attempt (a *sticky* plan) surfaces as `MPI_ERR_TRANSPORT`, attributed to
 //! [`DetectedBy::Transport`](crate::control::DetectedBy).
+//!
+//! # Taint
+//!
+//! The fabric also keeps the guard that makes replaying a trial's golden
+//! prefix ([`crate::replay`]) sound. A rank is *tainted* once its hook
+//! acts on one of its calls or it consumes (or probes) a message a tainted
+//! rank sent — every [`Msg`] carries its sender's flag as of the send, on
+//! the retransmit and dropped-entry paths too — so an untainted rank has a
+//! fault-free causal past: it is in the state, and holds the inputs, the
+//! recorded run had. A rank is *in its prefix* while it still has a call
+//! to replay. The moment a rank in its prefix becomes tainted, what it is
+//! about to replay may no longer be what it would exchange: the job is
+//! killed as *diverged* ([`Fabric::diverged`]) and its caller runs it
+//! again without replay.
 
 use crate::comm::TagKind;
 use crate::control::{JobControl, RankPanic};
@@ -238,6 +252,8 @@ pub struct TransportStats {
     pub dup_suppressed: u64,
     /// Unrecoverable deliveries surfaced as `MPI_ERR_TRANSPORT`.
     pub transport_errors: u64,
+    /// Payload bytes handed to the fabric ([`Fabric::bytes_sent`]).
+    pub bytes_sent: u64,
 }
 
 /// A message in flight.
@@ -259,6 +275,9 @@ pub struct Msg {
     /// Whether the fault that hit this message also corrupts every
     /// retransmission.
     pub sticky: bool,
+    /// Whether the sender was tainted when it sent this (module docs,
+    /// "Taint").
+    pub tainted: bool,
 }
 
 /// A message that was silently dropped on the wire. The pristine payload is
@@ -270,6 +289,7 @@ struct DroppedEntry {
     tag: u64,
     data: Vec<u8>,
     sticky: bool,
+    tainted: bool,
 }
 
 /// Queue plus the blocked-receive descriptor of the owning rank, guarded by
@@ -442,6 +462,17 @@ pub struct Fabric {
     retransmits: AtomicU64,
     dup_suppressed: AtomicU64,
     transport_errors: AtomicU64,
+    /// Per rank: tainted (module docs, "Taint"). A rank's flag — like its
+    /// `in_prefix` one — is read and written by that rank alone, so
+    /// `Relaxed` suffices; it reaches other ranks only inside a [`Msg`],
+    /// under the mailbox lock.
+    tainted: Vec<AtomicBool>,
+    /// Per rank: still has a call to replay. Never set in a job without
+    /// [`JobSpec::replay`](crate::runtime::JobSpec), which therefore
+    /// cannot diverge.
+    in_prefix: Vec<AtomicBool>,
+    /// A rank in its prefix became tainted; the job has been killed.
+    diverged: AtomicBool,
 }
 
 impl Fabric {
@@ -479,6 +510,9 @@ impl Fabric {
             retransmits: AtomicU64::new(0),
             dup_suppressed: AtomicU64::new(0),
             transport_errors: AtomicU64::new(0),
+            tainted: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            in_prefix: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            diverged: AtomicBool::new(false),
         })
     }
 
@@ -549,6 +583,41 @@ impl Fabric {
             retransmits: self.retransmits.load(Ordering::Relaxed),
             dup_suppressed: self.dup_suppressed.load(Ordering::Relaxed),
             transport_errors: self.transport_errors.load(Ordering::Relaxed),
+            bytes_sent: self.bytes_sent(),
+        }
+    }
+
+    /// Say whether `rank` still has a call to replay (its `RankCtx` does,
+    /// at start-up and on entering its last replayed call).
+    pub(crate) fn set_in_prefix(&self, rank: usize, on: bool) {
+        self.in_prefix[rank].store(on, Ordering::Relaxed);
+    }
+
+    /// Whether the job was killed because a rank in its replayed prefix
+    /// became tainted.
+    pub fn diverged(&self) -> bool {
+        self.diverged.load(Ordering::Acquire)
+    }
+
+    /// Mark `rank` tainted. If it is still in its prefix the job has
+    /// diverged: kill it and unwind this rank.
+    pub(crate) fn taint(&self, rank: usize, ctl: &JobControl) {
+        self.tainted[rank].store(true, Ordering::Relaxed);
+        if self.in_prefix[rank].load(Ordering::Relaxed) {
+            self.diverged.store(true, Ordering::Release);
+            ctl.kill();
+            std::panic::panic_any(RankPanic::Killed);
+        }
+    }
+
+    /// `me` consumed something `tainted` says a tainted rank sent: taint
+    /// it, leaving the mailbox consistent should that unwind.
+    fn absorb(&self, me: usize, tainted: bool, st: &mut MailboxState, ctl: &JobControl) {
+        if tainted {
+            if self.in_prefix[me].load(Ordering::Relaxed) {
+                st.waiting = None;
+            }
+            self.taint(me, ctl);
         }
     }
 
@@ -680,6 +749,10 @@ impl Fabric {
             checksum,
             pristine: None,
             sticky: false,
+            tainted: self
+                .tainted
+                .get(src)
+                .is_some_and(|t| t.load(Ordering::Relaxed)),
         };
         if let Some(sticky) = partition {
             // Cross-cut message under an armed partition: dropped on the
@@ -693,6 +766,7 @@ impl Fabric {
                 tag,
                 data: msg.data,
                 sticky,
+                tainted: msg.tainted,
             });
             mbox.cv.notify_all();
             return Ok(());
@@ -726,6 +800,7 @@ impl Fabric {
                         tag,
                         data: msg.data,
                         sticky: plan.sticky,
+                        tainted: msg.tainted,
                     });
                     // No progress epoch: nothing was delivered. Wake the
                     // receiver so it observes the drop promptly.
@@ -820,14 +895,15 @@ impl Fabric {
             self.release_due(&mut st);
             while let Some(pos) = st.queue.iter().position(|m| m.src == src && m.tag == tag) {
                 let msg = st.queue.remove(pos).expect("position just found");
+                let seen = st.consumed.get(msg.src);
+                if self.resilient && seen.is_some_and(|s| s.contains(msg.seqno)) {
+                    // A duplicate of something already delivered:
+                    // suppress and keep scanning.
+                    self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                self.absorb(me, msg.tainted, &mut st, ctl);
                 if self.resilient {
-                    let seen = st.consumed.get(msg.src);
-                    if seen.is_some_and(|s| s.contains(msg.seqno)) {
-                        // A duplicate of something already delivered:
-                        // suppress and keep scanning.
-                        self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
                     if fnv1a(&msg.data) != msg.checksum {
                         // Corrupt delivery. Recover from the sender's
                         // pristine copy unless the fault is sticky (every
@@ -850,6 +926,9 @@ impl Fabric {
                 return msg.data;
             }
             if let Some(i) = st.dropped.iter().position(|d| d.src == src && d.tag == tag) {
+                // Recovered or starved, the drop decides this rank's fate.
+                let tainted = st.dropped[i].tainted;
+                self.absorb(me, tainted, &mut st, ctl);
                 if self.resilient {
                     // Simulated ack timeout + retransmission of the
                     // sender's pristine copy.
@@ -919,14 +998,19 @@ impl Fabric {
     /// Non-blocking probe: is a matching message queued? Releases due
     /// delayed messages first, so pollers (`irecv`/`test`) see them.
     pub fn probe(&self, me: usize, src: usize, tag: u64) -> bool {
-        self.boxes
-            .get(me)
-            .map(|m| {
-                let mut st = m.state.lock();
-                self.release_due(&mut st);
-                st.queue.iter().any(|x| x.src == src && x.tag == tag)
-            })
-            .unwrap_or(false)
+        self.peek(me, src, tag).is_some()
+    }
+
+    /// As [`probe`](Fabric::probe), saying of the first matching message
+    /// whether a tainted rank sent it: seeing that it is there is already
+    /// information from its sender.
+    pub(crate) fn peek(&self, me: usize, src: usize, tag: u64) -> Option<bool> {
+        let mut st = self.boxes.get(me)?.state.lock();
+        self.release_due(&mut st);
+        st.queue
+            .iter()
+            .find(|x| x.src == src && x.tag == tag)
+            .map(|x| x.tainted)
     }
 
     /// Number of messages currently queued at `me` (diagnostics).
@@ -1126,6 +1210,55 @@ mod tests {
         assert_eq!(s.retransmits, 1);
         assert_eq!(s.dup_suppressed, 0, "the copy is still queued");
         assert_eq!(f.queued(2), 1);
+    }
+
+    // ----- taint -----
+
+    fn killed_by(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .err()
+            .is_some_and(|e| e.downcast_ref::<RankPanic>() == Some(&RankPanic::Killed))
+    }
+
+    #[test]
+    fn taint_travels_with_messages_and_diverges_only_a_rank_in_its_prefix() {
+        let f = Fabric::new(3);
+        let c = JobControl::new(3, Duration::from_secs(5));
+        // Sent before the sender was tainted: carries nothing.
+        f.send(0, 1, 1, vec![1]).unwrap();
+        f.taint(0, &c);
+        f.send(0, 1, 2, vec![2]).unwrap();
+        assert_eq!(f.peek(1, 0, 1), Some(false));
+        assert_eq!(f.peek(1, 0, 2), Some(true));
+        f.recv(1, 0, 1, &c);
+        f.send(1, 2, 3, vec![3]).unwrap();
+        // Consuming the tainted one taints the consumer, and so its sends.
+        f.recv(1, 0, 2, &c);
+        f.send(1, 2, 4, vec![4]).unwrap();
+        assert!(!f.diverged() && !c.killed(), "nobody was in a prefix");
+        // A rank in its prefix takes the clean message, not the tainted.
+        f.set_in_prefix(2, true);
+        assert_eq!(f.recv(2, 1, 3, &c), vec![3]);
+        assert!(killed_by(|| drop(f.recv(2, 1, 4, &c))));
+        assert!(f.diverged() && c.killed());
+        assert!(!f.stuck(2), "the unwound receive left no waiter behind");
+    }
+
+    #[test]
+    fn a_dropped_message_carries_its_senders_taint_on_both_transports() {
+        for resilient in [false, true] {
+            let f = Fabric::with_mode(2, resilient);
+            let c = JobControl::with_budget(2, Duration::from_secs(5), Some(100));
+            f.taint(0, &c);
+            f.arm(0, COMM, 0, plan(MsgFaultKind::Drop));
+            f.send(0, 1, scoped_tag(), vec![7]).unwrap();
+            f.set_in_prefix(1, true);
+            // Retransmitted (resilient) or starved (plain): either way the
+            // drop decides the receiver's fate.
+            assert!(killed_by(|| drop(f.recv(1, 0, scoped_tag(), &c))));
+            assert!(f.diverged(), "resilient {resilient}");
+            assert_eq!(c.hang(), None, "diverged, not an op-budget burn");
+        }
     }
 
     #[test]
