@@ -21,7 +21,10 @@
 //! run recorded instead of exchanging it again (DESIGN.md §20) — the
 //! un-replayed path stays as the fallback for an attempt that cannot prove
 //! the recorded results are its own, and as the reference
-//! `tests/prefix_equivalence.rs` compares against.
+//! `tests/prefix_equivalence.rs` compares against. It is one again from
+//! the moment its fault is gone — repaired by the transport, never sent,
+//! overwritten by the result — and ends there with the golden outputs
+//! (DESIGN.md §21; reference: `tests/absorb_equivalence.rs`).
 
 use crate::fault::{FaultSpec, InjectorHook};
 use crate::features::FeatureExtractor;
@@ -159,7 +162,13 @@ impl CancelToken {
 pub struct Workload {
     /// Display name ("IS", "LAMMPS", ...).
     pub name: String,
-    /// The application entry point.
+    /// The application entry point. **Contract:** what a rank does is a
+    /// deterministic function of its rank, the seed and the messages it
+    /// receives — not of the clock, the schedule, the engine, or state
+    /// that outlives a job. Byte-identical journals across engines,
+    /// resume, prefix replay and ending a trial when its fault is absorbed
+    /// all assume it: each substitutes "what the golden run did" for
+    /// running it again.
     pub app: AppFn,
     /// Relative tolerance when comparing outputs to the golden run (0 =
     /// exact; statistical codes like minimd use a loose tolerance).
@@ -617,6 +626,11 @@ pub struct ReplayStats {
     pub fallbacks: u64,
     /// Bytes of recorded results the golden run's log holds.
     pub log_bytes: u64,
+    /// Trial jobs whose result stands (every attempt but the diverged).
+    pub trial_jobs: u64,
+    /// Of those, the ones that ended at absorption: the moment nothing
+    /// carried the fault any more, with the golden outputs for theirs.
+    pub absorbed_trials: u64,
 }
 
 /// A prepared campaign: the golden run + pruning products.
@@ -658,6 +672,8 @@ pub struct Campaign {
     replay: bool,
     replayed_calls: AtomicU64,
     replay_fallbacks: AtomicU64,
+    trial_jobs: AtomicU64,
+    absorbed_trials: AtomicU64,
 }
 
 impl std::ops::Deref for Campaign {
@@ -770,12 +786,15 @@ impl Campaign {
             replay: true,
             replayed_calls: AtomicU64::new(0),
             replay_fallbacks: AtomicU64::new(0),
+            trial_jobs: AtomicU64::new(0),
+            absorbed_trials: AtomicU64::new(0),
         }
     }
 
     /// Test seam: `false` exchanges every collective of every trial for
-    /// real — the path a diverged attempt falls back to, and the reference
-    /// `tests/prefix_equivalence.rs` holds the replayed one against.
+    /// real and runs every trial to its end — the path a diverged attempt
+    /// falls back to, and the reference `tests/prefix_equivalence.rs` and
+    /// `tests/absorb_equivalence.rs` hold the default against.
     #[doc(hidden)]
     pub fn pin_replay(&mut self, replay: bool) {
         self.replay = replay;
@@ -787,6 +806,8 @@ impl Campaign {
             replayed_calls: self.replayed_calls.load(Ordering::Relaxed),
             fallbacks: self.replay_fallbacks.load(Ordering::Relaxed),
             log_bytes: self.log.bytes(),
+            trial_jobs: self.trial_jobs.load(Ordering::Relaxed),
+            absorbed_trials: self.absorbed_trials.load(Ordering::Relaxed),
         }
     }
 
@@ -871,7 +892,12 @@ impl Campaign {
     /// attempt end diverged, once more with every collective exchanged for
     /// real. The diverged attempt is discarded whole (fresh hook, fresh
     /// job): it touches neither the supervisor's retry count nor the
-    /// journal. The one place a trial's job is run.
+    /// journal. A job carrying the prefix also watches for the moment its
+    /// fault is gone and ends there (DESIGN.md §21): the rest of it is the
+    /// golden run's, so the golden outputs stand in for its outcome, and
+    /// what a fault can move — fired, retransmits, event counts — is
+    /// final in the hook and the transport counters. The one place a
+    /// trial's job is run.
     fn run_trial_job(
         &self,
         point: &InjectionPoint,
@@ -890,13 +916,21 @@ impl Campaign {
         loop {
             let hook = Arc::new(InjectorHook::new(self.fault_spec(point, bit)));
             let spec = self.trial_spec(hook.clone(), escalation, replay.take());
-            let result = self.arena.run(&spec, self.workload.app.clone());
-            if !result.diverged {
-                self.replayed_calls
-                    .fetch_add(result.replayed_calls, Ordering::Relaxed);
-                return (hook, result);
+            let mut result = self.arena.run(&spec, self.workload.app.clone());
+            if result.diverged {
+                self.replay_fallbacks.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
-            self.replay_fallbacks.fetch_add(1, Ordering::Relaxed);
+            self.replayed_calls
+                .fetch_add(result.replayed_calls, Ordering::Relaxed);
+            self.trial_jobs.fetch_add(1, Ordering::Relaxed);
+            if result.absorbed {
+                self.absorbed_trials.fetch_add(1, Ordering::Relaxed);
+                result.outcome = JobOutcome::Completed {
+                    outputs: self.golden.clone(),
+                };
+            }
+            return (hook, result);
         }
     }
 

@@ -60,6 +60,8 @@ impl FaultSpec {
 pub struct InjectorHook {
     spec: FaultSpec,
     fired: AtomicBool,
+    /// The anchor rank has made its anchor entry (single-draw mode).
+    anchor_entered: AtomicBool,
     /// Collective entries of the anchor rank seen so far (timeline mode).
     ordinal: AtomicU64,
     /// Anchor rank's ordinal at the anchor entry; `u64::MAX` until the
@@ -81,6 +83,7 @@ impl InjectorHook {
         InjectorHook {
             spec,
             fired: AtomicBool::new(false),
+            anchor_entered: AtomicBool::new(false),
             ordinal: AtomicU64::new(0),
             armed_at: AtomicU64::new(u64::MAX),
             event_fired: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -238,6 +241,7 @@ impl CollHook for InjectorHook {
         if call.rank != p.rank || call.site != p.site || call.invocation != p.invocation {
             return;
         }
+        self.anchor_entered.store(true, Ordering::Release);
         match self.spec.channel {
             FaultChannel::Message => {
                 // Arm a transport fault on this rank's sends within this
@@ -293,6 +297,30 @@ impl CollHook for InjectorHook {
             call.corrupted = true;
             self.fired.store(true, Ordering::Release);
         }
+    }
+
+    /// A single parameter or message draw is spent once the anchor rank
+    /// has made its anchor entry — fired or not — and an all-message
+    /// timeline once every event has had its entry on that rank's clock.
+    /// A faulty rank and a partition are conditions, not events: those
+    /// schedules (crash-stop, fail-slow, partition, `cascade`, `heal`)
+    /// are never spent, and their trials run to their end.
+    fn spent(&self, rank: usize) -> bool {
+        if rank != self.spec.point.rank {
+            return false;
+        }
+        if self.spec.timeline.is_single() {
+            return matches!(
+                self.spec.channel,
+                FaultChannel::Param | FaultChannel::Message
+            ) && self.anchor_entered.load(Ordering::Acquire);
+        }
+        let events = self.spec.timeline.events();
+        let last = events.iter().map(|ev| ev.offset).max().unwrap_or(0);
+        let armed_at = self.armed_at.load(Ordering::SeqCst);
+        events.iter().all(|ev| ev.channel == FaultChannel::Message)
+            && armed_at != u64::MAX
+            && self.ordinal.load(Ordering::SeqCst) > armed_at + last
     }
 }
 
@@ -600,6 +628,59 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn a_single_draw_is_spent_by_the_anchor_entry_on_the_anchor_rank_only() {
+        for (channel, param, spends) in [
+            (FaultChannel::Param, ParamId::Count, true),
+            // Never fires — there is no receive image — and is spent all
+            // the same: nothing will ever come of it.
+            (FaultChannel::Param, ParamId::RecvBuf, true),
+            (FaultChannel::Message, ParamId::SendBuf, true),
+            (FaultChannel::CrashStop, ParamId::SendBuf, false),
+            (FaultChannel::FailSlow, ParamId::SendBuf, false),
+            (FaultChannel::Partition, ParamId::SendBuf, false),
+        ] {
+            let hook = InjectorHook::new(FaultSpec::single(point(param), 3, channel));
+            let mut params =
+                CollParams::simple(8, Datatype::Float64, ReduceOp::Sum, 0, simmpi::comm::WORLD);
+            hook.before(&mut call_at(2, 0, &mut params, None));
+            hook.before(&mut call_at(0, 1, &mut params, None));
+            assert!(!hook.spent(2), "{channel:?}: the anchor entry is to come");
+            hook.before(&mut call_at(2, 1, &mut params, None));
+            assert_eq!(hook.spent(2), spends, "{channel:?} {param:?}");
+            assert!(
+                !hook.spent(0),
+                "only the rank whose entry spent it hears so"
+            );
+        }
+    }
+
+    #[test]
+    fn a_burst_is_spent_by_its_last_event_and_a_condition_never() {
+        for (token, spent_after) in [
+            ("burst:3", Some(3)),
+            ("burst:2:2", Some(3)),
+            ("cascade:1", None),
+            ("heal:1", None),
+            ("burst:1+heal:1", None),
+        ] {
+            let hook = InjectorHook::new(timeline_spec(token, 1));
+            let mut params =
+                CollParams::simple(8, Datatype::Float64, ReduceOp::Sum, 0, simmpi::comm::WORLD);
+            // An entry ahead of the anchor, then the anchor and five more.
+            hook.before(&mut call_at(2, 0, &mut params, None));
+            for entries in 1..=6 {
+                hook.before(&mut call_at(2, entries, &mut params, None));
+                assert_eq!(
+                    hook.spent(2),
+                    spent_after.is_some_and(|n| entries >= n),
+                    "{token} after {entries} entries from the anchor"
+                );
+                assert!(!hook.spent(0), "{token}");
+            }
+        }
     }
 
     #[test]

@@ -241,14 +241,15 @@ pub fn campaign_summary(c: &Campaign, r: &CampaignResult) -> String {
     out
 }
 
-/// Where the campaign's prefix replay went so far, on one line: calls
-/// that returned the golden run's recorded result, the size of the log
-/// they came from, and attempts that diverged and ran again without it.
+/// Where the campaign's trials met the golden run so far, on one line:
+/// calls that returned its recorded result, the size of the log they came
+/// from, attempts that diverged and ran again without it, and trials that
+/// ended the moment their fault was gone.
 pub fn replay_summary(c: &Campaign) -> String {
     let s = c.replay_stats();
     format!(
-        "prefix replay: {} collective call(s) replayed from a {}-byte golden result log, {} diverged attempt(s) re-run without it",
-        s.replayed_calls, s.log_bytes, s.fallbacks
+        "prefix replay: {} collective call(s) replayed from a {}-byte golden result log, {} diverged attempt(s) re-run without it; {} of {} trials ended at absorption",
+        s.replayed_calls, s.log_bytes, s.fallbacks, s.absorbed_trials, s.trial_jobs
     )
 }
 

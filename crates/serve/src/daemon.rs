@@ -192,6 +192,8 @@ pub(crate) struct Metrics {
     /// Trial attempts that diverged from their replayed prefix and were
     /// run again without it.
     prefix_fallbacks: AtomicU64,
+    /// Trials that ended the moment their fault was absorbed.
+    trials_absorbed: AtomicU64,
 }
 
 /// The daemon. Shared by the accept loop, handler threads, the
@@ -696,7 +698,8 @@ impl Daemon {
              pool_workers_busy {}\n\
              sched_engine {}\n\
              prefix_calls_replayed {}\n\
-             prefix_fallbacks {}\n",
+             prefix_fallbacks {}\n\
+             trials_absorbed {}\n",
             self.metrics.accepted.load(Ordering::Relaxed),
             queued,
             running,
@@ -711,6 +714,7 @@ impl Daemon {
             Engine::platform().name(),
             self.metrics.prefix_calls_replayed.load(Ordering::Relaxed),
             self.metrics.prefix_fallbacks.load(Ordering::Relaxed),
+            self.metrics.trials_absorbed.load(Ordering::Relaxed),
         );
         text.push_str(&self.fleet_metrics_text());
         text
@@ -936,6 +940,9 @@ impl Daemon {
         self.metrics
             .prefix_fallbacks
             .fetch_add(replay.fallbacks, Ordering::Relaxed);
+        self.metrics
+            .trials_absorbed
+            .fetch_add(replay.absorbed_trials, Ordering::Relaxed);
         if campaign.cancel_token().is_cancelled() {
             // Shutdown interrupts; an explicit DELETE cancels. Same
             // checkpoint, different lifecycle state.
@@ -1253,6 +1260,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
             trials_fresh: AtomicU64::new(0),
             prefix_calls_replayed: AtomicU64::new(0),
             prefix_fallbacks: AtomicU64::new(0),
+            trials_absorbed: AtomicU64::new(0),
         },
         shutdown: AtomicBool::new(false),
         hold_after: AtomicU64::new(0),

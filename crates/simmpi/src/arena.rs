@@ -203,9 +203,10 @@ impl Supervisor {
         } = &*self.job;
         if ctl.should_die() {
             // Killed by a rank's deterministic hang kill (op budget), by
-            // the taint guard (diverged: `result` reports that whatever
-            // is recorded here), or past the deadline.
-            if ctl.fatal().is_none() && ctl.hang().is_none() {
+            // the fabric on purpose (diverged, or absorbed: no hang, and
+            // none is recorded), or past the deadline.
+            let ended = fabric.diverged() || fabric.absorbed();
+            if !ended && ctl.fatal().is_none() && ctl.hang().is_none() {
                 ctl.record_hang(HangKind::WallClock);
             }
             ctl.kill();
@@ -256,10 +257,11 @@ impl Supervisor {
             replayed,
             ..
         } = &*self.job;
-        let diverged = fabric.diverged();
-        let outcome = if diverged {
-            // Whatever the ranks left behind is not this job's outcome;
-            // should a caller miss the flag, it reads "suspect, retry".
+        let (diverged, absorbed) = (fabric.diverged(), fabric.absorbed());
+        let outcome = if diverged || absorbed {
+            // The fabric ended the job: what the ranks left behind is not
+            // its outcome. Should a caller miss the flag, it reads
+            // "suspect, retry".
             JobOutcome::TimedOut {
                 kind: HangKind::WallClock,
             }
@@ -296,6 +298,7 @@ impl Supervisor {
             }),
             replayed_calls: replayed.load(Ordering::Relaxed),
             diverged,
+            absorbed,
         }
     }
 }

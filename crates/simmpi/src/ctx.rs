@@ -10,8 +10,10 @@
 //!    as an error-checking MPI build would (`MPI_ERRORS_ARE_FATAL`),
 //! 5. execute the collective algorithm on the byte images — through
 //!    `RankCtx::exchange`, the one seam where a recorded run stores the
-//!    result and a trial's golden prefix returns the stored one instead of
-//!    exchanging it again ([`crate::replay`]) — and
+//!    result, a trial's golden prefix returns the stored one instead of
+//!    exchanging it again ([`crate::replay`]), and a rank the fault
+//!    touched inside the call learns whether its application will see it
+//!    (the open set of [`crate::transport`]) — and
 //! 6. write the result image back into the user buffer.
 //!
 //! Out-of-bounds effects of corrupted counts follow a page-granularity
@@ -131,6 +133,12 @@ pub struct RankCtx {
     prefix_last: Option<u64>,
     /// Calls that returned a recorded result.
     replayed: u64,
+    /// The job watches its open set — it has both a hook and a recorded
+    /// run to be compared with — and this rank has not yet heard the hook
+    /// say it is spent.
+    hook_open: bool,
+    /// Where the call in progress stands on healing its own hook's flip.
+    heal: Heal,
     frames: Vec<&'static str>,
     phase: Phase,
     errhdl_depth: u32,
@@ -152,6 +160,8 @@ impl RankCtx {
             fabric,
             ctl: job.ctl.clone(),
             comms: CommRegistry::new_world(job.nranks, rank),
+            hook_open: job.hook.is_some() && replay.is_some(),
+            heal: Heal::No,
             hook: job.hook.clone(),
             recording: job.record,
             records: Vec::new(),
@@ -1101,7 +1111,13 @@ impl RankCtx {
         }
         let mut msg_fault = None;
         let mut rank_fault = None;
-        if let Some(hook) = self.hook.clone() {
+        self.heal = Heal::No;
+        let hook = self.hook.clone();
+        if let Some(hook) = &hook {
+            // The recorded anchor call, entered clean, is the one call whose
+            // flip this rank can heal from: keep what a by-value flip
+            // would change.
+            let by_value = self.at_anchor_clean(params).then(|| params.clone());
             let mut call = CollCall {
                 kind,
                 site,
@@ -1117,11 +1133,21 @@ impl RankCtx {
             hook.before(&mut call);
             msg_fault = call.msg_fault;
             rank_fault = call.rank_fault;
-            // The hook acted: this rank's fault-free past ends here. (Still
-            // ahead of `bump_seq`, so an action on a call this rank would
-            // replay finds it in its prefix and ends the job as diverged.)
-            if call.corrupted || msg_fault.is_some() || rank_fault.is_some() {
+            // The hook acted. (Still ahead of `bump_seq`, so an action on a
+            // call this rank would replay finds it in its prefix and ends
+            // the job as diverged.) A message plan leaves this rank's own
+            // memory alone and taints only the wire copy it hits; anything
+            // else ends the rank's fault-free past here — for good, unless
+            // all the hook changed is a buffer image of that anchor call:
+            // a count, datatype, op, root or communicator flip changes
+            // which messages exist, an image flip only what they carry.
+            if call.corrupted || rank_fault.is_some() {
                 self.fabric.taint(self.rank, &self.ctl);
+                if rank_fault.is_none() && by_value.is_some_and(|p| p == *params) {
+                    self.heal = Heal::Pending;
+                }
+            } else if msg_fault.is_some() {
+                self.fabric.guard_prefix(self.rank, &self.ctl);
             }
         }
         // Rank faults act at the collective entry, before any validation or
@@ -1160,8 +1186,8 @@ impl RankCtx {
             self.fatal(MpiError::Root);
         }
         // Arm the message fault only after validation: its scope is this
-        // invocation's `(comm, seq)` tag namespace, so a stale plan can
-        // never fire on later traffic.
+        // invocation's `(comm, seq)` tag namespace. `exchange` disarms it
+        // on the way out of the call.
         if let Some(plan) = msg_fault {
             self.fabric.arm(self.rank, comm.handle.0, seq, plan);
         }
@@ -1179,6 +1205,12 @@ impl RankCtx {
             self.fabric
                 .arm_partition(self.rank, comm.handle.0, seq, cut_draw, sticky, heal_after);
         }
+        // Whatever this entry opened — a taint, a plan — is open by now:
+        // the hook's own item may close.
+        if self.hook_open && hook.is_some_and(|h| h.spent(self.rank)) {
+            self.hook_open = false;
+            self.fabric.closed(&self.ctl);
+        }
         Decoded {
             comm,
             seq,
@@ -1187,7 +1219,21 @@ impl RankCtx {
             root: params.root as usize,
             count: params.count as usize,
             params: params.clone(),
+            armed: msg_fault.is_some(),
         }
+    }
+
+    /// Whether the call `params` describes is the recorded run's anchor
+    /// call — the `(communicator, seq)` this job's prefix ends at — and
+    /// this rank enters it untainted.
+    fn at_anchor_clean(&self, params: &CollParams) -> bool {
+        self.replay.as_ref().is_some_and(|r| {
+            params.comm == r.comm
+                && self
+                    .comms
+                    .get(CommHandle(r.comm))
+                    .is_ok_and(|c| c.seq == r.seq)
+        }) && !self.fabric.is_tainted(self.rank)
     }
 
     /// Step 5 of the pipeline, and the only caller of the collective
@@ -1200,6 +1246,14 @@ impl RankCtx {
     /// alone, so every participant decides alike; a rank the fault has
     /// touched never gets here with a call to replay (the fabric's taint
     /// guard has ended the job as diverged).
+    ///
+    /// The log serves a second time on the way out. No application code
+    /// runs inside `alg`, so taint this rank takes in there came through
+    /// this call's own messages and reaches the application only as the
+    /// call's result: a rank that entered clean and leaves with the
+    /// recorded result is clean again (what it sent meanwhile went out
+    /// marked). Its own hook's image flip ([`Heal::Pending`]) is held to
+    /// the same comparison, and then to `writeback`'s.
     fn exchange(&mut self, d: &Decoded, alg: impl FnOnce(&CollEnv<'_>) -> CallResult) -> Vec<u8> {
         let (comm, seq) = (d.comm.handle.0, d.seq);
         if let Some(replay) = &self.replay {
@@ -1210,7 +1264,25 @@ impl RankCtx {
                 }
             }
         }
+        let provisional = self.replay.is_some()
+            && (self.heal == Heal::Pending || !self.fabric.is_tainted(self.rank));
         let result = alg(&self.env(d));
+        if d.armed {
+            self.fabric.disarm(self.rank, &self.ctl);
+        }
+        if provisional && self.fabric.is_tainted(self.rank) {
+            let recorded = self
+                .replay
+                .as_ref()
+                .and_then(|r| r.log.result(self.rank, comm, seq));
+            if recorded == Some(result.as_deref()) {
+                if self.heal == Heal::Pending {
+                    self.heal = Heal::AtWriteback;
+                } else {
+                    self.fabric.untaint(self.rank, &self.ctl);
+                }
+            }
+        }
         if self.recording {
             self.results.push((comm, seq, result.clone()));
         }
@@ -1258,13 +1330,28 @@ impl RankCtx {
     /// Overlay `result` onto the (possibly hook-corrupted) receive image
     /// and deserialize back into the user buffer. A result longer than the
     /// buffer is a write overflow — a segmentation fault.
-    fn writeback<T: MpiType>(&self, user: &mut [T], mut image: Vec<u8>, result: Vec<u8>) {
+    ///
+    /// This is also where a rank whose hook flipped a buffer image of the
+    /// anchor call, and whose call then returned the recorded result
+    /// ([`Heal::AtWriteback`]), learns whether the flip is gone: a send
+    /// image is a copy the call consumed and never comes back here; of
+    /// the image that does, the overlay rewrites the result's length and
+    /// the rest lands in the user's buffer as it is. The rank is clean
+    /// again iff that rest is what the user's buffer already holds.
+    fn writeback<T: MpiType>(&mut self, user: &mut [T], mut image: Vec<u8>, result: Vec<u8>) {
         if result.len() > image.len() {
             Self::segfault(format!(
                 "write of {} bytes into a {}-byte buffer",
                 result.len(),
                 image.len()
             ));
+        }
+        if self.heal == Heal::AtWriteback {
+            let mut unflipped = Vec::with_capacity(image.len());
+            T::write_bytes(user, &mut unflipped);
+            if unflipped.get(result.len()..) == image.get(result.len()..) {
+                self.fabric.untaint(self.rank, &self.ctl);
+            }
         }
         image[..result.len()].copy_from_slice(&result);
         T::read_bytes(&image, user);
@@ -1288,6 +1375,23 @@ struct Decoded {
     root: usize,
     count: usize,
     params: CollParams,
+    /// `pre_coll` armed a message plan scoped to this call.
+    armed: bool,
+}
+
+/// Whether the rank may turn out clean again after its own hook changed
+/// the call in progress (reset at every collective entry).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Heal {
+    /// No: the hook did not act, or changed more than a buffer image, or
+    /// the call is not the recorded anchor call entered clean.
+    No,
+    /// The hook changed only buffer images of the anchor call; `exchange`
+    /// has yet to compare the call's result with the recorded one.
+    Pending,
+    /// ... and the result is the recorded one; `writeback` has yet to
+    /// check that nothing of the flip outlives its overlay.
+    AtWriteback,
 }
 
 /// Capture the application call site.

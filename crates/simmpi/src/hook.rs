@@ -266,8 +266,8 @@ pub struct CollCall<'a> {
     pub recvbuf: Option<&'a mut Vec<u8>>,
     /// Set by a hook that changed `params`, `sendbuf` or `recvbuf`. With
     /// `msg_fault` and `rank_fault` this is how the runtime learns that the
-    /// hook *acted* on the call, which ends the rank's fault-free past (the
-    /// taint guard of [`crate::replay`]).
+    /// hook *acted* on the call; a change or a rank fault taints the rank
+    /// (the guard of [`crate::replay`]), a message plan only what it hits.
     pub corrupted: bool,
     /// Message-fault plan to arm for this rank's sends within this
     /// collective invocation. Set by a hook to inject a transport-level
@@ -285,6 +285,19 @@ pub struct CollCall<'a> {
 pub trait CollHook: Send + Sync {
     /// Called after the descriptor is built and before validation runs.
     fn before(&self, _call: &mut CollCall<'_>) {}
+
+    /// Whether the hook's schedule is spent: it will act on no further
+    /// call of any rank. Asked on `rank`'s behalf after each of that
+    /// rank's [`before`](CollHook::before) calls, once the runtime has
+    /// accounted for what the call did, in a job that ends when nothing
+    /// can make it differ from its recorded run any more (the open set of
+    /// [`crate::transport`]). Answer `true` only to the rank whose entry
+    /// spent the schedule — another rank may be asking while that entry is
+    /// still being accounted for — and to no other. `false`, the default,
+    /// is always safe: such a job runs to its end.
+    fn spent(&self, _rank: usize) -> bool {
+        false
+    }
 }
 
 /// A hook that does nothing (profiling-only runs).

@@ -28,7 +28,9 @@
 //!   annotated call stacks — the data source for the profiling substrate —
 //!   and of every call's *result* ([`replay`]), which a fault trial returns
 //!   for the collectives ahead of its injection point instead of
-//!   exchanging them again.
+//!   exchanging them again — and is compared with again past it, where the
+//!   fabric's open set ([`transport`]) ends a trial the moment nothing
+//!   carries its fault any more.
 //!
 //! ## Quick example
 //!

@@ -72,7 +72,9 @@ pub struct JobSpec {
     /// from a recorded run of the same application instead of exchanging
     /// them (see [`crate::replay`]); `None` = exchange everything. A job
     /// that cannot prove the recorded results are its own ends
-    /// [`JobResult::diverged`] and must be run again without this.
+    /// [`JobResult::diverged`] and must be run again without this. A job
+    /// that has both this and a `hook` also watches for the moment its
+    /// fault is gone, and ends there ([`JobResult::absorbed`]).
     pub replay: Option<ReplayPrefix>,
 }
 
@@ -160,6 +162,16 @@ pub struct JobResult {
     /// `TimedOut { WallClock }` and means nothing; run the job again
     /// without `JobSpec::replay`.
     pub diverged: bool,
+    /// The job was ended because nothing could make it differ from its
+    /// recorded run any more — the hook's schedule spent, every rank
+    /// untainted, nothing tainted or faulted in flight (the open set of
+    /// [`crate::transport`]): the rest of it is the recorded run's, and
+    /// its outputs are the recorded outputs. `outcome` is then the same
+    /// placeholder as for `diverged`; `transport` is final for everything
+    /// a fault can move (a fault-free remainder fires and retransmits
+    /// nothing). Only a job with both `JobSpec::hook` and
+    /// `JobSpec::replay` ever ends this way.
+    pub absorbed: bool,
 }
 
 /// Install a process-wide panic hook that silences the structured unwinds

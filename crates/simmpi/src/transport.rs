@@ -67,16 +67,37 @@
 //! # Taint
 //!
 //! The fabric also keeps the guard that makes replaying a trial's golden
-//! prefix ([`crate::replay`]) sound. A rank is *tainted* once its hook
-//! acts on one of its calls or it consumes (or probes) a message a tainted
-//! rank sent — every [`Msg`] carries its sender's flag as of the send, on
-//! the retransmit and dropped-entry paths too — so an untainted rank has a
-//! fault-free causal past: it is in the state, and holds the inputs, the
-//! recorded run had. A rank is *in its prefix* while it still has a call
-//! to replay. The moment a rank in its prefix becomes tainted, what it is
-//! about to replay may no longer be what it would exchange: the job is
-//! killed as *diverged* ([`Fabric::diverged`]) and its caller runs it
-//! again without replay.
+//! prefix ([`crate::replay`]) sound. A rank is *tainted* while the fault
+//! may have reached what its application sees: once its hook changes one
+//! of its calls or makes it a faulty rank, or once it consumes (or probes)
+//! a message a tainted rank sent — every [`Msg`] carries its sender's flag
+//! as of the send, on the retransmit and dropped-entry paths too — or a
+//! wire copy an armed plan hit ([`Wire`]) that the protocol did not hand
+//! over as exactly the bytes sent. A message plan taints the copy it hits,
+//! not the rank that armed it: that rank's own memory is untouched. An
+//! untainted rank is in a state, and holds inputs, the recorded run had. A
+//! rank is *in its prefix* while it still has a call to replay. The moment
+//! a rank in its prefix becomes tainted, what it is about to replay may no
+//! longer be what it would exchange: the job is killed as *diverged*
+//! ([`Fabric::diverged`]) and its caller runs it again without replay.
+//!
+//! # The open set
+//!
+//! Read forwards, the same flags say when a fault is *gone*. The fabric
+//! counts everything that can still make the run differ from the recorded
+//! one: the hook's unspent schedule (one item from the start, closed by
+//! the rank context once [`CollHook::spent`](crate::hook::CollHook::spent)
+//! says so — never, in a job that does not watch), message plans armed and
+//! not yet [disarmed](Fabric::disarm), faulted wire copies no receiver has
+//! resolved, tainted ranks, tainted messages not yet consumed. When every
+//! rank is untainted, nothing tainted or faulted is in flight and no event
+//! remains, every rank is in a state the recorded run passed through and
+//! every future input is the recorded one: the rest of the run *is* the
+//! recorded run. The close that takes the count to zero ends the job as
+//! *absorbed* ([`Fabric::absorbed`]); its caller substitutes the recorded
+//! outputs. Every transition opens what it creates before it closes what
+//! it consumed, so the count cannot touch zero in between, whatever the
+//! interleaving of rank threads.
 
 use crate::comm::TagKind;
 use crate::control::{JobControl, RankPanic};
@@ -256,6 +277,20 @@ pub struct TransportStats {
     pub bytes_sent: u64,
 }
 
+/// What an armed message plan did to one copy of a message on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Wire {
+    /// Nothing: delivered as sent.
+    #[default]
+    Clean,
+    /// Held for [`MSG_DELAY`]: exactly the bytes sent, later.
+    Late,
+    /// A copy of a duplicated message: exactly the bytes sent, twice.
+    Twin,
+    /// A flipped or truncated payload.
+    Bad,
+}
+
 /// A message in flight.
 #[derive(Debug, Clone)]
 pub struct Msg {
@@ -278,11 +313,23 @@ pub struct Msg {
     /// Whether the sender was tainted when it sent this (module docs,
     /// "Taint").
     pub tainted: bool,
+    /// What an armed plan did to this copy.
+    pub wire: Wire,
 }
 
-/// A message that was silently dropped on the wire. The pristine payload is
-/// kept so the resilient transport can simulate retransmission; the plain
-/// transport only uses the entry to recognise the injected livelock.
+impl Msg {
+    /// Whether this copy is in the open set: it carries its sender's
+    /// taint, or a plan hit it and no receiver has resolved that yet.
+    fn open(&self) -> bool {
+        self.tainted || self.wire != Wire::Clean
+    }
+}
+
+/// A message that was silently dropped on the wire — always an item of the
+/// open set: nothing resolves it but a resilient receiver's recovery. The
+/// pristine payload is kept so the resilient transport can simulate
+/// retransmission; the plain transport only uses the entry to recognise
+/// the injected livelock.
 #[derive(Debug)]
 struct DroppedEntry {
     src: usize,
@@ -473,6 +520,11 @@ pub struct Fabric {
     in_prefix: Vec<AtomicBool>,
     /// A rank in its prefix became tainted; the job has been killed.
     diverged: AtomicBool,
+    /// Size of the open set (module docs): starts at one, the hook's
+    /// schedule.
+    open: AtomicUsize,
+    /// The open set emptied; the job has been killed.
+    absorbed: AtomicBool,
 }
 
 impl Fabric {
@@ -513,6 +565,8 @@ impl Fabric {
             tainted: (0..n).map(|_| AtomicBool::new(false)).collect(),
             in_prefix: (0..n).map(|_| AtomicBool::new(false)).collect(),
             diverged: AtomicBool::new(false),
+            open: AtomicUsize::new(1),
+            absorbed: AtomicBool::new(false),
         })
     }
 
@@ -599,10 +653,38 @@ impl Fabric {
         self.diverged.load(Ordering::Acquire)
     }
 
-    /// Mark `rank` tainted. If it is still in its prefix the job has
-    /// diverged: kill it and unwind this rank.
-    pub(crate) fn taint(&self, rank: usize, ctl: &JobControl) {
-        self.tainted[rank].store(true, Ordering::Relaxed);
+    /// Whether the open set emptied and the job was ended there: no rank,
+    /// message or plan carried the fault any more.
+    pub fn absorbed(&self) -> bool {
+        self.absorbed.load(Ordering::Acquire)
+    }
+
+    /// One more thing can make the run differ from the recorded one.
+    fn opened(&self) {
+        self.open.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// One such thing is gone. If it was the last, the rest of the run is
+    /// the recorded run's: end the job as absorbed (every rank stops at
+    /// its next poll point). The only place the open set reaches zero, and
+    /// the only writer of the flag. (A job that does not watch never
+    /// closes the item it starts with.)
+    pub(crate) fn closed(&self, ctl: &JobControl) {
+        if self.open.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.absorbed.store(true, Ordering::Release);
+            ctl.kill();
+        }
+    }
+
+    /// Whether `rank` is tainted right now.
+    pub(crate) fn is_tainted(&self, rank: usize) -> bool {
+        self.tainted[rank].load(Ordering::Relaxed)
+    }
+
+    /// `rank`'s hook acted on a call, or the fault reached it: a rank
+    /// still in its prefix ends the job as diverged — kill it and unwind
+    /// this rank.
+    pub(crate) fn guard_prefix(&self, rank: usize, ctl: &JobControl) {
         if self.in_prefix[rank].load(Ordering::Relaxed) {
             self.diverged.store(true, Ordering::Release);
             ctl.kill();
@@ -610,9 +692,27 @@ impl Fabric {
         }
     }
 
-    /// `me` consumed something `tainted` says a tainted rank sent: taint
-    /// it, leaving the mailbox consistent should that unwind.
-    fn absorb(&self, me: usize, tainted: bool, st: &mut MailboxState, ctl: &JobControl) {
+    /// Mark `rank` tainted (see [`Fabric::guard_prefix`] for a rank still
+    /// in its prefix).
+    pub(crate) fn taint(&self, rank: usize, ctl: &JobControl) {
+        if !self.tainted[rank].swap(true, Ordering::Relaxed) {
+            self.opened();
+        }
+        self.guard_prefix(rank, ctl);
+    }
+
+    /// `rank`'s application turned out to see exactly what the recorded
+    /// run's did: it is clean again. (What it sent meanwhile stays marked.)
+    pub(crate) fn untaint(&self, rank: usize, ctl: &JobControl) {
+        if self.tainted[rank].swap(false, Ordering::Relaxed) {
+            self.closed(ctl);
+        }
+    }
+
+    /// `me` consumed something that, says `tainted`, is not what the
+    /// recorded run delivered: taint it, leaving the mailbox consistent
+    /// should that unwind.
+    fn consume_tainted(&self, me: usize, tainted: bool, st: &mut MailboxState, ctl: &JobControl) {
         if tainted {
             if self.in_prefix[me].load(Ordering::Relaxed) {
                 st.waiting = None;
@@ -622,17 +722,35 @@ impl Fabric {
     }
 
     /// Arm `plan` for `src`'s sends within the collective invocation
-    /// identified by `(comm_code, seq)`. Replaces any previously armed
-    /// fault; the scope guarantees a stale plan can never fire on a later
-    /// collective (its sequence number has moved on).
+    /// identified by `(comm_code, seq)`, replacing any plan still armed.
+    /// The rank [disarms](Fabric::disarm) it on leaving that call: the
+    /// scope alone would keep a spent or stale plan from firing on a later
+    /// collective (its sequence number has moved on), but every later send
+    /// of the rank would still consult it, and the open set would never
+    /// empty.
     pub fn arm(&self, src: usize, comm_code: u32, seq: u64, plan: MsgFaultPlan) {
         if let Some(slot) = self.armed.get(src) {
-            *slot.lock() = Some(ArmedFault {
+            let armed = ArmedFault {
                 plan,
                 comm_code,
                 seq,
                 sends_seen: 0,
-            });
+            };
+            if slot.lock().replace(armed).is_none() {
+                self.opened();
+            }
+        }
+    }
+
+    /// `src` left the call its plan was scoped to: whatever the plan was
+    /// going to hit, it has hit.
+    pub fn disarm(&self, src: usize, ctl: &JobControl) {
+        if self
+            .armed
+            .get(src)
+            .is_some_and(|s| s.lock().take().is_some())
+        {
+            self.closed(ctl);
         }
     }
 
@@ -753,6 +871,7 @@ impl Fabric {
                 .tainted
                 .get(src)
                 .is_some_and(|t| t.load(Ordering::Relaxed)),
+            wire: Wire::Clean,
         };
         if let Some(sticky) = partition {
             // Cross-cut message under an armed partition: dropped on the
@@ -761,14 +880,7 @@ impl Fabric {
             // deterministic op-budget burn).
             self.fault_fired.store(true, Ordering::Release);
             self.partition_drops.fetch_add(1, Ordering::Relaxed);
-            st.dropped.push(DroppedEntry {
-                src,
-                tag,
-                data: msg.data,
-                sticky,
-                tainted: msg.tainted,
-            });
-            mbox.cv.notify_all();
+            self.drop_on_wire(mbox, &mut st, msg, sticky);
             return Ok(());
         }
         match fault {
@@ -781,6 +893,7 @@ impl Fabric {
                     let b = (plan.payload_bit % (msg.data.len() as u64 * 8)) as usize;
                     msg.data[b / 8] ^= 1 << (b % 8);
                     msg.sticky = plan.sticky;
+                    msg.wire = Wire::Bad;
                     self.enqueue(mbox, &mut st, msg);
                 }
                 MsgFaultKind::Truncate if !msg.data.is_empty() => {
@@ -791,28 +904,33 @@ impl Fabric {
                     let keep = (plan.payload_bit % msg.data.len() as u64) as usize;
                     msg.data.truncate(keep);
                     msg.sticky = plan.sticky;
+                    msg.wire = Wire::Bad;
                     self.enqueue(mbox, &mut st, msg);
                 }
                 MsgFaultKind::Drop => {
                     self.note_msg_fault();
-                    st.dropped.push(DroppedEntry {
-                        src,
-                        tag,
-                        data: msg.data,
-                        sticky: plan.sticky,
-                        tainted: msg.tainted,
-                    });
-                    // No progress epoch: nothing was delivered. Wake the
-                    // receiver so it observes the drop promptly.
-                    mbox.cv.notify_all();
+                    self.drop_on_wire(mbox, &mut st, msg, plan.sticky);
                 }
                 MsgFaultKind::Duplicate => {
                     self.note_msg_fault();
-                    self.enqueue(mbox, &mut st, msg.clone());
+                    let mut twin = msg.clone();
+                    msg.wire = Wire::Twin;
+                    if !self.resilient {
+                        twin.wire = Wire::Twin;
+                    } else {
+                        // Queued behind the first copy with the same
+                        // sequence number, this one can only ever be
+                        // suppressed: no receiver will resolve it, and it
+                        // is no part of the open set.
+                        twin.tainted = false;
+                    }
                     self.enqueue(mbox, &mut st, msg);
+                    self.enqueue(mbox, &mut st, twin);
                 }
                 MsgFaultKind::Delay => {
                     self.note_msg_fault();
+                    msg.wire = Wire::Late;
+                    self.opened();
                     st.held.push((self.now() + MSG_DELAY, msg));
                     self.held_count.fetch_add(1, Ordering::Relaxed);
                     // Held, not delivered: no epoch bump. The receiver's
@@ -836,6 +954,21 @@ impl Fabric {
         self.msg_faults_fired.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// File `msg` as dropped on the wire, under the (held) mailbox lock.
+    /// No progress epoch — nothing was delivered — but wake the receiver
+    /// so it observes the drop promptly.
+    fn drop_on_wire(&self, mbox: &Mailbox, st: &mut MailboxState, msg: Msg, sticky: bool) {
+        self.opened();
+        st.dropped.push(DroppedEntry {
+            src: msg.src,
+            tag: msg.tag,
+            data: msg.data,
+            sticky,
+            tainted: msg.tainted,
+        });
+        mbox.cv.notify_all();
+    }
+
     /// Enqueue under the (held) mailbox lock: progress epoch + wakeup.
     ///
     /// The wakeup is *targeted*: the owning rank is notified only when it
@@ -846,6 +979,9 @@ impl Fabric {
     /// would cost a context switch just to re-park. On oversubscribed
     /// hosts those spurious wakes dominate collective latency.
     fn enqueue(&self, mbox: &Mailbox, st: &mut MailboxState, msg: Msg) {
+        if msg.open() {
+            self.opened();
+        }
         let wake = st.waiting == Some((msg.src, msg.tag));
         st.queue.push_back(msg);
         self.epoch.fetch_add(1, Ordering::Release);
@@ -902,43 +1038,60 @@ impl Fabric {
                     self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                self.absorb(me, msg.tainted, &mut st, ctl);
-                if self.resilient {
-                    if fnv1a(&msg.data) != msg.checksum {
-                        // Corrupt delivery. Recover from the sender's
-                        // pristine copy unless the fault is sticky (every
-                        // retransmission corrupted too).
-                        return match (msg.sticky, msg.pristine) {
-                            (false, Some(pristine)) => {
-                                self.retransmits.fetch_add(1, Ordering::Relaxed);
-                                slot(&mut st.consumed, msg.src).insert(msg.seqno);
-                                st.waiting = None;
-                                self.epoch.fetch_add(1, Ordering::Release);
-                                pristine
-                            }
-                            _ => self.transport_failure(&mut st),
-                        };
+                // Only the resilient receiver verifies the checksum.
+                let corrupt = self.resilient && fnv1a(&msg.data) != msg.checksum;
+                // What the wire did to this copy reaches the application
+                // unless the protocol hands it exactly the bytes sent, once:
+                // a late copy always does, the first twin does where the
+                // second will be suppressed, a bad one where the checksum
+                // caught it (repaired below, or this rank fails).
+                let wire_taints = match msg.wire {
+                    Wire::Clean | Wire::Late => false,
+                    Wire::Twin => !self.resilient,
+                    Wire::Bad => !corrupt,
+                };
+                self.consume_tainted(me, msg.tainted || wire_taints, &mut st, ctl);
+                let open = msg.open();
+                let data = if corrupt {
+                    // Corrupt delivery. Recover from the sender's pristine
+                    // copy unless the fault is sticky (every
+                    // retransmission corrupted too).
+                    match (msg.sticky, msg.pristine) {
+                        (false, Some(pristine)) => {
+                            self.retransmits.fetch_add(1, Ordering::Relaxed);
+                            pristine
+                        }
+                        _ => self.transport_failure(me, &mut st, ctl),
                     }
+                } else {
+                    msg.data
+                };
+                if self.resilient {
                     slot(&mut st.consumed, msg.src).insert(msg.seqno);
                 }
                 st.waiting = None;
                 self.epoch.fetch_add(1, Ordering::Release);
-                return msg.data;
+                if open {
+                    self.closed(ctl);
+                }
+                return data;
             }
             if let Some(i) = st.dropped.iter().position(|d| d.src == src && d.tag == tag) {
-                // Recovered or starved, the drop decides this rank's fate.
-                let tainted = st.dropped[i].tainted;
-                self.absorb(me, tainted, &mut st, ctl);
+                // Recovered or starved, the drop decides this rank's fate:
+                // only a recovery hands it the bytes sent.
+                let tainted = st.dropped[i].tainted || !self.resilient;
+                self.consume_tainted(me, tainted, &mut st, ctl);
                 if self.resilient {
                     // Simulated ack timeout + retransmission of the
                     // sender's pristine copy.
                     let entry = st.dropped.remove(i);
                     if entry.sticky {
-                        self.transport_failure(&mut st);
+                        self.transport_failure(me, &mut st, ctl);
                     }
                     self.retransmits.fetch_add(1, Ordering::Relaxed);
                     st.waiting = None;
                     self.epoch.fetch_add(1, Ordering::Release);
+                    self.closed(ctl);
                     return entry.data;
                 }
                 if ctl.has_budget() {
@@ -985,8 +1138,10 @@ impl Fabric {
 
     /// Unrecoverable delivery: charge the full retransmission budget,
     /// count the error, and unwind with `MPI_ERR_TRANSPORT` (the
-    /// `DetectedBy::Transport` path).
-    fn transport_failure(&self, st: &mut MailboxState) -> ! {
+    /// `DetectedBy::Transport` path). The fault has reached `me`, which
+    /// dies of it: tainted, for good.
+    fn transport_failure(&self, me: usize, st: &mut MailboxState, ctl: &JobControl) -> ! {
+        self.consume_tainted(me, true, st, ctl);
         self.retransmits
             .fetch_add(u64::from(MAX_RETRANSMITS), Ordering::Relaxed);
         self.transport_errors.fetch_add(1, Ordering::Relaxed);
@@ -1002,15 +1157,15 @@ impl Fabric {
     }
 
     /// As [`probe`](Fabric::probe), saying of the first matching message
-    /// whether a tainted rank sent it: seeing that it is there is already
-    /// information from its sender.
+    /// whether a tainted rank sent it or a plan hit it: seeing that it is
+    /// there is already information from its sender, or about the wire.
     pub(crate) fn peek(&self, me: usize, src: usize, tag: u64) -> Option<bool> {
         let mut st = self.boxes.get(me)?.state.lock();
         self.release_due(&mut st);
         st.queue
             .iter()
             .find(|x| x.src == src && x.tag == tag)
-            .map(|x| x.tainted)
+            .map(Msg::open)
     }
 
     /// Number of messages currently queued at `me` (diagnostics).
@@ -1258,6 +1413,111 @@ mod tests {
             assert!(killed_by(|| drop(f.recv(1, 0, scoped_tag(), &c))));
             assert!(f.diverged(), "resilient {resilient}");
             assert_eq!(c.hang(), None, "diverged, not an op-budget burn");
+        }
+    }
+
+    // ----- the open set -----
+
+    /// A fabric on a logical clock with `first` armed for rank 0's first
+    /// scoped send and the hook's item closed: what is left of the open
+    /// set is what the plan does.
+    fn armed(n: usize, resilient: bool, first: MsgFaultPlan) -> (Arc<Fabric>, JobControl) {
+        let f = Fabric::with_clock(n, resilient, true);
+        let c = JobControl::new(n, Duration::from_secs(5));
+        f.arm(0, COMM, 0, first);
+        f.closed(&c);
+        assert!(!f.absorbed(), "an armed plan is open");
+        (f, c)
+    }
+
+    #[test]
+    fn a_job_that_never_closes_its_hook_item_is_never_absorbed() {
+        let f = Fabric::new(2);
+        let c = ctl();
+        f.taint(0, &c);
+        f.send(0, 1, 1, vec![1]).unwrap();
+        f.recv(1, 0, 1, &c);
+        f.untaint(0, &c);
+        f.untaint(1, &c);
+        assert!(!f.absorbed() && !c.killed());
+    }
+
+    #[test]
+    fn the_last_close_ends_the_job_absorbed() {
+        let (f, c) = armed(2, false, plan(MsgFaultKind::Drop));
+        f.disarm(0, &c);
+        assert!(f.absorbed() && c.killed(), "a plan that never fired");
+    }
+
+    #[test]
+    fn a_plan_taints_the_copy_it_hits_and_a_resilient_receiver_takes_nothing() {
+        for kind in ALL_MSG_FAULT_KINDS {
+            let (f, c) = armed(2, true, plan(kind));
+            f.send(0, 1, scoped_tag(), vec![1, 2, 3]).unwrap();
+            assert!(!f.is_tainted(0), "arming leaves the rank's memory alone");
+            f.disarm(0, &c);
+            assert!(!f.absorbed(), "{kind:?}: the copy it hit is open");
+            f.advance_to(MSG_DELAY);
+            assert_eq!(f.recv(1, 0, scoped_tag(), &c), vec![1, 2, 3]);
+            assert!(!f.is_tainted(1), "{kind:?}: exactly the bytes sent");
+            assert!(f.absorbed(), "{kind:?}: resolved");
+        }
+    }
+
+    #[test]
+    fn a_plain_receiver_takes_what_the_wire_did_unless_it_was_only_late() {
+        for kind in [
+            MsgFaultKind::Flip,
+            MsgFaultKind::Duplicate,
+            MsgFaultKind::Delay,
+        ] {
+            let (f, c) = armed(2, false, plan(kind));
+            f.send(0, 1, scoped_tag(), vec![1, 2, 3]).unwrap();
+            f.disarm(0, &c);
+            f.advance_to(MSG_DELAY);
+            f.recv(1, 0, scoped_tag(), &c);
+            let late = kind == MsgFaultKind::Delay;
+            assert_eq!(f.is_tainted(1), !late, "{kind:?}");
+            assert_eq!(f.absorbed(), late, "{kind:?}");
+            // Clean again (its call returned the recorded result, say):
+            // only a second twin is left then, and stays.
+            f.untaint(1, &c);
+            let twin = kind == MsgFaultKind::Duplicate;
+            assert_eq!(f.absorbed(), !twin, "{kind:?}");
+            assert_eq!(f.peek(1, 0, scoped_tag()), twin.then_some(true));
+        }
+    }
+
+    #[test]
+    fn a_tainted_message_is_open_until_consumed_and_taints_before_it_closes() {
+        let f = Fabric::new(2);
+        let c = ctl();
+        f.taint(0, &c);
+        f.closed(&c);
+        f.send(0, 1, 1, vec![1]).unwrap();
+        f.untaint(0, &c);
+        assert!(!f.absorbed(), "what it sent meanwhile stays marked");
+        f.recv(1, 0, 1, &c);
+        assert!(f.is_tainted(1) && !f.absorbed());
+        f.untaint(1, &c);
+        assert!(f.absorbed());
+    }
+
+    #[test]
+    fn a_receiver_that_dies_of_a_sticky_fault_stays_in_the_open_set() {
+        for kind in [MsgFaultKind::Flip, MsgFaultKind::Drop] {
+            let sticky = MsgFaultPlan {
+                sticky: true,
+                ..plan(kind)
+            };
+            let (f, c) = armed(2, true, sticky);
+            f.send(0, 1, scoped_tag(), vec![1, 2, 3]).unwrap();
+            f.disarm(0, &c);
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                f.recv(1, 0, scoped_tag(), &c)
+            }));
+            assert!(died.is_err());
+            assert!(f.is_tainted(1) && !f.absorbed(), "{kind:?}");
         }
     }
 

@@ -88,7 +88,13 @@ fn rig() -> Rig {
         min_timeout: Duration::from_millis(400),
         ..Default::default()
     };
-    let campaign = Campaign::prepare(w, cfg);
+    let mut campaign = Campaign::prepare(w, cfg);
+    // `modal_app` changes behaviour between the golden run and the trials,
+    // which breaks `Workload::app`'s contract on purpose: a trial whose
+    // fault is absorbed ends with the golden run's remainder — correctly —
+    // and never gets as far as the mode switch. This rig tests arena
+    // reset, not classification, so it runs every trial to its end.
+    campaign.pin_replay(false);
     let site = campaign.profile.sites()[0];
     let point = InjectionPoint {
         site,
