@@ -1,11 +1,14 @@
 //! `fastfit-cli` at its surface: the flags describe a `CampaignSpec`, and
 //! the campaign they journal is the one the daemon's resolver makes of
-//! that spec. Every test runs the built binary with 4 ranks and 1 trial
-//! per point, on the `mini` problem class unless the class is what it
-//! tests.
+//! that spec; the network verbs (`serve`, `submit`, `watch`, `scenario`,
+//! `worker`, `fleet`, `journal-sha`) run end to end. Every test runs the
+//! built binary with 4 ranks and 1 trial per point, on the `mini` problem
+//! class unless the class is what it tests; a committed grammar runs at
+//! its own ranks and trials. A test waits on a daemon with `watch`.
 
 use fastfit::prelude::{Campaign, MlConfig, MlTarget, FEATURE_NAMES};
 use fastfit_mlstore::{ModelRegistry, StoredModel, MODELS_DIR};
+use fastfit_scenario::Grammar;
 use fastfit_serve::{
     campaign_identity, http_request, resolve_config, resolve_workload, start, CampaignSpec,
     ServeConfig, RESULTS_FILE,
@@ -16,8 +19,9 @@ use fastfit_store::{durable_journal_lines, ml_target_token, read_store_meta};
 use npb::Class;
 use prng::Prng;
 use randomforest::{ForestParams, RandomForest};
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 const SMALL: [&str; 4] = ["--ranks", "4", "--trials", "1"];
@@ -537,4 +541,365 @@ fn daemon_and_cli_run_one_warm_ml_campaign_identically() {
     for d in [local, root] {
         std::fs::remove_dir_all(d).unwrap();
     }
+}
+
+/// `cli(args)`, which must succeed; its stdout.
+fn cli_ok(args: &[&str]) -> String {
+    let out = cli(args);
+    assert!(
+        out.status.success(),
+        "{args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A committed example grammar.
+fn example(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../examples/scenarios/{name}"))
+}
+
+/// A `fastfit-cli` child, killed and reaped when dropped, whether the test
+/// passes or panics. It holds the pipe it was read from open.
+struct Running {
+    child: Child,
+    pipe: BufReader<Box<dyn Read>>,
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Start `fastfit-cli args` and read its stdout, or its stderr, up to the
+/// first line that contains `marker`: the child and that line.
+fn spawn_until(args: &[&str], stderr: bool, marker: &str) -> (Running, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fastfit-cli"));
+    cmd.args(args)
+        .env("FASTFIT_CLASS", "mini")
+        .env_remove("FASTFIT_STORE_DIR");
+    if stderr {
+        cmd.stderr(Stdio::piped());
+    } else {
+        cmd.stdout(Stdio::piped());
+    }
+    let mut child = cmd.spawn().expect("fastfit-cli starts");
+    let pipe: Box<dyn Read> = if stderr {
+        Box::new(child.stderr.take().unwrap())
+    } else {
+        Box::new(child.stdout.take().unwrap())
+    };
+    let mut running = Running {
+        child,
+        pipe: BufReader::new(pipe),
+    };
+    let mut line = String::new();
+    while !line.contains(marker) {
+        line.clear();
+        let n = running.pipe.read_line(&mut line).unwrap();
+        assert_ne!(n, 0, "{args:?} ended before printing {marker:?}");
+    }
+    (running, line)
+}
+
+/// `fastfit-cli serve` on `root` at a free port, plus `extra` flags: the
+/// daemon and the address its `listening on` line names.
+fn serve(root: &Path, extra: &[&str]) -> (Running, String) {
+    let mut args = vec![
+        "serve",
+        "--root",
+        root.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+    ];
+    args.extend(extra);
+    let (daemon, line) = spawn_until(&args, false, "listening on ");
+    let addr = line.split("listening on ").nth(1).unwrap();
+    (daemon, addr.split_whitespace().next().unwrap().to_string())
+}
+
+/// `submit` the small scale plus `extra` to `addr`; the campaign ID.
+fn submit(addr: &str, extra: &[&str]) -> String {
+    let mut args = vec!["submit", "--addr", addr];
+    args.extend(SMALL);
+    args.extend(extra);
+    let receipt = cli_ok(&args);
+    let id = receipt.lines().next().and_then(|l| l.split(' ').nth(2));
+    id.unwrap_or_else(|| panic!("no ID in {receipt:?}"))
+        .to_string()
+}
+
+/// `watch` campaign `id` until it ends; it must end done.
+fn watch(addr: &str, id: &str) {
+    cli_ok(&["watch", id, "--addr", addr]);
+}
+
+/// `GET path`, which must answer 200; the body.
+fn get(addr: &str, path: &str) -> String {
+    let r = http_request(addr, "GET", path, None).expect("daemon reachable");
+    assert_eq!(r.status, 200, "GET {path}: {}", r.body);
+    r.body
+}
+
+/// The lines of `/metrics`.
+fn metrics(addr: &str) -> Vec<String> {
+    get(addr, "/metrics").lines().map(String::from).collect()
+}
+
+/// An operator's session with the daemon: `serve` on a free port, `submit`,
+/// `watch`, `/metrics` and `results.csv`; then the committed channel
+/// grammar previewed, and a four-member grammar submitted to a second
+/// daemon, whose queue journals each member and whose golden store
+/// records their one golden run once.
+#[test]
+fn serve_submit_watch_and_scenario_verbs_run_end_to_end() {
+    let root = tmp_dir("serve");
+    let (_daemon, addr) = serve(&root, &[]);
+    let id = submit(&addr, &["--workload", "IS"]);
+    watch(&addr, &id);
+    let m = metrics(&addr);
+    for line in ["campaigns_done 1", "campaigns_failed 0"] {
+        assert!(m.iter().any(|l| l == line), "{line} in {m:?}");
+    }
+    let csv = get(&addr, &format!("/campaigns/{id}/results.csv"));
+    assert!(csv.starts_with("site,kind,"), "{csv}");
+    assert!(csv.lines().count() > 1, "results.csv has no rows");
+
+    let preview = cli_ok(&[
+        "scenario",
+        "--grammar",
+        example("channel-sweep.json").to_str().unwrap(),
+    ]);
+    let members = preview.lines().filter(|l| l.starts_with("  ")).count();
+    assert!(
+        members >= 24,
+        "coverage floor: {members} members\n{preview}"
+    );
+
+    let sweep_root = tmp_dir("serve-sweep");
+    let (_sweep_daemon, sweep_addr) = serve(&sweep_root, &[]);
+    let grammar = sweep_root.join("sweep.json");
+    std::fs::write(
+        &grammar,
+        r#"{"name": "verb-sweep", "base": {"trials": 2, "seed": 11, "app_seed": 1},
+            "axes": {"workload": ["IS"], "ranks": [2],
+                     "fault_channel": ["param", "crash-stop"], "resilient": [false, true]}}"#,
+    )
+    .unwrap();
+    let receipt = cli_ok(&[
+        "scenario",
+        "--grammar",
+        grammar.to_str().unwrap(),
+        "--submit",
+        "--addr",
+        &sweep_addr,
+    ]);
+    assert!(receipt.contains(": 4 campaigns"), "{receipt}");
+    let queue = std::fs::read_to_string(sweep_root.join("queue.jsonl")).unwrap();
+    let events = |t: &str| queue.lines().filter(|l| l.contains(t)).count();
+    assert_eq!(events("\"t\":\"submit\""), 4, "{queue}");
+    assert_eq!(events("\"t\":\"scenario\""), 1, "{queue}");
+    for line in receipt.lines() {
+        if let Some(member) = line.strip_prefix("  campaign ") {
+            watch(&sweep_addr, member);
+        }
+    }
+    let m = metrics(&sweep_addr);
+    assert!(m.iter().any(|l| l == "golden_runs_recorded 1"), "{m:?}");
+    for d in [root, sweep_root] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+/// A fleet coordinator and two `worker` processes run one campaign in
+/// leases of 4 trials: `/metrics` shows the fleet gauges, `fleet` shows the
+/// coordinator, and the merged journal hashes as the same spec run on a
+/// plain daemon.
+#[test]
+fn fleet_verbs_shard_a_campaign_that_hashes_as_on_one_host() {
+    let root = tmp_dir("fleet");
+    let (_coordinator, addr) = serve(&root, &["--fleet", "--lease-trials", "4"]);
+    let _workers: Vec<Running> = ["w1", "w2"]
+        .iter()
+        .map(|name| {
+            let args = ["worker", "--addr", &addr, "--name", name];
+            spawn_until(&args, true, "registered as").0
+        })
+        .collect();
+    let spec = ["--workload", "IS", "--seed", "11"];
+    let id = submit(&addr, &spec);
+    watch(&addr, &id);
+    let m = metrics(&addr);
+    for line in ["fleet_enabled 1", "fleet_workers_registered 2"] {
+        assert!(m.iter().any(|l| l == line), "{line} in {m:?}");
+    }
+    for name in [
+        "fleet_workers_alive ",
+        "fleet_leases_active ",
+        "fleet_leases_expired_total ",
+        "fleet_releases_total ",
+    ] {
+        assert!(m.iter().any(|l| l.starts_with(name)), "{name} in {m:?}");
+    }
+    let fleet = cli_ok(&["fleet", "--addr", &addr]);
+    assert!(fleet.contains("fleet mode: coordinator"), "{fleet}");
+    assert!(fleet.contains("workers (2):"), "{fleet}");
+
+    let single = tmp_dir("fleet-single");
+    let (_daemon, single_addr) = serve(&single, &[]);
+    let single_id = submit(&single_addr, &spec);
+    watch(&single_addr, &single_id);
+    let sha = |dir: PathBuf| cli_ok(&["journal-sha", dir.to_str().unwrap()]);
+    assert_eq!(
+        sha(root.join("campaigns").join(&id)),
+        sha(single.join("campaigns").join(&single_id)),
+        "the fleet's merged journal is the single-host one"
+    );
+    for d in [root, single] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+/// What a campaign's `status.json` rolls up: its response histograms,
+/// `events_*` counts and `retransmits`, each encoded.
+fn rollup(dir: &Path) -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(dir.join("status.json")).unwrap();
+    let Json::Obj(fields) = Json::parse(&text).unwrap() else {
+        panic!("status.json is an object: {text}");
+    };
+    let rolled = ["responses", "events_", "retransmits"];
+    fields
+        .into_iter()
+        .filter(|(k, _)| rolled.iter().any(|r| k.starts_with(r)))
+        .map(|(k, v)| (k, v.encode()))
+        .collect()
+}
+
+/// The committed burst+heal grammar (IS and HALO, 4 ranks, 2 trials per
+/// point, at `mini`) run twice through one in-process daemon: every
+/// member's rollups are the same in both runs, since timeline triggers
+/// key to logical op progress, and both `burst:2+heal:3` members classify
+/// trials SUCCESS after a lifted cut, which the resilient transport
+/// recovers from by retransmitting.
+#[test]
+fn timeline_sweep_reruns_identically_and_heals() {
+    std::env::set_var("FASTFIT_CLASS", "mini");
+    let root = tmp_dir("timeline");
+    let h = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::new(&root)
+    })
+    .expect("daemon starts");
+    let addr = h.addr().to_string();
+    let grammar = std::fs::read_to_string(example("timeline-sweep.json")).unwrap();
+    let runs: Vec<Vec<Vec<(String, String)>>> = (0..2)
+        .map(|_| {
+            let body = Some(("application/json", grammar.as_str()));
+            let r = http_request(&addr, "POST", "/scenarios", body).unwrap();
+            assert_eq!(r.status, 201, "{}", r.body);
+            let receipt = Json::parse(&r.body).unwrap();
+            let ids = receipt.get("campaigns").and_then(Json::as_arr).unwrap();
+            ids.iter()
+                .map(|id| {
+                    let id = id.as_str().unwrap();
+                    watch(&addr, id);
+                    rollup(&root.join("campaigns").join(id))
+                })
+                .collect()
+        })
+        .collect();
+    h.shutdown();
+    assert_eq!(runs[0], runs[1], "a rerun rolls up identically");
+
+    let members = Grammar::parse(&grammar).unwrap().expand().unwrap();
+    assert_eq!(members.len(), runs[0].len());
+    let heals: Vec<&Vec<(String, String)>> = members
+        .iter()
+        .zip(&runs[0])
+        .filter(|(s, _)| s.timeline.as_deref() == Some("burst:2+heal:3"))
+        .map(|(_, rollup)| rollup)
+        .collect();
+    assert_eq!(heals.len(), 2);
+    for rollup in heals {
+        let field = |k: &str| rollup.iter().find(|(f, _)| f == k).map(|(_, v)| v.clone());
+        let responses = Json::parse(&field("responses").unwrap()).unwrap();
+        let success = responses.get("SUCCESS").and_then(Json::as_u64);
+        assert!(
+            success > Some(0),
+            "the heal path classifies SUCCESS: {rollup:?}"
+        );
+        let count = |k: &str| field(k).and_then(|v| v.parse::<u64>().ok());
+        assert!(
+            count("events_lifted_message") > Some(0),
+            "a cut lifts: {rollup:?}"
+        );
+        assert!(
+            count("retransmits") > Some(0),
+            "recovery retransmits: {rollup:?}"
+        );
+    }
+    std::fs::remove_dir_all(root).unwrap();
+}
+
+/// Cross-workload transfer through the CLI: an IS ML campaign registers
+/// its forest, `models` lists it, and FT warm-started from the registry
+/// by `auto` measures strictly fewer points than cold FT, orders by vote
+/// entropy and reports an out-of-bag accuracy every round. At threshold
+/// 0.6, cold FT measures 12 points and warm FT 6.
+#[test]
+fn an_is_model_warm_starts_ft_with_fewer_points() {
+    let dir = tmp_dir("transfer");
+    let registry = dir.join("models");
+    let reg = registry.to_str().unwrap();
+    let ml = ["--ml", "--threshold", "0.6"];
+    campaign(
+        &dir.join("is"),
+        &[&["--workload", "IS", "--registry", reg][..], &ml].concat(),
+    );
+    let models = cli_ok(&["models", reg]);
+    assert!(models.contains("1 model(s)"), "{models}");
+    assert!(
+        models
+            .lines()
+            .any(|l| l.split_whitespace().nth(1) == Some("IS")),
+        "{models}"
+    );
+    let ft = ["--workload", "FT"];
+    campaign(&dir.join("cold"), &[&ft[..], &ml].concat());
+    let warm = [&ft[..], &ml, &["--warm-start", "auto", "--registry", reg]].concat();
+    campaign(&dir.join("warm"), &warm);
+
+    let rounds = |run: &str| {
+        let text = std::fs::read_to_string(dir.join(run).join("status.json")).unwrap();
+        let status = Json::parse(&text).unwrap();
+        status
+            .get("ml_rounds")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .to_vec()
+    };
+    let measured = |rounds: &[Json]| -> u64 {
+        rounds
+            .iter()
+            .map(|r| r.get("measured").and_then(Json::as_u64).unwrap())
+            .sum()
+    };
+    let (cold, warm) = (rounds("cold"), rounds("warm"));
+    assert!(
+        measured(&warm) < measured(&cold),
+        "warm {} points, cold {}",
+        measured(&warm),
+        measured(&cold)
+    );
+    assert_eq!(
+        warm[0].get("ordering").and_then(Json::as_str),
+        Some("entropy")
+    );
+    for round in &warm {
+        let oob = round.get("oob_accuracy");
+        assert!(oob.is_some_and(|v| *v != Json::Null), "{}", round.encode());
+    }
+    std::fs::remove_dir_all(dir).unwrap();
 }

@@ -134,6 +134,42 @@ macro_rules! reduce_int {
     }};
 }
 
+/// `x`, or the one quiet NaN of its width if `x` is a NaN. Rust leaves the
+/// sign and payload of an arithmetic NaN unspecified: x86 returns the first
+/// operand's NaN when both are NaN, and the compiler may commute `+` and
+/// `*`. In a complex product `0·∞ + ∞·NaN` adds `0·∞`'s `0xFFF8…` to the
+/// other term's `0x7FF8…`, and two inlinings of the same code gave either.
+/// A sum or product therefore writes one fixed NaN; no other value changes.
+trait QuietNan: Copy {
+    fn quiet_nan(self) -> Self;
+}
+
+impl QuietNan for f32 {
+    fn quiet_nan(self) -> f32 {
+        if self.is_nan() {
+            f32::from_bits(0x7FC0_0000)
+        } else {
+            self
+        }
+    }
+}
+
+impl QuietNan for f64 {
+    fn quiet_nan(self) -> f64 {
+        if self.is_nan() {
+            f64::from_bits(0x7FF8_0000_0000_0000)
+        } else {
+            self
+        }
+    }
+}
+
+impl QuietNan for Complex64 {
+    fn quiet_nan(self) -> Complex64 {
+        Complex64::new(self.re.quiet_nan(), self.im.quiet_nan())
+    }
+}
+
 macro_rules! reduce_float {
     ($ty:ty, $op:expr, $acc:expr, $other:expr) => {{
         reduce_typed::<$ty>($acc, $other, |a, b| {
@@ -141,8 +177,8 @@ macro_rules! reduce_float {
                 $op,
                 a,
                 b,
-                |a, b| a + b,
-                |a, b| a * b,
+                |a, b| (a + b).quiet_nan(),
+                |a, b| (a * b).quiet_nan(),
                 |a| a != 0.0,
                 |b| if b { 1.0 } else { 0.0 },
                 None::<fn($ty, $ty) -> $ty>,
@@ -201,13 +237,17 @@ pub fn apply_op(
 }
 
 fn reduce_complex(op: ReduceOp, acc: &mut [u8], other: &[u8]) -> Result<(), MpiError> {
-    reduce_typed::<Complex64>(acc, other, |a, b| match op {
-        ReduceOp::Sum => Ok(a + b),
-        ReduceOp::Prod => Ok(a * b),
+    reduce_typed::<Complex64>(acc, other, |a, b| combine_complex(op, a, b))
+}
+
+fn combine_complex(op: ReduceOp, a: Complex64, b: Complex64) -> Result<Complex64, MpiError> {
+    match op {
+        ReduceOp::Sum => Ok((a + b).quiet_nan()),
+        ReduceOp::Prod => Ok((a * b).quiet_nan()),
         // MPI defines only SUM/PROD for complex; anything else is an
         // op/type mismatch.
         _ => Err(MpiError::Op),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -349,11 +389,9 @@ mod tests {
             Datatype::UInt64 => reduce_int!(u64, op, acc, other),
             Datatype::Float32 => reduce_float!(f32, op, acc, other),
             Datatype::Float64 => reduce_float!(f64, op, acc, other),
-            Datatype::Complex128 => reduce_typed::<Complex64>(acc, other, |a, b| match op {
-                ReduceOp::Sum => Ok(a + b),
-                ReduceOp::Prod => Ok(a * b),
-                _ => Err(MpiError::Op),
-            }),
+            Datatype::Complex128 => {
+                reduce_typed::<Complex64>(acc, other, |a, b| combine_complex(op, a, b))
+            }
         }
     }
 
@@ -458,6 +496,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_sum_or_product_writes_one_nan() {
+        let (mut acc, mut other) = (Vec::new(), Vec::new());
+        Complex64::write_bytes(&[Complex64::new(0.0, f64::INFINITY)], &mut acc);
+        Complex64::write_bytes(&[Complex64::new(f64::NAN, f64::INFINITY)], &mut other);
+        apply_op(ReduceOp::Prod, Datatype::Complex128, &mut acc, &other).unwrap();
+        let mut out = [Complex64::default()];
+        Complex64::read_bytes(&acc, &mut out);
+        assert_eq!(out[0].im.to_bits(), 0x7FF8_0000_0000_0000);
+        for (a, b) in [(f64::INFINITY, f64::NEG_INFINITY), (-f64::NAN, 1.0)] {
+            let (mut acc, mut other) = (Vec::new(), Vec::new());
+            f64::write_bytes(&[a], &mut acc);
+            f64::write_bytes(&[b], &mut other);
+            apply_op(ReduceOp::Sum, Datatype::Float64, &mut acc, &other).unwrap();
+            assert_eq!(acc, 0x7FF8_0000_0000_0000u64.to_le_bytes());
+        }
+        let (mut acc, mut other) = (Vec::new(), Vec::new());
+        f32::write_bytes(&[-f32::NAN], &mut acc);
+        f32::write_bytes(&[2.0], &mut other);
+        apply_op(ReduceOp::Prod, Datatype::Float32, &mut acc, &other).unwrap();
+        assert_eq!(acc, 0x7FC0_0000u32.to_le_bytes());
     }
 
     #[test]
