@@ -48,11 +48,26 @@ use std::time::Duration;
 /// Poll cadence for `status --watch` and `watch`.
 const WATCH_POLL: Duration = Duration::from_millis(500);
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// The flags [`spec_from_flags`] reads: every verb that describes a
+/// campaign accepts them.
+const SPEC_FLAGS: &str = "workload ranks trials params fault-channel resilient-transport seed \
+                          app-seed steps colls timeline ml threshold warm-start";
+
+/// `--key [value]` pairs. A key that no list of `accepted` (names
+/// separated by whitespace) holds exits 2 naming it, so a misspelt or
+/// retired flag is refused instead of leaving its knob at the default.
+fn parse_flags(verb: &str, args: &[String], accepted: &[&str]) -> HashMap<String, String> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
+            if !accepted
+                .iter()
+                .any(|l| l.split_whitespace().any(|n| n == key))
+            {
+                eprintln!("{verb} takes no flag --{key}");
+                std::process::exit(2);
+            }
             let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 i += 1;
                 args[i].clone()
@@ -101,18 +116,15 @@ fn usage() -> ! {
                 \x20  point; pins the fault channel to the schedule's first\n\
                 \x20  event)\n\
                 --resilient-transport (checksum/ack/retransmit recovery)\n\
-                --max-retries N (suspect-trial retries before quarantine)\n\
-                --op-budget-mult N (INF_LOOP op budget, × golden op count)\n\
                 --site file.rs:LINE  --param sendbuf|recvbuf|count|datatype|op|root|comm\n\
                 --rank R  --invocation I  --steps N (LAMMPS run length)\n\
          env:   FASTFIT_RANKS  FASTFIT_TRIALS  FASTFIT_CLASS (mini|small|standard)\n\
                 \x20 fill the --ranks/--trials/class a campaign leaves unset; the journal\n\
                 \x20 records them, so resume reads none (submit: the daemon's env fills them)\n\
-                FASTFIT_TIMEOUT_MULT (wall backstop = golden wall x this; default 30)\n\
-                FASTFIT_MAX_RETRIES  FASTFIT_STORE_DIR\n\
+                FASTFIT_STORE_DIR\n\
          the campaign flags are checked as the daemon checks a submission: a value it\n\
-         would answer with a 400, a number that does not parse, or a malformed\n\
-         FASTFIT_* value exits 2."
+         would answer with a 400, a number that does not parse, a flag the verb does\n\
+         not take, or a malformed FASTFIT_* value exits 2."
     );
     std::process::exit(2)
 }
@@ -175,24 +187,13 @@ fn spec_from_flags(flags: &HashMap<String, String>) -> CampaignSpec {
 }
 
 /// Prepare the campaign a spec describes, pinned against this process's
-/// environment (a malformed `FASTFIT_*` value exits 2). The
-/// trial-supervision knobs (`--max-retries`, `--op-budget-mult`) shape
-/// *how* trials execute, not *which* trials run: they are not part of the
-/// campaign identity, may differ across a resume, and are applied after
-/// resolution.
-fn prepare(spec: &CampaignSpec, flags: &HashMap<String, String>) -> Campaign {
+/// environment (a malformed `FASTFIT_*` value exits 2).
+fn prepare(spec: &CampaignSpec) -> Campaign {
     let spec = &pin_spec(spec).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    let mut cfg = resolve_config(spec);
-    if let Some(r) = parse_flag(flags, "max-retries") {
-        cfg.max_retries = r;
-    }
-    if let Some(m) = parse_flag(flags, "op-budget-mult") {
-        cfg.op_budget_mult = m;
-    }
-    Campaign::prepare(resolve_workload(spec), cfg)
+    Campaign::prepare(resolve_workload(spec), resolve_config(spec))
 }
 
 /// Parse a `--colls` list: comma-separated `MPI_*` display names.
@@ -212,20 +213,25 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage()
     };
+    let flags = |accepted: &[&str]| parse_flags(cmd, rest, accepted);
     match cmd.as_str() {
-        "profile" => cmd_profile(&parse_flags(rest)),
-        "campaign" => cmd_campaign(&parse_flags(rest)),
-        "point" => cmd_point(&parse_flags(rest)),
-        "serve" => cmd_serve(&parse_flags(rest)),
-        "worker" => cmd_worker(&parse_flags(rest)),
-        "fleet" => cmd_fleet(&parse_flags(rest)),
-        "submit" => cmd_submit(&parse_flags(rest)),
-        "scenario" => cmd_scenario(&parse_flags(rest)),
+        "profile" => cmd_profile(&flags(&[SPEC_FLAGS])),
+        "campaign" => cmd_campaign(&flags(&[SPEC_FLAGS, "csv store registry"])),
+        "point" => cmd_point(&flags(&[SPEC_FLAGS, "site param rank invocation"])),
+        "serve" => cmd_serve(&flags(&[
+            "addr root budget max-campaigns fleet lease-trials lease-ttl-ms",
+        ])),
+        "worker" => cmd_worker(&flags(&["addr name"])),
+        "fleet" => cmd_fleet(&flags(&["addr"])),
+        "submit" => cmd_submit(&flags(&[SPEC_FLAGS, "addr"])),
+        "scenario" => cmd_scenario(&flags(&["grammar max-cost costs submit addr"])),
         "journal-sha" => {
-            let Some((dir, _)) = rest.split_first().filter(|(d, _)| !d.starts_with("--")) else {
+            let Some((dir, extra)) = rest.split_first().filter(|(d, _)| !d.starts_with("--"))
+            else {
                 eprintln!("journal-sha needs a store directory");
                 usage()
             };
+            parse_flags(cmd, extra, &[]);
             match fastfit_store::journal_content_sha(Path::new(dir)) {
                 Ok(sha) => println!("{sha}"),
                 Err(e) => {
@@ -235,10 +241,12 @@ fn main() {
             }
         }
         "models" => {
-            let Some((dir, _)) = rest.split_first().filter(|(d, _)| !d.starts_with("--")) else {
+            let Some((dir, extra)) = rest.split_first().filter(|(d, _)| !d.starts_with("--"))
+            else {
                 eprintln!("models needs a registry directory (e.g. <store>/models)");
                 usage()
             };
+            parse_flags(cmd, extra, &[]);
             cmd_models(Path::new(dir));
         }
         "status" | "resume" => {
@@ -247,11 +255,12 @@ fn main() {
                 eprintln!("{} needs a store directory", cmd);
                 usage()
             };
-            let flags = parse_flags(flag_args);
             if cmd == "status" {
+                let flags = parse_flags(cmd, flag_args, &["watch"]);
                 cmd_status(Path::new(dir), flags.contains_key("watch"));
             } else {
-                cmd_resume(Path::new(dir), &flags);
+                let accepted = ["steps threshold csv registry"];
+                cmd_resume(Path::new(dir), &parse_flags(cmd, flag_args, &accepted));
             }
         }
         "watch" | "cancel" => {
@@ -260,7 +269,7 @@ fn main() {
                 eprintln!("{} needs a campaign ID", cmd);
                 usage()
             };
-            let flags = parse_flags(flag_args);
+            let flags = parse_flags(cmd, flag_args, &["addr"]);
             if cmd == "watch" {
                 cmd_watch(id, &flags);
             } else {
@@ -636,7 +645,7 @@ fn cmd_cancel(id: &str, flags: &HashMap<String, String>) {
 }
 
 fn cmd_profile(flags: &HashMap<String, String>) {
-    let c = prepare(&spec_from_flags(flags), flags);
+    let c = prepare(&spec_from_flags(flags));
     print!("{}", mpiprof::communication_report(&c.profile));
     println!(
         "\nrank equivalence classes: {:?}\nfull injection space: {} points; after semantic+context pruning: {} ({:.2}% reduction)",
@@ -682,7 +691,7 @@ fn registry_for(flags: &HashMap<String, String>, store: Option<&Path>) -> Option
 /// journaled to `dir` when given, through the ML feedback loop when the
 /// spec is ML-driven. One body serves `campaign` and `resume`.
 fn run_campaign(spec: &CampaignSpec, flags: &HashMap<String, String>, dir: Option<&Path>) {
-    let c = prepare(spec, flags);
+    let c = prepare(spec);
     println!(
         "{}: {} -> {} injection points ({:.2}% pruned), {} trials/point",
         c.workload.name,
@@ -983,7 +992,7 @@ fn cmd_point(flags: &HashMap<String, String>) {
     let spec = spec_from_flags(flags);
     let rank: Option<usize> = parse_flag(flags, "rank");
     let invocation = parse_flag(flags, "invocation").unwrap_or(0);
-    let c = prepare(&spec, flags);
+    let c = prepare(&spec);
     let site_arg = flags.get("site").cloned().unwrap_or_else(|| usage());
     let (file_part, line_part) = site_arg.rsplit_once(':').unwrap_or_else(|| usage());
     let line: u32 = line_part.parse().unwrap_or_else(|_| usage());

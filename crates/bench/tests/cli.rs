@@ -137,7 +137,7 @@ fn seeds_and_params_reach_the_journal() {
 
 #[test]
 fn unparsable_numbers_exit_2_naming_the_flag() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 10] = [
         (
             &["campaign", "--workload", "LAMMPS", "--steps", "x"],
             "--steps",
@@ -152,10 +152,11 @@ fn unparsable_numbers_exit_2_naming_the_flag() {
             &["point", "--workload", "IS", "--invocation", "x"],
             "--invocation",
         ),
-        (
-            &["campaign", "--workload", "IS", "--max-retries", "x"],
-            "--max-retries",
-        ),
+        // A flag the verb does not take, misspelt or retired, is refused
+        // rather than leaving its knob at the default.
+        (&["campaign", "--trails", "5"], "--trails"),
+        (&["campaign", "--max-retries", "2"], "--max-retries"),
+        (&["journal-sha", "no-such-dir", "--all"], "--all"),
         (&["serve", "--budget", "x"], "--budget"),
         (
             &["serve", "--fleet", "--lease-trials", "x"],

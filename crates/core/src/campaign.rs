@@ -38,7 +38,7 @@ use crate::prune::{
 use crate::response::{classify, Response, ResponseHistogram};
 use crate::space::{full_space_count, FaultChannel, InjectionPoint, ParamsMode};
 use crate::supervise::{
-    AttemptOutcome, QuarantineReason, SupervisedTrial, TrialDisposition, TrialSupervisor,
+    supervise, AttemptOutcome, QuarantineReason, SupervisedTrial, TrialDisposition,
 };
 use crate::timeline::FaultTimeline;
 use prng::Prng;
@@ -58,6 +58,16 @@ use std::time::{Duration, Instant};
 /// campaign's commit point (`fastfit-trial-0`, ...). They exist only
 /// inside a measurement call and are joined before it returns or unwinds.
 pub const HELPER_THREAD_PREFIX: &str = "fastfit-trial-";
+
+/// The trial policy (DESIGN.md §10) is constants, not settings: nothing a
+/// campaign ID leaves out may change what its journal records. A trial's
+/// first wall-clock backstop is `max(golden_wall × 30, 400 ms)`; each
+/// retry ([`crate::supervise::MAX_RETRIES`]) doubles it.
+const BACKSTOP_PER_GOLDEN_WALL: u32 = 30;
+const BACKSTOP_FLOOR: Duration = Duration::from_millis(400);
+/// Every attempt's per-rank op budget: `max(golden_max × 32, 10 000)`.
+const OP_BUDGET_PER_GOLDEN_OP: u64 = 32;
+const OP_BUDGET_FLOOR: u64 = 10_000;
 
 /// Cooperative cancellation handle shared between a campaign and its
 /// controller (a service scheduler, a signal handler).
@@ -220,24 +230,6 @@ pub struct CampaignConfig {
     pub trials_per_point: usize,
     /// Which parameters to inject (§V-C default: the data buffer).
     pub params: ParamsMode,
-    /// Wall-clock backstop = `max(golden_wall × timeout_mult, min_timeout)`.
-    /// With the logical watchdog active this should only fire on
-    /// infrastructure trouble, never decide a classification.
-    pub timeout_mult: u32,
-    /// Lower bound on the wall-clock backstop.
-    pub min_timeout: Duration,
-    /// Logical op budget = `max(golden_ops_max × op_budget_mult,
-    /// min_op_budget)` — the deterministic livelock bound, derived from
-    /// the golden run's per-rank op counts.
-    pub op_budget_mult: u32,
-    /// Lower bound on the op budget (tiny workloads need headroom for
-    /// fault-perturbed control flow).
-    pub min_op_budget: u64,
-    /// Retries granted to infrastructure-suspect trials before they are
-    /// quarantined.
-    pub max_retries: u32,
-    /// Base backoff before a retry; doubles per attempt.
-    pub retry_backoff: Duration,
     /// Seed for fault-bit selection.
     pub seed: u64,
     /// Which layer receives the faults: `Param` (the paper's bit flips in
@@ -264,12 +256,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             trials_per_point: 24,
             params: ParamsMode::DataBuffer,
-            timeout_mult: 30,
-            min_timeout: Duration::from_millis(400),
-            op_budget_mult: 32,
-            min_op_budget: 10_000,
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(25),
             seed: 0xFA57,
             fault_channel: FaultChannel::Param,
             resilient: false,
@@ -288,15 +274,6 @@ impl CampaignConfig {
             self.fault_channel = primary;
         }
         self.timeline = timeline;
-    }
-
-    /// The retry policy this configuration implies.
-    pub fn supervisor(&self) -> TrialSupervisor {
-        TrialSupervisor {
-            max_retries: self.max_retries,
-            backoff: self.retry_backoff,
-            ..TrialSupervisor::default()
-        }
     }
 }
 
@@ -833,32 +810,37 @@ impl Campaign {
         1.0 - self.points().len() as f64 / self.full_points as f64
     }
 
-    /// Per-rank logical op budget for fault trials: a generous multiple of
-    /// the golden run's busiest rank. Deterministic — derived from logical
-    /// op counts, not wall time — so exceeding it is a proof of livelock,
-    /// not a symptom of machine load.
+    /// Per-rank logical op budget for fault trials:
+    /// `max(golden_max × 32, 10 000)`, the golden run's busiest rank with
+    /// headroom (tiny workloads need some for fault-perturbed control
+    /// flow). Deterministic — derived from logical op counts, not wall
+    /// time — so exceeding it is a proof of livelock, not a symptom of
+    /// machine load. Every attempt of a trial gets the same budget.
     pub fn op_budget(&self) -> u64 {
         let golden_max = self.golden_ops.iter().copied().max().unwrap_or(0);
         golden_max
-            .saturating_mul(u64::from(self.cfg.op_budget_mult))
-            .max(self.cfg.min_op_budget)
+            .saturating_mul(OP_BUDGET_PER_GOLDEN_OP)
+            .max(OP_BUDGET_FLOOR)
     }
 
     /// Job spec for one trial attempt at the given escalation level (0 for
-    /// the first attempt; each retry doubles both the wall backstop and
-    /// the op budget so a retried trial gets strictly more room).
+    /// the first attempt). The wall-clock backstop is
+    /// `max(golden_wall × 30, 400 ms)`, doubled per retry so a retried
+    /// trial gets strictly more time; the op budget never grows, so
+    /// whether a trial is `INF_LOOP` cannot depend on how many attempts
+    /// the host's speed cost it.
     fn trial_spec(
         &self,
         hook: Arc<InjectorHook>,
         escalation: u32,
         replay: Option<ReplayPrefix>,
     ) -> JobSpec {
-        let grow = 1u32 << escalation.min(10);
         JobSpec {
             nranks: self.workload.nranks,
             seed: self.workload.seed,
-            timeout: (self.golden_wall * self.cfg.timeout_mult).max(self.cfg.min_timeout) * grow,
-            op_budget: Some(self.op_budget().saturating_mul(u64::from(grow))),
+            timeout: (self.golden_wall * BACKSTOP_PER_GOLDEN_WALL).max(BACKSTOP_FLOOR)
+                * 2u32.pow(escalation),
+            op_budget: Some(self.op_budget()),
             record: false,
             resilient_transport: self.cfg.resilient,
             hook: Some(hook),
@@ -1000,7 +982,7 @@ impl Campaign {
     /// One supervised trial attempt: deterministic outcomes (completed,
     /// fatal, proven hang) are trusted; a wall-clock backstop kill or a
     /// panic escaping the job harness is reported as suspect so the
-    /// supervisor can retry with bigger budgets.
+    /// supervisor can retry with a longer backstop.
     fn run_trial_attempt(
         &self,
         point: &InjectionPoint,
@@ -1032,15 +1014,13 @@ impl Campaign {
 
     /// Execute one fault-injection test — flip `bit` at `point`, run the
     /// job, classify against the golden outputs — under the
-    /// retry/quarantine policy of [`CampaignConfig::max_retries`].
-    /// Deterministic outcomes pass through on the first attempt;
-    /// infrastructure-suspect ones (a wall-clock backstop kill, a harness
-    /// panic) are retried with escalating wall/op budgets; persistent
-    /// ambiguity is quarantined rather than given a fabricated response.
+    /// retry/quarantine policy of [`supervise`]. Deterministic outcomes
+    /// pass through on the first attempt; infrastructure-suspect ones (a
+    /// wall-clock backstop kill, a harness panic) are retried with a
+    /// doubled backstop; persistent ambiguity is quarantined rather than
+    /// given a fabricated response.
     pub fn run_trial(&self, point: &InjectionPoint, bit: u64) -> SupervisedTrial {
-        self.cfg
-            .supervisor()
-            .run(|escalation| self.run_trial_attempt(point, bit, escalation))
+        supervise(|escalation| self.run_trial_attempt(point, bit, escalation))
     }
 
     /// Measure one point with `trials` random single-bit faults,
@@ -1542,7 +1522,6 @@ mod tests {
     fn quick_cfg() -> CampaignConfig {
         CampaignConfig {
             trials_per_point: 6,
-            min_timeout: Duration::from_millis(300),
             ..Default::default()
         }
     }

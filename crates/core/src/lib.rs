@@ -83,8 +83,6 @@ pub mod prelude {
     pub use crate::space::{
         full_space, full_space_count, FaultChannel, InjectionPoint, ParamsMode, ALL_FAULT_CHANNELS,
     };
-    pub use crate::supervise::{
-        QuarantineReason, SupervisedTrial, TrialDisposition, TrialSupervisor,
-    };
+    pub use crate::supervise::{QuarantineReason, SupervisedTrial, TrialDisposition};
     pub use crate::timeline::{FaultTimeline, TimelineEvent};
 }

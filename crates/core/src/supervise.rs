@@ -18,18 +18,18 @@
 //! load-sensitive path. Supervision therefore needs no engine awareness:
 //! it sees the same `HangKind` taxonomy either way.
 //!
-//! [`TrialSupervisor`] wraps each trial attempt: trustworthy outcomes pass
+//! [`supervise`] wraps each trial attempt: trustworthy outcomes pass
 //! straight through as [`TrialDisposition::Classified`]; suspect ones
 //! (wall-clock kill while progressing, a panic escaping the job harness)
-//! are retried with escalating wall/op budgets and bounded backoff; if
-//! every attempt stays suspect the trial is recorded as
+//! are retried at once, [`MAX_RETRIES`] times, each with twice the wall
+//! backstop of the one before and the same op budget; if every attempt
+//! stays suspect the trial is recorded as
 //! [`TrialDisposition::Quarantined`] — never a fabricated response. The
 //! campaign loop still consumes the trial's fault bit, so the RNG stream
 //! and the journal stay aligned for resume, and downstream statistics
 //! simply exclude quarantined trials.
 
 use crate::campaign::TrialOutcome;
-use std::time::Duration;
 
 /// Why a trial ended up quarantined after exhausting its retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +98,7 @@ pub enum AttemptOutcome {
     /// The outcome is deterministic (completed, fatal, or a proven hang):
     /// classify it and move on.
     Trusted(TrialOutcome),
-    /// The outcome is infrastructure-suspect: retry with bigger budgets.
+    /// The outcome is infrastructure-suspect: retry with a longer backstop.
     Suspect(QuarantineReason),
 }
 
@@ -114,68 +114,36 @@ pub struct SupervisedTrial {
     pub retries: u32,
 }
 
-/// Retry policy for infrastructure-suspect trial attempts.
-#[derive(Debug, Clone)]
-pub struct TrialSupervisor {
-    /// Retries after the first attempt before quarantining.
-    pub max_retries: u32,
-    /// Base backoff slept before each retry; doubles per attempt.
-    pub backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
+/// Retries an infrastructure-suspect trial gets before it is quarantined.
+/// A constant, not a setting: how many attempts a quarantined trial took
+/// is journaled, so the retry count is part of what a campaign ID names.
+pub const MAX_RETRIES: u32 = 2;
 
-impl Default for TrialSupervisor {
-    fn default() -> Self {
-        TrialSupervisor {
-            max_retries: 2,
-            backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
+/// Run `attempt` until it yields a trusted outcome or [`MAX_RETRIES`]
+/// retries are spent. The closure receives the escalation level (0 for
+/// the first attempt, +1 per retry); the caller doubles its wall-clock
+/// backstop per level, so a retried trial gets strictly more time. Retries
+/// follow at once: the longer backstop, not a pause, is what gives a
+/// loaded host room.
+pub fn supervise(mut attempt: impl FnMut(u32) -> AttemptOutcome) -> SupervisedTrial {
+    let mut last_reason = QuarantineReason::WallClock;
+    for escalation in 0..=MAX_RETRIES {
+        match attempt(escalation) {
+            AttemptOutcome::Trusted(outcome) => {
+                return SupervisedTrial {
+                    disposition: TrialDisposition::Classified(outcome),
+                    retries: escalation,
+                };
+            }
+            AttemptOutcome::Suspect(reason) => last_reason = reason,
         }
     }
-}
-
-impl TrialSupervisor {
-    /// Policy with a given retry count and the default backoff.
-    pub fn with_max_retries(max_retries: u32) -> Self {
-        TrialSupervisor {
-            max_retries,
-            ..Default::default()
-        }
-    }
-
-    /// Run `attempt` until it yields a trusted outcome or the retry budget
-    /// is exhausted. The closure receives the escalation level (0 for the
-    /// first attempt, +1 per retry); callers double their wall and op
-    /// budgets per level so a retried trial gets strictly more room.
-    pub fn run<F>(&self, mut attempt: F) -> SupervisedTrial
-    where
-        F: FnMut(u32) -> AttemptOutcome,
-    {
-        let attempts = self.max_retries.saturating_add(1);
-        let mut last_reason = QuarantineReason::WallClock;
-        for escalation in 0..attempts {
-            if escalation > 0 {
-                let factor = 1u32 << (escalation - 1).min(10);
-                std::thread::sleep((self.backoff * factor).min(self.max_backoff));
-            }
-            match attempt(escalation) {
-                AttemptOutcome::Trusted(outcome) => {
-                    return SupervisedTrial {
-                        disposition: TrialDisposition::Classified(outcome),
-                        retries: escalation,
-                    };
-                }
-                AttemptOutcome::Suspect(reason) => last_reason = reason,
-            }
-        }
-        SupervisedTrial {
-            disposition: TrialDisposition::Quarantined {
-                attempts,
-                reason: last_reason,
-            },
-            retries: self.max_retries,
-        }
+    SupervisedTrial {
+        disposition: TrialDisposition::Quarantined {
+            attempts: MAX_RETRIES + 1,
+            reason: last_reason,
+        },
+        retries: MAX_RETRIES,
     }
 }
 
@@ -197,8 +165,7 @@ mod tests {
 
     #[test]
     fn trusted_first_attempt_passes_through() {
-        let sup = TrialSupervisor::default();
-        let t = sup.run(|esc| {
+        let t = supervise(|esc| {
             assert_eq!(esc, 0);
             AttemptOutcome::Trusted(ok())
         });
@@ -208,15 +175,10 @@ mod tests {
 
     #[test]
     fn suspect_attempts_are_retried_with_escalation() {
-        let sup = TrialSupervisor {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-        };
         let mut seen = Vec::new();
-        let t = sup.run(|esc| {
+        let t = supervise(|esc| {
             seen.push(esc);
-            if esc < 2 {
+            if esc < MAX_RETRIES {
                 AttemptOutcome::Suspect(QuarantineReason::WallClock)
             } else {
                 AttemptOutcome::Trusted(ok())
@@ -229,13 +191,8 @@ mod tests {
 
     #[test]
     fn exhausted_retries_quarantine_instead_of_fabricating() {
-        let sup = TrialSupervisor {
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-        };
         let mut calls = 0u32;
-        let t = sup.run(|_| {
+        let t = supervise(|_| {
             calls += 1;
             AttemptOutcome::Suspect(QuarantineReason::Harness)
         });
@@ -249,19 +206,6 @@ mod tests {
             }
         );
         assert_eq!(t.disposition.response(), None);
-    }
-
-    #[test]
-    fn zero_retries_quarantines_after_one_attempt() {
-        let sup = TrialSupervisor::with_max_retries(0);
-        let t = sup.run(|_| AttemptOutcome::Suspect(QuarantineReason::WallClock));
-        assert_eq!(
-            t.disposition,
-            TrialDisposition::Quarantined {
-                attempts: 1,
-                reason: QuarantineReason::WallClock,
-            }
-        );
     }
 
     #[test]

@@ -32,8 +32,7 @@ use randomforest::RandomForest;
 pub const DEFAULT_LAMMPS_STEPS: usize = 10;
 
 /// What the environment of this process supplies: the three identity
-/// defaults [`pin_spec`] fills in and the two operational knobs
-/// [`resolve_config`] applies. The only reader of them. A variable is read
+/// defaults [`pin_spec`] fills in. The only reader of them. A variable is read
 /// when its value is asked for, so one a spec does not need cannot refuse
 /// it; an unset or empty one takes the built-in default and a malformed
 /// one is an error naming it, never a silent fall-back.
@@ -96,24 +95,6 @@ impl EnvDefaults<'_> {
         }
     }
 
-    /// `FASTFIT_TIMEOUT_MULT`: wall-clock backstop multiplier.
-    fn timeout_mult(&self) -> Result<u32, String> {
-        Ok(self
-            .value("FASTFIT_TIMEOUT_MULT", "a positive integer", |v| {
-                v.parse::<u32>().ok().filter(|&m| m > 0)
-            })?
-            .unwrap_or(CampaignConfig::default().timeout_mult))
-    }
-
-    /// `FASTFIT_MAX_RETRIES`: retries before quarantine.
-    fn max_retries(&self) -> Result<u32, String> {
-        Ok(self
-            .value("FASTFIT_MAX_RETRIES", "a non-negative integer", |v| {
-                v.parse::<u32>().ok()
-            })?
-            .unwrap_or(CampaignConfig::default().max_retries))
-    }
-
     /// One variable: `None` when unset or empty, an error naming it when
     /// `parse` refuses its value.
     fn value<T>(
@@ -147,14 +128,9 @@ impl EnvDefaults<'_> {
 /// not read, so pinning a pinned spec changes nothing. Every door pins
 /// once, where the spec enters, and then runs [`validate_spec`]; what is
 /// journaled, leased or resumed from is the pinned spec. Errs, naming the
-/// variable, when a default it reads is malformed — or when
-/// `FASTFIT_TIMEOUT_MULT`/`FASTFIT_MAX_RETRIES` is, since the process that
-/// pins a spec is the one that runs or queues it.
+/// variable, when a default it reads is malformed.
 pub fn pin_spec(spec: &CampaignSpec) -> Result<CampaignSpec, String> {
-    let env = EnvDefaults::load();
-    env.timeout_mult()?;
-    env.max_retries()?;
-    env.pin(spec)
+    EnvDefaults::load().pin(spec)
 }
 
 /// The resolvers' answer to a malformed value [`pin_spec`] refuses at the
@@ -296,15 +272,13 @@ pub fn resolve_workload(spec: &CampaignSpec) -> Workload {
 
 /// Build the campaign configuration of the spec: its knobs over
 /// `CampaignConfig::default()` (unset trials pinned as [`pin_spec`]
-/// would), plus the environment's two operational knobs
-/// (`FASTFIT_TIMEOUT_MULT`, `FASTFIT_MAX_RETRIES`), which shape how trials
-/// execute, not which run. Panics where [`pin_spec`] errs.
+/// would). Nothing else: how a trial is supervised is a constant of the
+/// core, never this process's environment. Panics where [`pin_spec`] errs.
 pub fn resolve_config(spec: &CampaignSpec) -> CampaignConfig {
-    let env = EnvDefaults::load();
     let mut cfg = CampaignConfig {
-        trials_per_point: env.trials(spec.trials).unwrap_or_else(unpinned),
-        timeout_mult: env.timeout_mult().unwrap_or_else(unpinned),
-        max_retries: env.max_retries().unwrap_or_else(unpinned),
+        trials_per_point: EnvDefaults::load()
+            .trials(spec.trials)
+            .unwrap_or_else(unpinned),
         ..CampaignConfig::default()
     };
     if let Some(p) = &spec.params {
@@ -471,14 +445,8 @@ mod tests {
     fn environment_defaults_parse_strictly_and_name_the_variable() {
         let unset = EnvDefaults { var: &|_| None };
         assert_eq!(
-            (
-                unset.ranks(None),
-                unset.trials(None),
-                unset.class(None),
-                unset.timeout_mult(),
-                unset.max_retries()
-            ),
-            (Ok(16), Ok(24), Ok(Class::Mini), Ok(30), Ok(2))
+            (unset.ranks(None), unset.trials(None), unset.class(None)),
+            (Ok(16), Ok(24), Ok(Class::Mini))
         );
         // Empty is unset.
         let empty = EnvDefaults {
@@ -497,17 +465,11 @@ mod tests {
             ("FASTFIT_TRIALS", "abc"),
             ("FASTFIT_TRIALS", "0"),
             ("FASTFIT_CLASS", "smal"),
-            ("FASTFIT_TIMEOUT_MULT", "0"),
-            ("FASTFIT_MAX_RETRIES", "-1"),
         ] {
             let var = only(name, bad);
-            let env = EnvDefaults { var: &var };
-            let err = match name {
-                "FASTFIT_TIMEOUT_MULT" => env.timeout_mult().err(),
-                "FASTFIT_MAX_RETRIES" => env.max_retries().err(),
-                _ => env.pin(&CampaignSpec::new("FT")).err(),
-            }
-            .expect(bad);
+            let err = EnvDefaults { var: &var }
+                .pin(&CampaignSpec::new("FT"))
+                .expect_err(bad);
             assert!(err.contains(name) && err.contains(bad), "{err}");
         }
     }

@@ -13,7 +13,6 @@ use simmpi::runtime::AppFn;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn tiny_workload(nranks: usize) -> Workload {
     let app: AppFn = Arc::new(|ctx: &mut RankCtx| {
@@ -36,7 +35,6 @@ fn tiny_workload(nranks: usize) -> Workload {
 fn quick_cfg() -> CampaignConfig {
     CampaignConfig {
         trials_per_point: 6,
-        min_timeout: Duration::from_millis(300),
         ..Default::default()
     }
 }

@@ -57,11 +57,12 @@ fn modal_app(mode: Arc<AtomicUsize>) -> AppFn {
                 ctx.barrier(ctx.world());
             }
             MODE_SLOW => {
-                // Logical progress every couple of milliseconds for well
-                // over any timeout this test configures: every attempt is
-                // wall-clock-killed *while progressing*, which is the
-                // retry-then-quarantine path, never the stall detector's.
-                for _ in 0..200 {
+                // Logical progress every couple of milliseconds for over
+                // 2 s, longer than the last attempt's 1.6 s backstop:
+                // every attempt is wall-clock-killed *while progressing*,
+                // which is the retry-then-quarantine path, never the stall
+                // detector's.
+                for _ in 0..1000 {
                     ctx.barrier(ctx.world());
                     std::thread::sleep(Duration::from_millis(2));
                 }
@@ -85,7 +86,6 @@ fn rig() -> Rig {
     let w = Workload::new("arena-poison", modal_app(mode.clone()), 1e-12, NRANKS);
     let cfg = CampaignConfig {
         fault_channel: FaultChannel::Message,
-        min_timeout: Duration::from_millis(400),
         ..Default::default()
     };
     let mut campaign = Campaign::prepare(w, cfg);
@@ -176,30 +176,21 @@ fn apply_poison(rig: &mut Rig, which: &str) {
             assert_eq!(t.response, Response::MpiErr, "poison trial");
         }
         "quarantine" => {
-            // Shrink the wall backstop far below the slow app's runtime;
-            // every escalated attempt is killed mid-progress and the
+            // Pin the wall backstop to its 400 ms floor (0.4 + 0.8 +
+            // 1.6 s over the three attempts), below the slow app's
+            // runtime; every attempt is killed mid-progress and the
             // supervisor quarantines. The kills leave ranks mid-app —
             // exactly the residue the arena must clear.
             rig.mode.store(MODE_SLOW, Ordering::SeqCst);
-            let saved = (
-                rig.campaign.cfg.timeout_mult,
-                rig.campaign.cfg.min_timeout,
-                rig.campaign.golden_wall,
-            );
-            rig.campaign.cfg.timeout_mult = 1;
-            rig.campaign.cfg.min_timeout = Duration::from_millis(8);
+            let saved = rig.campaign.golden_wall;
             rig.campaign.golden_wall = Duration::from_millis(1);
             let s = rig.campaign.run_trial(&rig.point, DELAY_BIT);
-            (
-                rig.campaign.cfg.timeout_mult,
-                rig.campaign.cfg.min_timeout,
-                rig.campaign.golden_wall,
-            ) = saved;
+            rig.campaign.golden_wall = saved;
             rig.mode.store(MODE_CLEAN, Ordering::SeqCst);
             match s.disposition {
                 TrialDisposition::Quarantined { reason, attempts } => {
                     assert_eq!(reason, QuarantineReason::WallClock, "poison trial");
-                    assert!(attempts >= 2, "quarantine must have retried");
+                    assert_eq!(attempts, 3, "quarantine must have retried twice");
                 }
                 other => panic!("expected quarantine, got {:?}", other),
             }
@@ -265,7 +256,8 @@ fn under_cpu_load<T>(f: impl FnOnce() -> T) -> T {
 
 /// 20 poison/classify cycles on one arena under CPU saturation. The
 /// delay probe alone keeps each iteration cheap; the full two-probe
-/// equality is covered above.
+/// equality is covered above. The quarantine poison waits out 2.8 s of
+/// backstops, so only the first cycle runs it; the other three repeat.
 #[test]
 fn arena_poison_soak_under_cpu_load() {
     let baseline = fresh_probe(DELAY_BIT);
@@ -277,8 +269,9 @@ fn arena_poison_soak_under_cpu_load() {
 
     let mut arena = rig();
     under_cpu_load(|| {
-        for i in 0..20 {
-            let which = POISONS[i % POISONS.len()];
+        let (cheap, quarantine) = POISONS.split_at(3);
+        let cycles = cheap.iter().chain(quarantine).chain(cheap.iter().cycle());
+        for (i, &which) in cycles.take(20).enumerate() {
             apply_poison(&mut arena, which);
             let probe = arena
                 .campaign

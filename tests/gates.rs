@@ -235,6 +235,26 @@ fn one_place_reads_the_environment() {
     assert_none("env::var outside its places", &reads);
 }
 
+/// One trial policy (DESIGN.md §10): the op budget, the wall backstop and
+/// the retry count are constants of `crates/core`, so no variable, flag or
+/// config field can change a journal its campaign ID does not name. The
+/// one place a retired flag is named is the CLI test that proves it is
+/// refused.
+#[test]
+fn one_trial_policy() {
+    let places = [("crates/bench/tests/cli.rs", "\"--max-retries\"")];
+    let back = stray(
+        |_| true,
+        contains_any(
+            "FASTFIT_TIMEOUT_MULT|FASTFIT_MAX_RETRIES|max-retries|op-budget-mult|\
+             TrialSupervisor|timeout_mult|min_timeout|op_budget_mult|min_op_budget|\
+             max_retries|retry_backoff",
+        ),
+        &places,
+    );
+    assert_none("deleted names are back", &back);
+}
+
 /// One way to run a job and one supervisor: the stall sweep and the
 /// Stalled verdict each exist once in simmpi.
 #[test]

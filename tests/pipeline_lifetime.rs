@@ -148,11 +148,12 @@ fn metered_campaign(meter: &Arc<Meter>, engine: Engine, width: usize) -> Campaig
         Workload::new("metered", metered_app(meter.clone()), 0.0, 4),
         CampaignConfig {
             trials_per_point: 12,
-            // Far beyond the 5 s a job may hold its place.
-            min_timeout: Duration::from_secs(60),
             ..Default::default()
         },
     );
+    // A 60 s backstop (30 × the golden wall): far beyond the 5 s a job
+    // may hold its place.
+    c.golden_wall = Duration::from_secs(2);
     c.pin_engine(engine);
     c.pin_width(width);
     c

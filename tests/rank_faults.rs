@@ -11,7 +11,6 @@ use simmpi::hook::{CollKind, ParamId};
 use simmpi::op::ReduceOp;
 use simmpi::runtime::AppFn;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Non-sticky partition draw (`partition_from_bit`: 0 % 4 != 3, cut
 /// draw 0 → cut after rank 1 of the equivalence cut space).
@@ -36,7 +35,6 @@ fn rank_trial(w: &Workload, channel: FaultChannel, resilient: bool, bit: u64) ->
     let cfg = CampaignConfig {
         fault_channel: channel,
         resilient,
-        min_timeout: Duration::from_millis(300),
         ..Default::default()
     };
     let campaign = Campaign::prepare(w.clone(), cfg);

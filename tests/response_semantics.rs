@@ -157,11 +157,7 @@ fn root_divergence_can_deadlock() {
         out
     });
     let w = Workload::new("bc", app, 1e-15, 4);
-    let cfg = CampaignConfig {
-        min_timeout: Duration::from_millis(300),
-        ..Default::default()
-    };
-    let campaign = Campaign::prepare(w, cfg);
+    let campaign = Campaign::prepare(w, CampaignConfig::default());
     let site = campaign.profile.sites()[0];
     let mut saw_non_success = 0;
     for bit in [0u64, 1] {

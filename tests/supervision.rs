@@ -5,7 +5,7 @@
 //! byte-for-byte.
 
 use fastfit::prelude::*;
-use fastfit::supervise::AttemptOutcome;
+use fastfit::supervise::{supervise, AttemptOutcome};
 use fastfit_store::journal::{read_journal, JOURNAL_FILE};
 use fastfit_store::{CampaignMeta, CampaignStore};
 use simmpi::arena::JobArena;
@@ -16,7 +16,7 @@ use simmpi::op::ReduceOp;
 use simmpi::runtime::{run_job, AppFn, JobOutcome, JobSpec};
 use simmpi::sched::Engine;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -156,11 +156,12 @@ fn wall_clock_kill_of_progressing_rank_is_retried_not_inf_loop() {
             timeout: Duration::from_millis(100) * (1u32 << escalation.min(10)),
             ..Default::default()
         };
-        // ~300ms of real work in 20ms slices, each announcing progress.
+        // ~150ms of real work in 15ms slices, each announcing progress:
+        // more than the first attempt's 100ms, under half the last's 400ms.
         let app: AppFn = Arc::new(|ctx: &mut RankCtx| {
-            for _ in 0..15 {
+            for _ in 0..10 {
                 ctx.yield_point();
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(15));
             }
             RankOutput::new()
         });
@@ -183,20 +184,80 @@ fn wall_clock_kill_of_progressing_rank_is_retried_not_inf_loop() {
         }
     };
 
-    let supervised = TrialSupervisor::with_max_retries(4).run(run_attempt);
+    let supervised = supervise(run_attempt);
     match supervised.disposition {
         TrialDisposition::Classified(out) => {
             assert_eq!(out.response, Response::Success);
             assert!(
                 supervised.retries >= 1,
-                "the 100ms first attempt cannot fit 300ms of sleeping"
+                "the 100ms first attempt cannot fit 150ms of sleeping"
             );
         }
         TrialDisposition::Quarantined { attempts, reason } => panic!(
-            "escalation to 1.6s never fit a 300ms app: quarantined after {} attempts ({:?})",
+            "escalation to 400ms never fit a 150ms app: quarantined after {} attempts ({:?})",
             attempts, reason
         ),
     }
+}
+
+/// The attempt script of [`a_retry_gets_more_wall_time_never_more_op_budget`]:
+/// rank 0 runs `ops` yield points before the collective (none in the
+/// golden run) — or, in the one job that takes `kill_next`, makes slow
+/// logical progress until the wall-clock backstop kills it.
+struct BudgetScript {
+    kill_next: AtomicBool,
+    ops: AtomicU64,
+}
+
+fn budget_script_app(script: Arc<BudgetScript>) -> AppFn {
+    Arc::new(move |ctx: &mut RankCtx| {
+        if ctx.rank() == 0 {
+            if script.kill_next.swap(false, Ordering::SeqCst) {
+                loop {
+                    ctx.yield_point();
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+            for _ in 0..script.ops.load(Ordering::SeqCst) {
+                ctx.yield_point();
+            }
+        }
+        let x = ctx.allreduce_one(ctx.rank() as f64, ReduceOp::Sum, ctx.world());
+        let mut out = RankOutput::new();
+        out.push("x", x);
+        out
+    })
+}
+
+/// A retry gets a longer backstop and the same op budget: a trial that
+/// runs 1.5 × the budget is `INF_LOOP` whether or not the host's speed
+/// cost it an attempt first. (Were the budget doubled per retry, the
+/// retried trial would complete inside 2 × the budget and classify
+/// otherwise — an outcome decided by host timing.)
+#[test]
+fn a_retry_gets_more_wall_time_never_more_op_budget() {
+    let script = Arc::new(BudgetScript {
+        kill_next: AtomicBool::new(false),
+        ops: AtomicU64::new(0),
+    });
+    let w = Workload::new("budget", budget_script_app(script.clone()), 1e-15, 2);
+    let campaign = Campaign::prepare(w, CampaignConfig::default());
+    script
+        .ops
+        .store(campaign.op_budget() * 3 / 2, Ordering::SeqCst);
+    let point = campaign.points()[0];
+    let unkilled = campaign.run_trial(&point, 0);
+    assert_eq!(unkilled.retries, 0, "the first attempt stands");
+    assert_eq!(unkilled.disposition.response(), Some(Response::InfLoop));
+
+    script.kill_next.store(true, Ordering::SeqCst);
+    let killed = campaign.run_trial(&point, 0);
+    assert!(!script.kill_next.load(Ordering::SeqCst), "the script ran");
+    assert_eq!(killed.retries, 1, "one wall-clock kill, one retry");
+    assert_eq!(
+        killed.disposition, unkilled.disposition,
+        "the retry classifies as the unkilled trial"
+    );
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {

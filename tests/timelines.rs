@@ -11,7 +11,6 @@ use simmpi::hook::{CollKind, ParamId};
 use simmpi::op::ReduceOp;
 use simmpi::runtime::AppFn;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// `bit = 1` decodes `MsgFaultPlan` kind 1: a non-sticky Drop of the
 /// target rank's first send.
@@ -46,7 +45,6 @@ fn looped_workload(nranks: usize) -> Workload {
 fn timeline_trial(w: &Workload, token: &str, resilient: bool, bit: u64) -> TrialOutcome {
     let mut cfg = CampaignConfig {
         resilient,
-        min_timeout: Duration::from_millis(300),
         ..Default::default()
     };
     cfg.set_timeline(FaultTimeline::parse(token).unwrap());
@@ -149,7 +147,6 @@ fn transient_partition_recovers_where_sticky_does_not() {
     let cfg = CampaignConfig {
         fault_channel: FaultChannel::Partition,
         resilient: true,
-        min_timeout: Duration::from_millis(300),
         ..Default::default()
     };
     let campaign = Campaign::prepare(w.clone(), cfg);

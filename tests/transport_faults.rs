@@ -9,7 +9,6 @@ use simmpi::hook::{CollKind, ParamId};
 use simmpi::op::ReduceOp;
 use simmpi::runtime::AppFn;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Non-sticky silent drop of the target rank's first in-scope send
 /// (`MsgFaultPlan::from_bit`: kind = 1 % 5 = Drop, nth_send = 0).
@@ -53,7 +52,6 @@ fn msg_trial(w: &Workload, kind: CollKind, resilient: bool, bit: u64) -> TrialOu
     let cfg = CampaignConfig {
         fault_channel: FaultChannel::Message,
         resilient,
-        min_timeout: Duration::from_millis(300),
         ..Default::default()
     };
     let campaign = Campaign::prepare(w.clone(), cfg);
