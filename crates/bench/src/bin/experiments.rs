@@ -1,23 +1,23 @@
 //! Regenerate every table and figure of the FastFIT paper's evaluation.
 //!
 //! Usage:
-//!   experiments `<id> [<id> ...]`     run specific experiments
+//!   experiments `<id> [<id> ...]` [--csv DIR] [--store DIR]
 //!   experiments all                 run everything (EXPERIMENTS.md order)
 //!
 //! Ids: fig1 fig2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 //!      tab3 tab4 profile
 //! Extensions beyond the paper: ext-cg ext-trials ext-algos
 //!      ext-propagation ext-transport ext-timeline
-//! Set FASTFIT_CSV_DIR to also write machine-readable CSVs.
+//! `--csv DIR` also writes machine-readable CSVs to DIR.
 //!
 //! Scale knobs: FASTFIT_RANKS, FASTFIT_TRIALS, FASTFIT_CLASS (see README);
 //! a malformed value exits 2 before any experiment runs. Every campaign
 //! is described as a `CampaignSpec` and resolved through the daemon's
 //! resolver, so it is the campaign `fastfit-cli` would run for the same
 //! flags under the same environment.
-//! Set FASTFIT_STORE_DIR to journal the shared campaigns to durable store
-//! directories (one per campaign under that root) — an interrupted
-//! `experiments` run then resumes its campaigns instead of remeasuring.
+//! `--store DIR` journals the shared campaigns to durable store
+//! directories (one per campaign under DIR) — an interrupted `experiments`
+//! run then resumes its campaigns instead of remeasuring.
 
 use fastfit::prelude::*;
 use fastfit_serve::{open_store, pin_spec, resolve_config, resolve_workload, CampaignSpec};
@@ -25,7 +25,7 @@ use fastfit_store::{campaign_meta, CampaignStore};
 use prng::Prng;
 use randomforest::{gaussian_fit, histogram, ForestParams, RandomForest};
 use simmpi::hook::{CollKind, ParamId};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Restrict All-mode campaign results to the paper's §V-C default fault
@@ -79,19 +79,21 @@ fn trials() -> usize {
     scale().trials.unwrap_or_default()
 }
 
+/// `--csv DIR` and `--store DIR`, set once by `main`.
+static CSV_DIR: OnceLock<String> = OnceLock::new();
+static STORE_DIR: OnceLock<String> = OnceLock::new();
+
 fn csv_dir() -> Option<String> {
-    std::env::var("FASTFIT_CSV_DIR").ok()
+    CSV_DIR.get().cloned()
 }
 
-/// Open a campaign store under `$FASTFIT_STORE_DIR/<tag>` for one of the
-/// shared campaigns, if the variable is set. Store failures (a directory
-/// holding a different campaign, say) disable persistence for that
-/// campaign rather than aborting the whole experiments run.
+/// Open a campaign store under `<--store DIR>/<tag>` for one of the shared
+/// campaigns, if `--store` was given. Store failures (a directory holding
+/// a different campaign, say) disable persistence for that campaign rather
+/// than aborting the whole experiments run.
 fn store_for(c: &Campaign, points: &[InjectionPoint], tag: &str) -> Option<CampaignStore> {
-    let base = std::env::var("FASTFIT_STORE_DIR")
-        .ok()
-        .filter(|s| !s.is_empty())?;
-    let dir = std::path::Path::new(&base).join(tag);
+    let base = STORE_DIR.get()?;
+    let dir = std::path::Path::new(base).join(tag);
     match open_store(&dir, c, points, campaign_meta(c, points, None)) {
         Ok(s) => {
             if s.replayable_trials() > 0 {
@@ -193,9 +195,29 @@ fn report_run(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Vec::new();
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        let out = match arg.as_str() {
+            "--csv" => &CSV_DIR,
+            "--store" => &STORE_DIR,
+            _ if !arg.starts_with("--") => {
+                args.push(arg);
+                continue;
+            }
+            flag => {
+                eprintln!("experiments takes no flag {flag}");
+                std::process::exit(2);
+            }
+        };
+        let dir = argv.next().filter(|d| !d.starts_with("--"));
+        if dir.map(|d| out.set(d)) != Some(Ok(())) {
+            eprintln!("{arg} needs one directory");
+            std::process::exit(2);
+        }
+    }
     if args.is_empty() {
-        eprintln!("usage: experiments <fig1|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|tab3|tab4|profile|all> ...");
+        eprintln!("usage: experiments <fig1|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|tab3|tab4|profile|all> ... [--csv DIR] [--store DIR]");
         std::process::exit(2);
     }
     scale();

@@ -2,10 +2,10 @@
 //! command line.
 //!
 //! ```text
-//! fastfit-cli profile  --workload <IS|FT|MG|LU|CG|HALO|LAMMPS>
+//! fastfit-cli profile  --workload <IS|FT|MG|LU|CG|HALO|LAMMPS> [campaign flags]
 //! fastfit-cli campaign --workload <...> [--trials N] [--params data|all|only:...]
-//!                      [--ranks N] [--seed N] [--app-seed N] [--ml [--threshold 0.65]]
-//!                      [--csv DIR] [--store DIR] [--timeline single|burst:W[:G]|...]
+//!                      [--ranks N] [--class C] [--seed N] [--app-seed N]
+//!                      [--ml [--threshold 0.65]] [--csv DIR] [--store DIR]
 //! fastfit-cli point    --workload <...> --site <file.rs:LINE> --param <p>
 //!                      [--rank R] [--invocation I] [--trials N]
 //! fastfit-cli status   <DIR>
@@ -15,16 +15,18 @@
 //! `profile` prints the communication profile and pruning inventory;
 //! `campaign` runs the full injection study and prints the sensitivity
 //! tables; `point` drills into one injection point. With `--store DIR`
-//! (or `FASTFIT_STORE_DIR` set) the campaign journals every trial to a
-//! durable store directory; `status` pretty-prints a store's live
-//! `status.json`, and `resume` re-runs an interrupted campaign from its
-//! journal, replaying paid-for trials instead of re-executing them.
+//! the campaign journals every trial to a durable store directory;
+//! `status` pretty-prints a store's live `status.json`, and `resume`
+//! re-runs an interrupted campaign from its journal, replaying paid-for
+//! trials instead of re-executing them.
 //!
-//! The campaign flags describe a [`CampaignSpec`] — the document `submit`
-//! POSTs to the daemon — and every verb resolves it through the daemon's
-//! own resolver, so a campaign run here and the same spec submitted there
-//! journal byte-identically. What the flags leave unset of ranks, trials
-//! and problem class comes from `FASTFIT_RANKS`/`FASTFIT_TRIALS`/
+//! Every flag is a row of [`FLAGS`]. The campaign flags each set one key
+//! of the [`CampaignSpec`] JSON that `submit` POSTs to the daemon, and the
+//! CLI parses that document with the daemon's own parser, pins and
+//! validates it as the daemon admits a submission, and resolves it through
+//! the daemon's resolver: a campaign run here and the same spec submitted
+//! there journal byte-identically. What the flags leave unset of ranks,
+//! trials and problem class comes from `FASTFIT_RANKS`/`FASTFIT_TRIALS`/
 //! `FASTFIT_CLASS` of whichever process pins the spec: this one for the
 //! local verbs, the daemon for `submit`.
 
@@ -40,252 +42,299 @@ use fastfit_serve::{
 use fastfit_store::json::Json;
 use fastfit_store::telemetry::STATUS_FILE;
 use fastfit_store::{read_store_meta, short_id, CampaignState, StatusSnapshot};
-use simmpi::hook::{CallSite, CollKind, ParamId};
-use std::collections::HashMap;
+use simmpi::hook::{CallSite, ParamId};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Poll cadence for `status --watch` and `watch`.
 const WATCH_POLL: Duration = Duration::from_millis(500);
 
-/// The flags [`spec_from_flags`] reads: every verb that describes a
-/// campaign accepts them.
-const SPEC_FLAGS: &str = "workload ranks trials params fault-channel resilient-transport seed \
-                          app-seed steps colls timeline ml threshold warm-start";
+/// How a flag takes its argument.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// On when given; a value after it is refused.
+    Switch,
+    /// One value, of the shape named (shown by `usage`).
+    Value(&'static str),
+}
+use Kind::{Switch, Value};
 
-/// `--key [value]` pairs. A key that no list of `accepted` (names
-/// separated by whitespace) holds exits 2 naming it, so a misspelt or
-/// retired flag is refused instead of leaving its knob at the default.
-fn parse_flags(verb: &str, args: &[String], accepted: &[&str]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if !accepted
-                .iter()
-                .any(|l| l.split_whitespace().any(|n| n == key))
-            {
-                eprintln!("{verb} takes no flag --{key}");
-                std::process::exit(2);
-            }
-            let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                i += 1;
-                args[i].clone()
-            } else {
-                "true".to_string()
-            };
-            map.insert(key.to_string(), value);
-        } else {
-            eprintln!("unexpected argument {:?}", args[i]);
-            std::process::exit(2);
-        }
-        i += 1;
-    }
-    map
+/// One flag of the CLI.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// The verbs that take it; any other refuses it.
+    verbs: &'static [&'static str],
+    /// For a campaign flag, the `CampaignSpec` JSON key it sets.
+    key: Option<&'static str>,
+    /// What it does, for `usage`.
+    help: &'static str,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fastfit-cli <profile|campaign|point> --workload <IS|FT|MG|LU|CG|HALO|LAMMPS> [flags]\n\
-         \x20      fastfit-cli status <DIR> [--watch]\n\
-         \x20      fastfit-cli resume <DIR> [--steps N] [--threshold 0.65] [--csv DIR]\n\
-         \x20      fastfit-cli serve  [--addr HOST:PORT] [--root DIR] [--budget N] [--max-campaigns K]\n\
-         \x20                         [--fleet [--lease-trials N] [--lease-ttl-ms MS]]\n\
-         \x20      fastfit-cli worker [--addr HOST:PORT] [--name NAME]\n\
-         \x20      fastfit-cli fleet  [--addr HOST:PORT]\n\
-         \x20      fastfit-cli journal-sha <DIR>\n\
-         \x20      fastfit-cli models <REGISTRY-DIR> (e.g. <store>/models)\n\
-         \x20      fastfit-cli submit --workload <...> [campaign flags] [--addr HOST:PORT]\n\
-         \x20      fastfit-cli watch  <ID> [--addr HOST:PORT]\n\
-         \x20      fastfit-cli cancel <ID> [--addr HOST:PORT]\n\
-         \x20      fastfit-cli scenario --grammar FILE [--max-cost N] [--costs]\n\
-         \x20                           [--submit [--addr HOST:PORT]]\n\
-         flags: --trials N  --params data|all|only:sendbuf+count  --ranks N\n\
-         \x20      --seed N (fault-bit selection)  --app-seed N (application)\n\
-         \x20      --ml  --threshold 0.65  --csv DIR  --store DIR (or FASTFIT_STORE_DIR)\n\
-                --warm-start <model-id|auto> (seed the ML loop from a\n\
-                \x20 registered model; auto picks the newest compatible one;\n\
-                \x20 a warm loop measures by vote entropy, a cold one in scan order)\n\
-                --registry DIR (model registry; default <store>/models)\n\
-                --fault-channel param|message|crash-stop|fail-slow|partition\n\
-                \x20 (call parameters, wire messages, rank kill, rank delay,\n\
-                \x20  or a network cut between two rank groups)\n\
-                --colls MPI_Allreduce,MPI_Bcast,... (measure only these kinds)\n\
-                --timeline single|burst:W[:G]|cascade:D|heal:D (join with +)\n\
-                \x20 (correlated fault schedule anchored at the injection\n\
-                \x20  point; pins the fault channel to the schedule's first\n\
-                \x20  event)\n\
-                --resilient-transport (checksum/ack/retransmit recovery)\n\
-                --site file.rs:LINE  --param sendbuf|recvbuf|count|datatype|op|root|comm\n\
-                --rank R  --invocation I  --steps N (LAMMPS run length)\n\
-         env:   FASTFIT_RANKS  FASTFIT_TRIALS  FASTFIT_CLASS (mini|small|standard)\n\
-                \x20 fill the --ranks/--trials/class a campaign leaves unset; the journal\n\
-                \x20 records them, so resume reads none (submit: the daemon's env fills them)\n\
-                FASTFIT_STORE_DIR\n\
-         the campaign flags are checked as the daemon checks a submission: a value it\n\
-         would answer with a 400, a number that does not parse, a flag the verb does\n\
-         not take, or a malformed FASTFIT_* value exits 2."
-    );
+#[rustfmt::skip]
+const fn flag(name: &'static str, kind: Kind, verbs: &'static [&'static str],
+              key: Option<&'static str>, help: &'static str) -> Flag {
+    Flag { name, kind, verbs, key, help }
+}
+
+/// The verbs that describe a campaign by its flags.
+const SPEC: &[&str] = &["profile", "campaign", "point", "submit"];
+/// Those and `resume`, which re-gives what a journal does not record.
+const SPEC_RESUME: &[&str] = &["profile", "campaign", "point", "submit", "resume"];
+/// The verbs that talk to a daemon (`serve` listens there).
+const DAEMON: &[&str] = &[
+    "serve", "worker", "fleet", "submit", "scenario", "watch", "cancel",
+];
+
+/// Every flag of every verb: what [`Flags::parse`] accepts, what
+/// [`spec_json`] lowers to a campaign spec, and what [`usage`] lists.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("workload", Value("IS|FT|MG|LU|CG|HALO|LAMMPS"), SPEC, Some("workload"), "the application"),
+    flag("ranks", Value("N"), SPEC, Some("ranks"), "ranks per job (else FASTFIT_RANKS)"),
+    flag("trials", Value("N"), SPEC, Some("trials"), "trials per injection point (else FASTFIT_TRIALS)"),
+    flag("class", Value("mini|small|standard"), SPEC, Some("class"), "NPB problem class (else FASTFIT_CLASS)"),
+    flag("params", Value("data|all|only:sendbuf+count"), SPEC, Some("params"), "the call parameters to inject into"),
+    flag("fault-channel", Value("param|message|crash-stop|fail-slow|partition"), SPEC, Some("fault_channel"),
+         "call parameters, wire messages, rank kill, rank delay or a network cut"),
+    flag("resilient-transport", Switch, SPEC, Some("resilient"), "checksum/ack/retransmit recovery"),
+    flag("seed", Value("N"), SPEC, Some("seed"), "fault-bit selection"),
+    flag("app-seed", Value("N"), SPEC, Some("app_seed"), "the application's seed"),
+    flag("steps", Value("N"), SPEC_RESUME, Some("steps"), "LAMMPS run length"),
+    flag("colls", Value("MPI_Allreduce,MPI_Bcast,..."), SPEC, Some("colls"), "measure only these collectives"),
+    flag("timeline", Value("single|burst:W[:G]|cascade:D|heal:D"), SPEC, Some("timeline"),
+         "a correlated fault schedule (join with +); pins the channel to its first event's"),
+    flag("ml", Switch, SPEC, Some("ml_threshold"), "measure through the ML feedback loop, predict the rest"),
+    flag("threshold", Value("0.65"), SPEC_RESUME, None, "the ML loop's accuracy threshold (an ML campaign only)"),
+    flag("warm-start", Value("MODEL-ID|auto"), SPEC, Some("warm_start"),
+         "seed the ML loop from a registered model (auto: the newest compatible one)"),
+    flag("csv", Value("DIR"), &["campaign", "resume"], None, "write the measured points as CSV"),
+    flag("store", Value("DIR"), &["campaign"], None, "journal the campaign, for status and resume"),
+    flag("registry", Value("DIR"), &["campaign", "resume"], None, "model registry (default <store>/models)"),
+    flag("site", Value("FILE.rs:LINE"), &["point"], None, "the call site"),
+    flag("param", Value("sendbuf|recvbuf|count|datatype|op|root|comm"), &["point"], None, "the parameter"),
+    flag("rank", Value("R"), &["point"], None, "the injected rank (default the first representative)"),
+    flag("invocation", Value("I"), &["point"], None, "the call site's invocation"),
+    flag("addr", Value("HOST:PORT"), DAEMON, None, "the daemon's address"),
+    flag("root", Value("DIR"), &["serve"], None, "the daemon's state directory"),
+    flag("budget", Value("N"), &["serve"], None, "rank threads the daemon's campaigns share"),
+    flag("max-campaigns", Value("K"), &["serve"], None, "campaigns running at once"),
+    flag("fleet", Switch, &["serve"], None, "coordinate fleet workers"),
+    flag("lease-trials", Value("N"), &["serve"], None, "trials per fleet lease"),
+    flag("lease-ttl-ms", Value("MS"), &["serve"], None, "how long a silent worker keeps its lease"),
+    flag("name", Value("NAME"), &["worker"], None, "the worker's name"),
+    flag("grammar", Value("FILE"), &["scenario"], None, "the scenario grammar"),
+    flag("max-cost", Value("N"), &["scenario"], None, "drop the scenarios that cost more"),
+    flag("costs", Switch, &["scenario"], None, "price each scenario by a local golden run"),
+    flag("submit", Switch, &["scenario"], None, "POST the grammar to the daemon"),
+    flag("watch", Switch, &["status"], None, "redraw until the campaign stops running"),
+];
+
+/// Report a refused invocation and exit 2.
+fn refuse(msg: impl Display) -> ! {
+    eprintln!("{msg}");
     std::process::exit(2)
 }
 
-/// A numeric flag, if given: an unparsable value is an error (exit 2),
-/// never a silent fall-back to the default.
-fn parse_flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
-    flags.get(key).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad --{key} value {v:?}");
-            std::process::exit(2);
-        })
-    })
+/// Report a failure to do what the invocation asked and exit 1.
+fn fail(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
 }
 
-/// The campaign the flags describe, as the spec `submit` would POST — the
-/// only mapping from flags to campaign identity. It is held to the
-/// daemon's own admission check: what `POST /campaigns` answers with a
-/// 400, every verb refuses with exit 2 and the same message.
-fn spec_from_flags(flags: &HashMap<String, String>) -> CampaignSpec {
-    let mut spec = CampaignSpec::new(flags.get("workload").cloned().unwrap_or_else(|| usage()));
-    spec.ranks = parse_flag(flags, "ranks");
-    spec.trials = parse_flag(flags, "trials");
-    spec.params = flags.get("params").map(|tok| {
-        ParamsMode::from_token(tok).unwrap_or_else(|| {
-            eprintln!("unknown params mode {tok:?} (data|all|only:sendbuf+count+...)");
-            std::process::exit(2);
+/// The flags one invocation gave, by name: a value flag's value, `""` for
+/// a switch.
+struct Flags(HashMap<&'static str, String>);
+
+impl Flags {
+    /// The `--name [value]` arguments of `verb`. A flag the verb does not
+    /// take, a switch given a value and a value flag given none each exit
+    /// 2 naming the flag: a misspelt, retired or misread flag is refused
+    /// instead of leaving its knob at the default.
+    fn parse(verb: &str, args: &[String]) -> Flags {
+        let mut given = HashMap::new();
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                refuse(format!("unexpected argument {arg:?}"))
+            };
+            let Some(flag) = FLAGS
+                .iter()
+                .find(|f| f.name == name && f.verbs.contains(&verb))
+            else {
+                refuse(format!("{verb} takes no flag --{name}"))
+            };
+            let value = match (flag.kind, args.next_if(|v| !v.starts_with("--"))) {
+                (Switch, None) => String::new(),
+                (Value(_), Some(v)) => v.clone(),
+                (Switch, Some(v)) => {
+                    refuse(format!("--{name} is a switch and takes no value: {v:?}"))
+                }
+                (Value(shape), None) => refuse(format!("--{name} needs a value ({shape})")),
+            };
+            given.insert(flag.name, value);
+        }
+        Flags(given)
+    }
+
+    /// A value flag's value, if given.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.0.get(name).map(String::as_str)
+    }
+
+    /// Whether a switch was given.
+    fn on(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// A numeric flag, if given: an unparsable value is an error (exit 2),
+    /// never a silent fall-back to the default.
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.get(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| refuse(format!("bad --{name} value {v:?}")))
         })
-    });
-    spec.fault_channel = flags.get("fault-channel").map(|tok| {
-        FaultChannel::from_token(tok).unwrap_or_else(|| {
-            eprintln!(
-                "unknown fault channel {tok:?} (param|message|crash-stop|fail-slow|partition)"
-            );
-            std::process::exit(2);
-        })
-    });
-    if flags.contains_key("resilient-transport") {
-        spec.resilient = Some(true);
     }
-    spec.seed = parse_flag(flags, "seed");
-    spec.app_seed = parse_flag(flags, "app-seed");
-    spec.steps = parse_flag(flags, "steps");
-    spec.colls = flags.get("colls").map(|arg| parse_colls(arg));
-    // The canonical token; one that does not parse is left for
-    // `validate_spec` to refuse with the daemon's message.
-    spec.timeline = flags.get("timeline").map(|tok| {
-        FaultTimeline::parse(tok).map_or_else(|_| tok.clone(), |t| t.token().to_string())
-    });
-    let threshold = parse_flag(flags, "threshold");
-    if flags.contains_key("ml") {
-        spec.ml_threshold = Some(threshold.unwrap_or(MlConfig::default().accuracy_threshold));
+}
+
+/// The head of [`usage`]: the verbs and what they act on.
+const USAGE: &str = "usage: fastfit-cli <verb> [flags]
+  profile|campaign|point|submit --workload W   a campaign, described by its flags
+  status|resume|journal-sha DIR                a campaign store
+  models DIR                                   a model registry (e.g. <store>/models)
+  serve, worker, fleet                         the daemon, a fleet worker, the fleet's state
+  watch|cancel ID                              a campaign on the daemon
+  scenario --grammar FILE                      preview, price or submit a scenario sweep
+flags (and the verbs that take them):";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    for f in FLAGS {
+        let shape = match f.kind {
+            Switch => String::new(),
+            Value(shape) => format!(" {shape}"),
+        };
+        let verbs = f.verbs.join(" ");
+        eprintln!("  --{}{shape}\n        {} [{verbs}]", f.name, f.help);
     }
-    spec.warm_start = flags.get("warm-start").cloned();
-    if let Err(e) = validate_spec(&spec) {
-        eprintln!("{e}");
-        std::process::exit(2);
+    refuse(
+        "env: FASTFIT_RANKS FASTFIT_TRIALS FASTFIT_CLASS (mini|small|standard) fill the\n\
+         \x20    ranks/trials/class a campaign leaves unset; the journal records them, so\n\
+         \x20    resume reads none (submit: the daemon's env fills them)\n\
+         the campaign flags are checked as the daemon checks a submission: a value it\n\
+         would answer with a 400, a number that does not parse, a flag the verb does\n\
+         not take, a switch given a value, or a malformed FASTFIT_* value exits 2.",
+    )
+}
+
+/// The campaign the flags describe, as the JSON document `POST /campaigns`
+/// takes: each campaign flag given sets its key on `base` (none, or a
+/// journal's spec for `resume`). Numbers are parsed here, so that a bad
+/// one names its flag; every token is left to [`CampaignSpec::from_json`].
+fn spec_json(flags: &Flags, base: Option<&CampaignSpec>) -> Json {
+    let mut doc = match base.map(CampaignSpec::to_json) {
+        Some(Json::Obj(doc)) => doc,
+        _ => BTreeMap::new(),
+    };
+    for flag in FLAGS {
+        let (Some(key), Some(value)) = (flag.key, flags.get(flag.name)) else {
+            continue;
+        };
+        let json = match key {
+            "ranks" | "trials" | "seed" | "app_seed" | "steps" => {
+                Json::U64(flags.number(flag.name).expect("given"))
+            }
+            "resilient" => Json::Bool(true),
+            "ml_threshold" => Json::F64(MlConfig::default().accuracy_threshold),
+            "colls" => Json::Arr(
+                value
+                    .split(',')
+                    .map(|n| Json::Str(n.trim().into()))
+                    .collect(),
+            ),
+            _ => Json::Str(value.to_string()),
+        };
+        doc.insert(key.to_string(), json);
     }
+    if let Some(t) = flags.number("threshold") {
+        match doc.get_mut("ml_threshold") {
+            Some(threshold) => *threshold = Json::F64(t),
+            None => refuse("--threshold needs an ML campaign (--ml)"),
+        }
+    }
+    Json::Obj(doc)
+}
+
+/// The spec the flags describe over `base`, parsed by the parser the
+/// daemon's `POST /campaigns` runs: what it answers with a 400 exits 2
+/// with the same message.
+fn lower(flags: &Flags, base: Option<&CampaignSpec>) -> CampaignSpec {
+    CampaignSpec::from_json(&spec_json(flags, base)).unwrap_or_else(|e| refuse(e))
+}
+
+/// A spec pinned against this process's environment and validated, as the
+/// daemon admits a submission (a malformed `FASTFIT_*` value exits 2).
+fn admit(spec: &CampaignSpec) -> CampaignSpec {
+    let spec = pin_spec(spec).unwrap_or_else(|e| refuse(e));
+    validate_spec(&spec).unwrap_or_else(|e| refuse(e));
     spec
 }
 
-/// Prepare the campaign a spec describes, pinned against this process's
-/// environment (a malformed `FASTFIT_*` value exits 2).
+/// Prepare the campaign an admitted spec describes.
 fn prepare(spec: &CampaignSpec) -> Campaign {
-    let spec = &pin_spec(spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
     Campaign::prepare(resolve_workload(spec), resolve_config(spec))
-}
-
-/// Parse a `--colls` list: comma-separated `MPI_*` display names.
-fn parse_colls(arg: &str) -> Vec<CollKind> {
-    arg.split(',')
-        .map(|name| {
-            CollKind::from_name(name.trim()).unwrap_or_else(|| {
-                eprintln!("unknown collective {:?} (MPI_* display names)", name.trim());
-                std::process::exit(2);
-            })
-        })
-        .collect()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
+    let Some((verb, rest)) = args.split_first() else {
         usage()
     };
-    let flags = |accepted: &[&str]| parse_flags(cmd, rest, accepted);
-    match cmd.as_str() {
-        "profile" => cmd_profile(&flags(&[SPEC_FLAGS])),
-        "campaign" => cmd_campaign(&flags(&[SPEC_FLAGS, "csv store registry"])),
-        "point" => cmd_point(&flags(&[SPEC_FLAGS, "site param rank invocation"])),
-        "serve" => cmd_serve(&flags(&[
-            "addr root budget max-campaigns fleet lease-trials lease-ttl-ms",
-        ])),
-        "worker" => cmd_worker(&flags(&["addr name"])),
-        "fleet" => cmd_fleet(&flags(&["addr"])),
-        "submit" => cmd_submit(&flags(&[SPEC_FLAGS, "addr"])),
-        "scenario" => cmd_scenario(&flags(&["grammar max-cost costs submit addr"])),
-        "journal-sha" => {
-            let Some((dir, extra)) = rest.split_first().filter(|(d, _)| !d.starts_with("--"))
-            else {
-                eprintln!("journal-sha needs a store directory");
-                usage()
-            };
-            parse_flags(cmd, extra, &[]);
-            match fastfit_store::journal_content_sha(Path::new(dir)) {
-                Ok(sha) => println!("{sha}"),
-                Err(e) => {
-                    eprintln!("cannot hash journal in {dir}: {e}");
-                    std::process::exit(1);
+    let verb = verb.as_str();
+    // The verbs that name a directory or a campaign ID before any flag.
+    let (arg, rest) = match verb {
+        "status" | "resume" | "journal-sha" | "models" | "watch" | "cancel" => {
+            match rest.split_first() {
+                Some((arg, rest)) if !arg.starts_with("--") => (arg.as_str(), rest),
+                _ => {
+                    eprintln!("{verb} needs a directory or campaign ID");
+                    usage()
                 }
             }
         }
-        "models" => {
-            let Some((dir, extra)) = rest.split_first().filter(|(d, _)| !d.starts_with("--"))
-            else {
-                eprintln!("models needs a registry directory (e.g. <store>/models)");
-                usage()
-            };
-            parse_flags(cmd, extra, &[]);
-            cmd_models(Path::new(dir));
-        }
-        "status" | "resume" => {
-            let Some((dir, flag_args)) = rest.split_first().filter(|(d, _)| !d.starts_with("--"))
-            else {
-                eprintln!("{} needs a store directory", cmd);
-                usage()
-            };
-            if cmd == "status" {
-                let flags = parse_flags(cmd, flag_args, &["watch"]);
-                cmd_status(Path::new(dir), flags.contains_key("watch"));
-            } else {
-                let accepted = ["steps threshold csv registry"];
-                cmd_resume(Path::new(dir), &parse_flags(cmd, flag_args, &accepted));
-            }
-        }
-        "watch" | "cancel" => {
-            let Some((id, flag_args)) = rest.split_first().filter(|(d, _)| !d.starts_with("--"))
-            else {
-                eprintln!("{} needs a campaign ID", cmd);
-                usage()
-            };
-            let flags = parse_flags(cmd, flag_args, &["addr"]);
-            if cmd == "watch" {
-                cmd_watch(id, &flags);
-            } else {
-                cmd_cancel(id, &flags);
-            }
+        "profile" | "campaign" | "point" | "serve" | "worker" | "fleet" | "submit" | "scenario" => {
+            ("", rest)
         }
         _ => usage(),
+    };
+    let flags = Flags::parse(verb, rest);
+    match verb {
+        "profile" => cmd_profile(&flags),
+        "campaign" => cmd_campaign(&flags),
+        "point" => cmd_point(&flags),
+        "serve" => cmd_serve(&flags),
+        "worker" => cmd_worker(&flags),
+        "fleet" => cmd_fleet(&flags),
+        "submit" => cmd_submit(&flags),
+        "scenario" => cmd_scenario(&flags),
+        "journal-sha" => match fastfit_store::journal_content_sha(Path::new(arg)) {
+            Ok(sha) => println!("{sha}"),
+            Err(e) => fail(format!("cannot hash journal in {arg}: {e}")),
+        },
+        "models" => cmd_models(Path::new(arg)),
+        "status" => cmd_status(Path::new(arg), flags.on("watch")),
+        "resume" => cmd_resume(Path::new(arg), &flags),
+        "watch" => cmd_watch(arg, &flags),
+        "cancel" => cmd_cancel(arg, &flags),
+        _ => unreachable!("an unknown verb got usage"),
     }
 }
 
 /// The daemon address for the client verbs: `--addr` or the default.
-fn serve_addr(flags: &HashMap<String, String>) -> String {
-    flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| DEFAULT_ADDR.to_string())
+fn serve_addr(flags: &Flags) -> String {
+    flags.get("addr").unwrap_or(DEFAULT_ADDR).to_string()
 }
 
 /// Retry attempts for client verbs: with the jittered backoff in
@@ -299,50 +348,39 @@ fn request_or_die(
     path: &str,
     body: Option<(&str, &str)>,
 ) -> fastfit_serve::Response {
-    http_request_retry(addr, method, path, body, CLIENT_ATTEMPTS).unwrap_or_else(|e| {
-        eprintln!("cannot reach fastfit-cli serve at {addr}: {e}");
-        std::process::exit(1);
-    })
+    http_request_retry(addr, method, path, body, CLIENT_ATTEMPTS)
+        .unwrap_or_else(|e| fail(format!("cannot reach fastfit-cli serve at {addr}: {e}")))
 }
 
 /// `fastfit-cli serve` — run the campaign service in the foreground until
 /// SIGINT/SIGTERM.
-fn cmd_serve(flags: &HashMap<String, String>) {
-    let mut cfg = ServeConfig::new(
-        flags
-            .get("root")
-            .cloned()
-            .unwrap_or_else(|| "fastfit-serve".into()),
-    );
+fn cmd_serve(flags: &Flags) {
+    let mut cfg = ServeConfig::new(flags.get("root").unwrap_or("fastfit-serve"));
     if let Some(a) = flags.get("addr") {
-        cfg.addr = a.clone();
+        cfg.addr = a.to_string();
     }
-    if let Some(b) = parse_flag(flags, "budget") {
+    if let Some(b) = flags.number("budget") {
         cfg.worker_budget = b;
     }
-    if let Some(k) = parse_flag(flags, "max-campaigns") {
+    if let Some(k) = flags.number("max-campaigns") {
         cfg.max_campaigns = k;
     }
-    cfg.fleet = flags.contains_key("fleet");
-    if let Some(n) = parse_flag(flags, "lease-trials") {
+    cfg.fleet = flags.on("fleet");
+    if let Some(n) = flags.number("lease-trials") {
         cfg.lease_trials = n;
     }
-    if let Some(ms) = parse_flag(flags, "lease-ttl-ms") {
+    if let Some(ms) = flags.number("lease-ttl-ms") {
         cfg.lease_ttl = Duration::from_millis(ms);
     }
     if cfg.worker_budget == 0 || cfg.max_campaigns == 0 {
-        eprintln!("--budget and --max-campaigns must be at least 1");
-        std::process::exit(2);
+        refuse("--budget and --max-campaigns must be at least 1");
     }
     if cfg.fleet && (cfg.lease_trials == 0 || cfg.lease_ttl.is_zero()) {
-        eprintln!("--lease-trials and --lease-ttl-ms must be at least 1");
-        std::process::exit(2);
+        refuse("--lease-trials and --lease-ttl-ms must be at least 1");
     }
     signal::install_shutdown_handler();
-    let handle = fastfit_serve::start(cfg.clone()).unwrap_or_else(|e| {
-        eprintln!("cannot start fastfit-cli serve: {e}");
-        std::process::exit(1);
-    });
+    let handle = fastfit_serve::start(cfg.clone())
+        .unwrap_or_else(|e| fail(format!("cannot start fastfit-cli serve: {e}")));
     println!(
         "fastfit-cli serve listening on {} (root {}, budget {}, max {} concurrent campaigns{})",
         handle.addr(),
@@ -361,12 +399,11 @@ fn cmd_serve(flags: &HashMap<String, String>) {
 
 /// `fastfit-cli worker` — join a fleet coordinator and execute leased
 /// trial ranges until SIGINT/SIGTERM.
-fn cmd_worker(flags: &HashMap<String, String>) {
+fn cmd_worker(flags: &Flags) {
     let addr = serve_addr(flags);
     let name = flags
         .get("name")
-        .cloned()
-        .unwrap_or_else(|| format!("worker-{}", std::process::id()));
+        .map_or_else(|| format!("worker-{}", std::process::id()), String::from);
     signal::install_shutdown_handler();
     let cfg = WorkerConfig::new(addr, name);
     match run_worker(&cfg, &signal::shutdown_requested) {
@@ -374,21 +411,21 @@ fn cmd_worker(flags: &HashMap<String, String>) {
             eprintln!("fastfit-worker: stopping after {leases} completed lease(s)");
             std::process::exit(130);
         }
-        Err(e) => {
-            eprintln!("fastfit-worker: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(format!("fastfit-worker: {e}")),
     }
 }
 
 /// `fastfit-cli fleet` — show the coordinator's worker/lease/coverage
 /// state.
-fn cmd_fleet(flags: &HashMap<String, String>) {
+fn cmd_fleet(flags: &Flags) {
     let addr = serve_addr(flags);
     let r = request_or_die(&addr, "GET", "/fleet/status", None);
     if r.status != 200 {
-        eprintln!("fleet status failed ({}): {}", r.status, r.body.trim());
-        std::process::exit(1);
+        fail(format!(
+            "fleet status failed ({}): {}",
+            r.status,
+            r.body.trim()
+        ));
     }
     let v = Json::parse(&r.body).unwrap_or(Json::Null);
     let enabled = v.get("fleet").and_then(Json::as_bool).unwrap_or(false);
@@ -441,8 +478,9 @@ fn cmd_fleet(flags: &HashMap<String, String>) {
 
 /// `fastfit-cli submit` — build a campaign spec from the same flags the
 /// `campaign` verb takes and POST it to the daemon.
-fn cmd_submit(flags: &HashMap<String, String>) {
-    let spec = spec_from_flags(flags);
+fn cmd_submit(flags: &Flags) {
+    let spec = lower(flags, None);
+    validate_spec(&spec).unwrap_or_else(|e| refuse(e));
     let addr = serve_addr(flags);
     let body = spec.to_json().encode();
     let r = request_or_die(
@@ -452,18 +490,20 @@ fn cmd_submit(flags: &HashMap<String, String>) {
         Some(("application/json", &body)),
     );
     if r.status != 201 {
-        eprintln!("submission rejected ({}): {}", r.status, r.body.trim());
-        std::process::exit(1);
+        fail(format!(
+            "submission rejected ({}): {}",
+            r.status,
+            r.body.trim()
+        ));
     }
     let id = Json::parse(&r.body)
         .ok()
         .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_string))
         .unwrap_or_else(|| {
-            eprintln!(
+            fail(format!(
                 "daemon returned an unreadable submission receipt: {}",
                 r.body
-            );
-            std::process::exit(1);
+            ))
         });
     println!("submitted campaign {id} to {addr}");
     println!("follow it with: fastfit-cli watch {id} --addr {addr}");
@@ -473,29 +513,19 @@ fn cmd_submit(flags: &HashMap<String, String>) {
 /// product (optionally priced by local golden runs), and with `--submit`
 /// POST the grammar to the daemon's `/scenarios` endpoint, which expands
 /// it server-side into one durable queue entry per campaign.
-fn cmd_scenario(flags: &HashMap<String, String>) {
-    let path = flags.get("grammar").cloned().unwrap_or_else(|| usage());
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read grammar {path}: {e}");
-        std::process::exit(1);
-    });
-    let mut grammar = Grammar::parse(&text).unwrap_or_else(|e| {
-        eprintln!("bad grammar {path}: {e}");
-        std::process::exit(2);
-    });
-    let cli_max_cost = flags.get("max-cost").map(|s| {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("--max-cost must be a non-negative integer");
-            std::process::exit(2);
-        })
-    });
+fn cmd_scenario(flags: &Flags) {
+    let path = flags.get("grammar").unwrap_or_else(|| usage());
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("cannot read grammar {path}: {e}")));
+    let mut grammar =
+        Grammar::parse(&text).unwrap_or_else(|e| refuse(format!("bad grammar {path}: {e}")));
+    let cli_max_cost = flags.number("max-cost");
     if cli_max_cost.is_some() {
         grammar.max_cost = cli_max_cost;
     }
-    let scenarios = grammar.expand().unwrap_or_else(|e| {
-        eprintln!("grammar {path} does not enumerate: {e}");
-        std::process::exit(2);
-    });
+    let scenarios = grammar
+        .expand()
+        .unwrap_or_else(|e| refuse(format!("grammar {path} does not enumerate: {e}")));
     println!(
         "scenario sweep {:?}: {} scenarios",
         grammar.template.name,
@@ -503,7 +533,7 @@ fn cmd_scenario(flags: &HashMap<String, String>) {
     );
     // Price the sweep locally (golden-run profiles) when a budget is in
     // play or an explicit preview was asked for.
-    let priced = grammar.max_cost.is_some() || flags.contains_key("costs");
+    let priced = grammar.max_cost.is_some() || flags.on("costs");
     if priced {
         let model = GoldenCostModel::new();
         let mut kept = 0;
@@ -519,10 +549,7 @@ fn cmd_scenario(flags: &HashMap<String, String>) {
                         if over { "  (over budget: dropped)" } else { "" }
                     );
                 }
-                Err(e) => {
-                    eprintln!("cannot price scenario {}: {e}", s.label());
-                    std::process::exit(1);
-                }
+                Err(e) => fail(format!("cannot price scenario {}: {e}", s.label())),
             }
         }
         if let Some(max) = grammar.max_cost {
@@ -536,7 +563,7 @@ fn cmd_scenario(flags: &HashMap<String, String>) {
             println!("  {}", s.label());
         }
     }
-    if !flags.contains_key("submit") {
+    if !flags.on("submit") {
         return;
     }
     // Ship the grammar itself (with any --max-cost override patched in):
@@ -560,8 +587,11 @@ fn cmd_scenario(flags: &HashMap<String, String>) {
         Some(("application/json", &body)),
     );
     if r.status != 201 {
-        eprintln!("scenario rejected ({}): {}", r.status, r.body.trim());
-        std::process::exit(1);
+        fail(format!(
+            "scenario rejected ({}): {}",
+            r.status,
+            r.body.trim()
+        ));
     }
     let receipt = Json::parse(&r.body).unwrap_or(Json::Null);
     let sid = receipt
@@ -605,18 +635,17 @@ fn render_status_screen(header: &str, body: &str) {
 
 /// `fastfit-cli watch` — poll the daemon for a campaign's status until it
 /// reaches a terminal state.
-fn cmd_watch(id: &str, flags: &HashMap<String, String>) {
+fn cmd_watch(id: &str, flags: &Flags) {
     let addr = serve_addr(flags);
     let mut last = String::new();
     loop {
         let r = request_or_die(&addr, "GET", &format!("/campaigns/{id}/status"), None);
         if r.status != 200 {
-            eprintln!(
+            fail(format!(
                 "status of {id} unavailable ({}): {}",
                 r.status,
                 r.body.trim()
-            );
-            std::process::exit(1);
+            ));
         }
         if r.body != last {
             render_status_screen(&format!("campaign {id} @ {addr}"), &r.body);
@@ -631,21 +660,18 @@ fn cmd_watch(id: &str, flags: &HashMap<String, String>) {
 }
 
 /// `fastfit-cli cancel` — ask the daemon to stop a campaign.
-fn cmd_cancel(id: &str, flags: &HashMap<String, String>) {
+fn cmd_cancel(id: &str, flags: &Flags) {
     let addr = serve_addr(flags);
     let r = request_or_die(&addr, "DELETE", &format!("/campaigns/{id}"), None);
     match r.status {
         200 => println!("campaign {id} cancelled (was still queued)"),
         202 => println!("campaign {id} cancelling at the next trial boundary"),
-        s => {
-            eprintln!("cancel failed ({s}): {}", r.body.trim());
-            std::process::exit(1);
-        }
+        s => fail(format!("cancel failed ({s}): {}", r.body.trim())),
     }
 }
 
-fn cmd_profile(flags: &HashMap<String, String>) {
-    let c = prepare(&spec_from_flags(flags));
+fn cmd_profile(flags: &Flags) {
+    let c = prepare(&admit(&lower(flags, None)));
     print!("{}", mpiprof::communication_report(&c.profile));
     println!(
         "\nrank equivalence classes: {:?}\nfull injection space: {} points; after semantic+context pruning: {} ({:.2}% reduction)",
@@ -658,39 +684,29 @@ fn cmd_profile(flags: &HashMap<String, String>) {
     println!("{}", fastfit::report::replay_summary(&c));
 }
 
-/// The store directory for this invocation: `--store` beats
-/// `FASTFIT_STORE_DIR`; absent both, campaigns run without persistence.
-fn store_dir(flags: &HashMap<String, String>) -> Option<PathBuf> {
-    flags
-        .get("store")
-        .cloned()
-        .or_else(|| std::env::var("FASTFIT_STORE_DIR").ok())
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
-}
-
 /// The model registry for this invocation: `--registry DIR` beats the
 /// campaign store's own `models/` subdirectory; `None` when the campaign
 /// runs storeless and no registry was named (models are then neither
 /// looked up nor saved).
-fn registry_for(flags: &HashMap<String, String>, store: Option<&Path>) -> Option<ModelRegistry> {
+fn registry_for(flags: &Flags, store: Option<&Path>) -> Option<ModelRegistry> {
     let dir = flags
         .get("registry")
         .map(PathBuf::from)
         .or_else(|| store.map(|d| d.join(MODELS_DIR)))?;
     match ModelRegistry::open(&dir) {
         Ok(r) => Some(r),
-        Err(e) => {
-            eprintln!("cannot open model registry {}: {}", dir.display(), e);
-            std::process::exit(1);
-        }
+        Err(e) => fail(format!(
+            "cannot open model registry {}: {}",
+            dir.display(),
+            e
+        )),
     }
 }
 
 /// Run the campaign `spec` describes to completion and print its tables:
 /// journaled to `dir` when given, through the ML feedback loop when the
 /// spec is ML-driven. One body serves `campaign` and `resume`.
-fn run_campaign(spec: &CampaignSpec, flags: &HashMap<String, String>, dir: Option<&Path>) {
+fn run_campaign(spec: &CampaignSpec, flags: &Flags, dir: Option<&Path>) {
     let c = prepare(spec);
     println!(
         "{}: {} -> {} injection points ({:.2}% pruned), {} trials/point",
@@ -706,13 +722,9 @@ fn run_campaign(spec: &CampaignSpec, flags: &HashMap<String, String>, dir: Optio
     signal::cancel_on_shutdown(c.cancel_token());
     let registry = spec.ml_threshold.and_then(|_| registry_for(flags, dir));
     if spec.warm_start.is_some() && registry.is_none() {
-        eprintln!("--warm-start needs --store or --registry (somewhere to look models up)");
-        std::process::exit(2);
+        refuse("--warm-start needs --store or --registry (somewhere to look models up)");
     }
-    let run = CampaignRun::open(&c, spec, dir, registry.as_ref()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let run = CampaignRun::open(&c, spec, dir, registry.as_ref()).unwrap_or_else(|e| fail(e));
     if let Some(model) = &run.prior {
         println!(
             "warm start: model {} ({} on the {} channel{})",
@@ -739,7 +751,7 @@ fn run_campaign(spec: &CampaignSpec, flags: &HashMap<String, String>, dir: Optio
         Err(e) => return eprintln!("warning: {e}"),
     };
     let (Ran::Done { result, ml } | Ran::Stopped { result, ml }) = &ran;
-    let csv = flags.get("csv").cloned();
+    let csv = flags.get("csv").map(String::from);
     match (&run.ml, ml) {
         (Some((target, ml_cfg)), Some(out)) => {
             report_ml(&c, &run.points, *target, ml_cfg, result, out, &csv)
@@ -828,8 +840,9 @@ fn report_ml(
     );
 }
 
-fn cmd_campaign(flags: &HashMap<String, String>) {
-    run_campaign(&spec_from_flags(flags), flags, store_dir(flags).as_deref());
+fn cmd_campaign(flags: &Flags) {
+    let store = flags.get("store").map(Path::new);
+    run_campaign(&admit(&lower(flags, None)), flags, store);
 }
 
 fn cmd_status(dir: &Path, watch: bool) {
@@ -878,10 +891,7 @@ fn cmd_status(dir: &Path, watch: bool) {
                     .unwrap_or_default()
             );
         }
-        Err(e) => {
-            eprintln!("cannot read journal in {}: {}", dir.display(), e);
-            std::process::exit(1);
-        }
+        Err(e) => fail(format!("cannot read journal in {}: {}", dir.display(), e)),
     }
     if !watch {
         match StatusSnapshot::read_from(dir) {
@@ -917,15 +927,14 @@ fn cmd_status(dir: &Path, watch: bool) {
 
 /// Rebuild the campaign a store directory belongs to and run it to
 /// completion. The journal's metadata becomes the campaign's spec
-/// ([`CampaignSpec::from_meta`]) and resolves like any other; LAMMPS run
-/// length (`--steps`) and the ML threshold (`--threshold`) must be
-/// re-given when they differed from the defaults — a wrong value is
-/// caught by the campaign-ID check, not silently mismeasured.
-fn cmd_resume(dir: &Path, flags: &HashMap<String, String>) {
-    let (id, meta) = read_store_meta(dir).unwrap_or_else(|e| {
-        eprintln!("cannot read journal in {}: {}", dir.display(), e);
-        std::process::exit(1);
-    });
+/// ([`CampaignSpec::from_meta`]), the flags are lowered onto it as onto an
+/// empty one, and it resolves like any other; LAMMPS run length
+/// (`--steps`) and the ML threshold (`--threshold`) must be re-given when
+/// they differed from the defaults — a wrong value is caught by the
+/// campaign-ID check, not silently mismeasured.
+fn cmd_resume(dir: &Path, flags: &Flags) {
+    let (id, meta) = read_store_meta(dir)
+        .unwrap_or_else(|e| fail(format!("cannot read journal in {}: {}", dir.display(), e)));
     println!(
         "resuming campaign {} — workload {}, {} points × {} trials",
         short_id(&id),
@@ -933,33 +942,26 @@ fn cmd_resume(dir: &Path, flags: &HashMap<String, String>) {
         meta.point_keys.len(),
         meta.trials_per_point
     );
-    let mut spec = CampaignSpec::from_meta(&meta).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    if let Some(steps) = parse_flag(flags, "steps") {
-        spec.steps = Some(steps);
-    }
-    if let (Some(t), Some(_)) = (parse_flag(flags, "threshold"), &spec.ml_threshold) {
-        spec.ml_threshold = Some(t);
-    }
-    if let Err(e) = validate_spec(&spec) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    run_campaign(&spec, flags, Some(dir));
+    let journaled = CampaignSpec::from_meta(&meta).unwrap_or_else(|e| fail(e));
+    run_campaign(&admit(&lower(flags, Some(&journaled))), flags, Some(dir));
 }
 
 /// `fastfit-cli models <DIR>` — list the registered sensitivity models in
 /// a registry directory, newest last (registration order).
 fn cmd_models(dir: &Path) {
     let reg = ModelRegistry::open(dir).unwrap_or_else(|e| {
-        eprintln!("cannot open model registry {}: {}", dir.display(), e);
-        std::process::exit(1);
+        fail(format!(
+            "cannot open model registry {}: {}",
+            dir.display(),
+            e
+        ))
     });
     let entries = reg.list().unwrap_or_else(|e| {
-        eprintln!("cannot read model registry {}: {}", dir.display(), e);
-        std::process::exit(1);
+        fail(format!(
+            "cannot read model registry {}: {}",
+            dir.display(),
+            e
+        ))
     });
     if entries.is_empty() {
         println!("no models registered in {}", dir.display());
@@ -988,14 +990,19 @@ fn cmd_models(dir: &Path) {
     );
 }
 
-fn cmd_point(flags: &HashMap<String, String>) {
-    let spec = spec_from_flags(flags);
-    let rank: Option<usize> = parse_flag(flags, "rank");
-    let invocation = parse_flag(flags, "invocation").unwrap_or(0);
-    let c = prepare(&spec);
-    let site_arg = flags.get("site").cloned().unwrap_or_else(|| usage());
+fn cmd_point(flags: &Flags) {
+    let spec = admit(&lower(flags, None));
+    let rank: Option<usize> = flags.number("rank");
+    let invocation = flags.number("invocation").unwrap_or(0);
+    let param = match flags.get("param") {
+        None => ParamId::SendBuf,
+        Some(name) => ParamId::from_name(name)
+            .unwrap_or_else(|| refuse(format!("unknown parameter {name:?}"))),
+    };
+    let site_arg = flags.get("site").unwrap_or_else(|| usage());
     let (file_part, line_part) = site_arg.rsplit_once(':').unwrap_or_else(|| usage());
     let line: u32 = line_part.parse().unwrap_or_else(|_| usage());
+    let c = prepare(&spec);
     let site: CallSite = c
         .profile
         .sites()
@@ -1008,29 +1015,13 @@ fn cmd_point(flags: &HashMap<String, String>) {
             }
             std::process::exit(2);
         });
-    let param = match flags.get("param").map(String::as_str) {
-        Some("sendbuf") | None => ParamId::SendBuf,
-        Some("recvbuf") => ParamId::RecvBuf,
-        Some("count") => ParamId::Count,
-        Some("datatype") => ParamId::Datatype,
-        Some("op") => ParamId::Op,
-        Some("root") => ParamId::Root,
-        Some("comm") => ParamId::Comm,
-        Some(other) => {
-            eprintln!("unknown parameter {other:?}");
-            std::process::exit(2);
-        }
-    };
     let rank = rank.unwrap_or(c.semantic.representatives[0]);
     let kind = c
         .profile
         .site_records(rank, site)
         .first()
         .map(|r| r.kind)
-        .unwrap_or_else(|| {
-            eprintln!("no records for site {} on rank {}", site, rank);
-            std::process::exit(2);
-        });
+        .unwrap_or_else(|| refuse(format!("no records for site {site} on rank {rank}")));
     let point = InjectionPoint {
         site,
         kind,
@@ -1076,5 +1067,46 @@ fn cmd_point(flags: &HashMap<String, String>) {
             100.0 * (1.0 - remote),
             100.0 * remote
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every spec field is set by exactly one flag, and no flag sets a key
+    /// the spec does not have.
+    #[test]
+    fn every_spec_field_has_one_flag() {
+        for field in CampaignSpec::FIELDS {
+            let rows: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.key == Some(field))
+                .map(|f| f.name)
+                .collect();
+            assert_eq!(rows.len(), 1, "{field} is set by {rows:?}");
+        }
+        for f in FLAGS.iter().filter(|f| f.key.is_some()) {
+            assert!(
+                CampaignSpec::FIELDS.contains(&f.key.unwrap()),
+                "--{}",
+                f.name
+            );
+            assert_eq!(
+                f.verbs[..SPEC.len()],
+                *SPEC,
+                "--{} is a campaign flag",
+                f.name
+            );
+        }
+    }
+
+    /// A flag has one row: its verbs, key and help are in one place.
+    #[test]
+    fn each_flag_has_one_row() {
+        for (i, f) in FLAGS.iter().enumerate() {
+            let twin = FLAGS[..i].iter().any(|g| g.name == f.name);
+            assert!(!twin, "--{} has two rows", f.name);
+        }
     }
 }

@@ -10,8 +10,8 @@ use fastfit::prelude::{Campaign, MlConfig, MlTarget, FEATURE_NAMES};
 use fastfit_mlstore::{ModelRegistry, StoredModel, MODELS_DIR};
 use fastfit_scenario::Grammar;
 use fastfit_serve::{
-    campaign_identity, http_request, resolve_config, resolve_workload, start, CampaignSpec,
-    ServeConfig, RESULTS_FILE,
+    campaign_identity, http_request, resolve_config, resolve_ml, resolve_workload, start,
+    CampaignSpec, ServeConfig, RESULTS_FILE,
 };
 use fastfit_store::journal::{CampaignMeta, JOURNAL_FILE};
 use fastfit_store::json::Json;
@@ -37,7 +37,7 @@ fn cli(args: &[&str]) -> Output {
 fn cli_with(args: &[&str], env: &[(&str, Option<&str>)]) -> Output {
     std::env::set_var("FASTFIT_CLASS", "mini");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fastfit-cli"));
-    cmd.args(args).env_remove("FASTFIT_STORE_DIR");
+    cmd.args(args);
     for (name, value) in env {
         match value {
             Some(v) => cmd.env(name, v),
@@ -164,10 +164,7 @@ fn unparsable_numbers_exit_2_naming_the_flag() {
         ),
     ];
     for (args, flag) in cases {
-        let out = cli(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert_refused(args, flag);
     }
     // A malformed default the environment supplies is refused the same
     // way, naming the variable, instead of becoming the built-in default.
@@ -187,6 +184,160 @@ fn unparsable_numbers_exit_2_naming_the_flag() {
             "{name}={bad} must be named: {stderr}"
         );
     }
+}
+
+/// `fastfit-cli args` exits 2 naming `flag` in its own message, not in
+/// the usage text (which names every flag).
+fn assert_refused(args: &[&str], flag: &str) {
+    let out = cli(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    assert!(
+        !stderr.contains("usage:"),
+        "{args:?} fell to usage: {stderr}"
+    );
+}
+
+/// A cheap campaign: IS on 2 ranks, 1 trial per point, `MPI_Allreduce`
+/// points only.
+const CHEAP: [&str; 8] = [
+    "--workload",
+    "IS",
+    "--ranks",
+    "2",
+    "--trials",
+    "1",
+    "--colls",
+    "MPI_Allreduce",
+];
+
+/// A switch given a value is refused, not read as on: `false` after
+/// `--resilient-transport` once journaled a resilient campaign.
+#[test]
+fn a_switch_given_a_value_is_refused() {
+    let dir = tmp_dir("switch");
+    let d = dir.to_str().unwrap();
+    let campaign = |switch: &'static str, value: &'static str| {
+        [&["campaign", "--store", d, switch, value][..], &CHEAP].concat()
+    };
+    let cases: [(Vec<&str>, &str); 6] = [
+        (
+            campaign("--resilient-transport", "false"),
+            "--resilient-transport",
+        ),
+        (campaign("--ml", "no"), "--ml"),
+        (vec!["serve", "--fleet", "off", "--budget", "0"], "--fleet"),
+        (
+            vec!["scenario", "--grammar", "none.json", "--costs", "no"],
+            "--costs",
+        ),
+        (
+            vec!["scenario", "--grammar", "none.json", "--submit", "no"],
+            "--submit",
+        ),
+        (vec!["status", d, "--watch", "no"], "--watch"),
+    ];
+    for (args, flag) in cases {
+        assert_refused(&args, flag);
+    }
+    assert!(!dir.exists(), "a refused campaign journals nothing");
+}
+
+/// `--threshold` tunes the ML loop, so a campaign without one refuses it
+/// instead of running plain: each verb that describes a campaign, and
+/// `resume` of a plain journal.
+#[test]
+fn a_threshold_without_ml_is_refused() {
+    let dir = tmp_dir("threshold");
+    let d = dir.to_str().unwrap();
+    let verbs: [&[&str]; 4] = [
+        &["campaign", "--store", d],
+        &["profile"],
+        &["point", "--site", "is.rs:1"],
+        &["submit", "--addr", "127.0.0.1:1"],
+    ];
+    for verb in verbs {
+        assert_refused(
+            &[verb, &CHEAP, &["--threshold", "0.6"]].concat(),
+            "--threshold",
+        );
+    }
+    assert!(!dir.exists(), "a refused campaign journals nothing");
+    campaign(&dir, &["--workload", "IS", "--colls", "MPI_Allreduce"]);
+    assert_refused(&["resume", d, "--threshold", "0.6"], "--threshold");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Every spec field has a flag, and `campaign --store D` with it journals
+/// the campaign the daemon's parser and resolver make of the matching
+/// `POST /campaigns` JSON. Each case changes one field of [`CHEAP`].
+/// `warm_start` needs a registered model: that case is
+/// `daemon_and_cli_run_one_warm_ml_campaign_identically`.
+#[test]
+fn each_spec_flag_journals_the_campaign_its_json_describes() {
+    let cheap: [(&str, &[&str], &str); 4] = [
+        ("workload", &CHEAP[0..2], "\"IS\""),
+        ("ranks", &CHEAP[2..4], "2"),
+        ("trials", &CHEAP[4..6], "1"),
+        ("colls", &CHEAP[6..8], "[\"MPI_Allreduce\"]"),
+    ];
+    let cases: [(&str, &[&str], &str); 13] = [
+        ("workload", &["--workload", "is"], "\"is\""),
+        ("ranks", &["--ranks", "4"], "4"),
+        ("trials", &["--trials", "2"], "2"),
+        ("class", &["--class", "small"], "\"small\""),
+        ("params", &["--params", "all"], "\"all\""),
+        (
+            "fault_channel",
+            &["--fault-channel", "message"],
+            "\"message\"",
+        ),
+        ("resilient", &["--resilient-transport"], "true"),
+        ("seed", &["--seed", "77"], "77"),
+        ("app_seed", &["--app-seed", "5"], "5"),
+        ("steps", &["--steps", "3"], "3"),
+        (
+            "colls",
+            &["--colls", "MPI_Allreduce,MPI_Alltoall"],
+            "[\"MPI_Allreduce\",\"MPI_Alltoall\"]",
+        ),
+        ("ml_threshold", &["--ml", "--threshold", "0.6"], "0.6"),
+        ("timeline", &["--timeline", "burst:2"], "\"burst:2\""),
+    ];
+    for field in CampaignSpec::FIELDS {
+        let covered = field == "warm_start" || cases.iter().any(|(f, ..)| *f == field);
+        assert!(covered, "no case sets {field}");
+    }
+    let mut ids = std::collections::BTreeSet::new();
+    for (field, flags, value) in cases {
+        let dir = tmp_dir(&format!("field-{field}"));
+        let mut args = vec!["campaign", "--store", dir.to_str().unwrap()];
+        let mut json = vec![format!("\"{field}\":{value}")];
+        for (other, flags, value) in cheap.iter().filter(|(f, ..)| *f != field) {
+            args.extend(*flags);
+            json.push(format!("\"{other}\":{value}"));
+        }
+        args.extend(flags);
+        let out = cli(&args);
+        assert!(
+            out.status.success(),
+            "{field}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let (id, _) = read_store_meta(&dir).expect("campaign journaled");
+
+        let doc = Json::parse(&format!("{{{}}}", json.join(","))).unwrap();
+        let spec = CampaignSpec::from_json(&doc).unwrap();
+        let c = Campaign::prepare(resolve_workload(&spec), resolve_config(&spec));
+        let (_, resolved, _) = campaign_identity(&c, resolve_ml(&spec).as_ref(), None, None);
+        assert_eq!(id, resolved.campaign_id(), "{field}: {}", doc.encode());
+        ids.insert(id);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+    // Each flag reaches the campaign ID, but for the two that leave IS
+    // as it was: the workload's case and LAMMPS' run length.
+    assert_eq!(ids.len(), cases.len() - 1);
 }
 
 /// Copy `full`'s journal into `cut`, up to and including its `k`th trial
@@ -578,9 +729,7 @@ impl Drop for Running {
 /// first line that contains `marker`: the child and that line.
 fn spawn_until(args: &[&str], stderr: bool, marker: &str) -> (Running, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fastfit-cli"));
-    cmd.args(args)
-        .env("FASTFIT_CLASS", "mini")
-        .env_remove("FASTFIT_STORE_DIR");
+    cmd.args(args).env("FASTFIT_CLASS", "mini");
     if stderr {
         cmd.stderr(Stdio::piped());
     } else {

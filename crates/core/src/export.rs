@@ -1,6 +1,6 @@
 //! CSV export of campaign data, so the regenerated figures can be plotted
 //! externally (the `experiments` binary writes these next to its text
-//! output when `FASTFIT_CSV_DIR` is set).
+//! output when it is given `--csv DIR`).
 
 use crate::campaign::PointResult;
 use crate::response::{wilson_95, ResponseHistogram, ALL_RESPONSES};

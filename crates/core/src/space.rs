@@ -6,7 +6,7 @@
 //! collective; the pruning stages of §III carve it down.
 
 use mpiprof::ApplicationProfile;
-use simmpi::hook::{CallSite, CollKind, ParamId, ALL_PARAMS};
+use simmpi::hook::{CallSite, CollKind, ParamId};
 
 /// One fault injection point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,10 +121,8 @@ impl ParamsMode {
             "all" => Some(ParamsMode::All),
             _ => {
                 let list = token.strip_prefix("only:")?;
-                let params: Option<Vec<ParamId>> = list
-                    .split('+')
-                    .map(|n| ALL_PARAMS.iter().copied().find(|p| p.name() == n))
-                    .collect();
+                let params: Option<Vec<ParamId>> =
+                    list.split('+').map(ParamId::from_name).collect();
                 Some(ParamsMode::Only(params?))
             }
         }

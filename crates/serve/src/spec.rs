@@ -64,6 +64,26 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
+    /// The JSON keys of a spec, one per field: every key
+    /// [`CampaignSpec::from_json`] accepts and [`CampaignSpec::to_json`]
+    /// may write.
+    pub const FIELDS: [&'static str; 14] = [
+        "workload",
+        "ranks",
+        "trials",
+        "class",
+        "params",
+        "fault_channel",
+        "resilient",
+        "seed",
+        "app_seed",
+        "steps",
+        "colls",
+        "ml_threshold",
+        "timeline",
+        "warm_start",
+    ];
+
     /// A plain spec for `workload` with every knob defaulted.
     pub fn new(workload: impl Into<String>) -> CampaignSpec {
         CampaignSpec {
@@ -196,24 +216,8 @@ impl CampaignSpec {
         let Json::Obj(m) = v else {
             return Err("campaign spec must be a JSON object".into());
         };
-        const KNOWN: [&str; 14] = [
-            "workload",
-            "ranks",
-            "trials",
-            "class",
-            "params",
-            "fault_channel",
-            "resilient",
-            "seed",
-            "app_seed",
-            "steps",
-            "colls",
-            "ml_threshold",
-            "timeline",
-            "warm_start",
-        ];
         for key in m.keys() {
-            if !KNOWN.contains(&key.as_str()) {
+            if !CampaignSpec::FIELDS.contains(&key.as_str()) {
                 return Err(format!("unknown spec field {key:?}"));
             }
         }
@@ -222,52 +226,24 @@ impl CampaignSpec {
             .and_then(Json::as_str)
             .ok_or("spec needs a \"workload\" string")?
             .to_string();
-        let usize_field = |k: &str| -> Result<Option<usize>, String> {
-            match v.get(k) {
-                None => Ok(None),
-                Some(x) => x
-                    .as_u64()
-                    .map(|n| Some(n as usize))
-                    .ok_or_else(|| format!("{k:?} must be a non-negative integer")),
-            }
-        };
-        let u64_field = |k: &str| -> Result<Option<u64>, String> {
-            match v.get(k) {
-                None => Ok(None),
-                Some(x) => x
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("{k:?} must be a non-negative integer")),
-            }
-        };
-        let class = match v.get("class").map(|c| c.as_str()) {
-            None => None,
-            Some(Some(tok)) => Some(
+        let number = |k| field(v, k, "a non-negative integer", Json::as_u64);
+        let token = |k| field(v, k, "a string token", Json::as_str);
+        let class = token("class")?
+            .map(|tok| {
                 Class::from_token(tok)
-                    .ok_or_else(|| format!("unknown class {tok:?} (mini|small|standard)"))?,
-            ),
-            Some(None) => return Err("\"class\" must be a string token".into()),
-        };
-        let params = match v.get("params").map(|p| p.as_str()) {
-            None => None,
-            Some(Some(tok)) => {
-                Some(ParamsMode::from_token(tok).ok_or_else(|| format!("unknown params {tok:?}"))?)
-            }
-            Some(None) => return Err("\"params\" must be a string token".into()),
-        };
-        let fault_channel = match v.get("fault_channel").map(|c| c.as_str()) {
-            None => None,
-            Some(Some(tok)) => Some(FaultChannel::from_token(tok).ok_or_else(|| {
-                format!(
-                    "unknown fault_channel {tok:?} (param|message|crash-stop|fail-slow|partition)"
-                )
-            })?),
-            Some(None) => return Err("\"fault_channel\" must be a string token".into()),
-        };
-        let resilient = match v.get("resilient") {
-            None => None,
-            Some(x) => Some(x.as_bool().ok_or("\"resilient\" must be a boolean")?),
-        };
+                    .ok_or_else(|| format!("unknown class {tok:?} (mini|small|standard)"))
+            })
+            .transpose()?;
+        let params = token("params")?
+            .map(|tok| ParamsMode::from_token(tok).ok_or_else(|| format!("unknown params {tok:?}")))
+            .transpose()?;
+        let fault_channel = token("fault_channel")?
+            .map(|tok| {
+                FaultChannel::from_token(tok).ok_or_else(|| {
+                    format!("unknown fault_channel {tok:?} (param|message|crash-stop|fail-slow|partition)")
+                })
+            })
+            .transpose()?;
         let colls = match v.get("colls") {
             None => None,
             Some(Json::Arr(items)) => {
@@ -289,37 +265,37 @@ impl CampaignSpec {
             }
             Some(_) => return Err("\"colls\" must be an array of MPI_* names".into()),
         };
-        let ml_threshold = match v.get("ml_threshold") {
-            None => None,
-            Some(x) => Some(x.as_f64().ok_or("\"ml_threshold\" must be a number")?),
-        };
-        let timeline = match v.get("timeline").map(|t| t.as_str()) {
-            None => None,
-            Some(Some(tok)) => Some(tok.to_string()),
-            Some(None) => return Err("\"timeline\" must be a string token".into()),
-        };
-        let warm_start = match v.get("warm_start").map(|w| w.as_str()) {
-            None => None,
-            Some(Some(tok)) => Some(tok.to_string()),
-            Some(None) => return Err("\"warm_start\" must be a model ID or \"auto\"".into()),
-        };
         Ok(CampaignSpec {
             workload,
-            ranks: usize_field("ranks")?,
-            trials: usize_field("trials")?,
+            ranks: number("ranks")?.map(|n| n as usize),
+            trials: number("trials")?.map(|n| n as usize),
             class,
             params,
             fault_channel,
-            resilient,
-            seed: u64_field("seed")?,
-            app_seed: u64_field("app_seed")?,
-            steps: usize_field("steps")?,
+            resilient: field(v, "resilient", "a boolean", Json::as_bool)?,
+            seed: number("seed")?,
+            app_seed: number("app_seed")?,
+            steps: number("steps")?.map(|n| n as usize),
             colls,
-            ml_threshold,
-            timeline,
-            warm_start,
+            ml_threshold: field(v, "ml_threshold", "a number", Json::as_f64)?,
+            timeline: token("timeline")?.map(String::from),
+            warm_start: field(v, "warm_start", "a model ID or \"auto\"", Json::as_str)?
+                .map(String::from),
         })
     }
+}
+
+/// Key `k` of `v`, if present, as `read` makes it; an error naming the key
+/// and what it `must` be when `read` refuses it.
+fn field<'a, T>(
+    v: &'a Json,
+    k: &str,
+    must: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(k)
+        .map(|x| read(x).ok_or_else(|| format!("{k:?} must be {must}")))
+        .transpose()
 }
 
 #[cfg(test)]
@@ -360,6 +336,17 @@ mod tests {
             .encode()
             .contains("\"colls\":[\"MPI_Allreduce\",\"MPI_Bcast\"]"));
         assert!(spec.to_json().encode().contains("\"class\":\"standard\""));
+        let full = CampaignSpec {
+            timeline: Some("single".into()),
+            ..spec.clone()
+        };
+        let Json::Obj(keys) = full.to_json() else {
+            panic!("a spec encodes as an object")
+        };
+        assert!(keys.keys().eq(CampaignSpec::FIELDS
+            .iter()
+            .copied()
+            .collect::<std::collections::BTreeSet<_>>()));
         let bad = Json::parse("{\"workload\":\"IS\",\"class\":\"smal\"}").unwrap();
         assert!(CampaignSpec::from_json(&bad).unwrap_err().contains("class"));
     }

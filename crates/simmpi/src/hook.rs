@@ -176,6 +176,11 @@ impl ParamId {
             ParamId::Comm => "comm",
         }
     }
+
+    /// Inverse of [`ParamId::name`].
+    pub fn from_name(name: &str) -> Option<ParamId> {
+        ALL_PARAMS.into_iter().find(|p| p.name() == name)
+    }
 }
 
 /// A static call site: the source location of the collective call in the
