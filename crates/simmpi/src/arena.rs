@@ -60,6 +60,10 @@ pub(crate) struct JobState {
     pub(crate) record: bool,
     pub(crate) hook: Option<Arc<dyn CollHook>>,
     pub(crate) replay: Option<ReplayPrefix>,
+    /// No fault can reach the job — it has no hook and runs on the coop
+    /// engine — so its data-movement collectives complete by rendezvous
+    /// ([`crate::coll::rendezvous`]). Nothing else selects that path.
+    pub(crate) rendezvous: bool,
     app: AppFn,
     pub(crate) fabric: Arc<Fabric>,
     pub(crate) ctl: Arc<JobControl>,
@@ -83,6 +87,7 @@ impl JobState {
             record: spec.record,
             hook: spec.hook.clone(),
             replay: spec.replay.clone(),
+            rendezvous: spec.hook.is_none() && engine == Engine::Coop,
             app,
             fabric: Fabric::with_clock(n, spec.resilient_transport, engine == Engine::Coop),
             ctl: Arc::new(JobControl::with_budget(n, spec.timeout, spec.op_budget)),

@@ -78,7 +78,7 @@ pub fn bcast_large(env: &CollEnv<'_>, root: usize, data: Vec<u8>) -> Vec<u8> {
         super::fatal(crate::error::MpiError::Protocol);
     }
     let len = u64::from_le_bytes(hdr.try_into().expect("8-byte header")) as usize;
-    if len > data.len().max(1 << 26) {
+    if len > data.len().max(crate::ctx::SIM_ALLOC_LIMIT_BYTES) {
         // A corrupted header would otherwise drive an absurd allocation.
         crate::ctx::RankCtx::segfault("bcast header exceeds simulated memory");
     }

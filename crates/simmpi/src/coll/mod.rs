@@ -29,13 +29,169 @@ pub mod bcast;
 pub mod gather_scatter;
 pub mod reduce;
 pub mod reduce_scatter;
+pub(crate) mod rendezvous;
 pub mod scan;
 
 use crate::comm::{coll_tag, Comm};
 use crate::control::{JobControl, RankPanic};
 use crate::datatype::Datatype;
 use crate::error::MpiError;
+use crate::op::ReduceOp;
+use crate::replay::CallResult;
 use crate::transport::Fabric;
+
+/// One rank's side of one collective call, decoded: what it contributes
+/// and the byte counts it expects. [`Call::run`] hands it to its
+/// algorithm — the message path; a job no fault can reach completes the
+/// data-movement kinds by [`rendezvous`] instead.
+pub(crate) enum Call {
+    Barrier,
+    /// `data` is the payload on the root, empty elsewhere; `large` picks
+    /// scatter + allgather over the binomial tree.
+    Bcast {
+        root: usize,
+        data: Vec<u8>,
+        large: bool,
+    },
+    Reduce {
+        op: ReduceOp,
+        root: usize,
+        contrib: Vec<u8>,
+    },
+    /// `large` tries Rabenseifner's algorithm.
+    Allreduce {
+        op: ReduceOp,
+        contrib: Vec<u8>,
+        large: bool,
+    },
+    /// `data` is the root's send image; every rank expects `chunk` bytes.
+    Scatter {
+        root: usize,
+        data: Option<Vec<u8>>,
+        chunk: usize,
+    },
+    /// `counts`/`displs` are this rank's (in bytes); it expects `mine`.
+    Scatterv {
+        root: usize,
+        data: Option<Vec<u8>>,
+        counts: Vec<usize>,
+        displs: Vec<usize>,
+        mine: usize,
+    },
+    Gather {
+        root: usize,
+        contrib: Vec<u8>,
+    },
+    Gatherv {
+        root: usize,
+        contrib: Vec<u8>,
+        counts: Vec<usize>,
+        displs: Vec<usize>,
+    },
+    Allgather {
+        contrib: Vec<u8>,
+    },
+    Allgatherv {
+        contrib: Vec<u8>,
+        counts: Vec<usize>,
+        displs: Vec<usize>,
+    },
+    /// `data` holds one `chunk`-byte block per member.
+    Alltoall {
+        data: Vec<u8>,
+        chunk: usize,
+    },
+    Alltoallv {
+        data: Vec<u8>,
+        send_counts: Vec<usize>,
+        send_displs: Vec<usize>,
+        recv_counts: Vec<usize>,
+        recv_displs: Vec<usize>,
+    },
+    Scan {
+        op: ReduceOp,
+        contrib: Vec<u8>,
+    },
+    Exscan {
+        op: ReduceOp,
+        contrib: Vec<u8>,
+    },
+    ReduceScatter {
+        op: ReduceOp,
+        data: Vec<u8>,
+        block: usize,
+    },
+}
+
+impl Call {
+    /// Run the call's algorithm over the fabric. A rank the algorithm
+    /// hands nothing (a non-root of a gather, any rank of a barrier) gets
+    /// `None`.
+    pub(crate) fn run(self, env: &CollEnv<'_>) -> CallResult {
+        match self {
+            Call::Barrier => {
+                barrier::barrier(env);
+                None
+            }
+            Call::Bcast { root, data, large } => Some(if large {
+                bcast::bcast_large(env, root, data)
+            } else {
+                bcast::bcast(env, root, data)
+            }),
+            Call::Reduce { op, root, contrib } => reduce::reduce(env, op, root, contrib),
+            Call::Allreduce { op, contrib, large } => Some(if large {
+                allreduce::allreduce_large(env, op, contrib)
+            } else {
+                allreduce::allreduce(env, op, contrib)
+            }),
+            Call::Scatter { root, data, chunk } => {
+                Some(gather_scatter::scatter(env, root, data, chunk))
+            }
+            Call::Scatterv {
+                root,
+                data,
+                counts,
+                displs,
+                mine,
+            } => Some(gather_scatter::scatterv(
+                env, root, data, &counts, &displs, mine,
+            )),
+            Call::Gather { root, contrib } => gather_scatter::gather(env, root, contrib),
+            Call::Gatherv {
+                root,
+                contrib,
+                counts,
+                displs,
+            } => gather_scatter::gatherv(env, root, contrib, &counts, &displs),
+            Call::Allgather { contrib } => Some(allgather::allgather(env, contrib)),
+            Call::Allgatherv {
+                contrib,
+                counts,
+                displs,
+            } => Some(gather_scatter::allgatherv(env, contrib, &counts, &displs)),
+            Call::Alltoall { data, chunk } => Some(alltoall::alltoall(env, data, chunk)),
+            Call::Alltoallv {
+                data,
+                send_counts,
+                send_displs,
+                recv_counts,
+                recv_displs,
+            } => Some(alltoall::alltoallv(
+                env,
+                data,
+                &send_counts,
+                &send_displs,
+                &recv_counts,
+                &recv_displs,
+            )),
+            Call::Scan { op, contrib } => Some(scan::scan(env, op, contrib)),
+            Call::Exscan { op, contrib } => Some(scan::exscan(env, op, contrib)),
+            Call::ReduceScatter { op, data, block } => {
+                Some(reduce_scatter::reduce_scatter_block(env, op, data, block))
+            }
+        }
+    }
+}
 
 /// Execution environment for one collective call on one rank.
 pub struct CollEnv<'a> {

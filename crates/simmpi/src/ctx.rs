@@ -11,9 +11,10 @@
 //! 5. execute the collective algorithm on the byte images — through
 //!    `RankCtx::exchange`, the one seam where a recorded run stores the
 //!    result, a trial's golden prefix returns the stored one instead of
-//!    exchanging it again ([`crate::replay`]), and a rank the fault
-//!    touched inside the call learns whether its application will see it
-//!    (the open set of [`crate::transport`]) — and
+//!    exchanging it again ([`crate::replay`]), a job no fault can reach
+//!    moves data by rendezvous ([`crate::coll::rendezvous`]), and a rank
+//!    the fault touched inside the call learns whether its application
+//!    will see it (the open set of [`crate::transport`]) — and
 //! 6. write the result image back into the user buffer.
 //!
 //! Out-of-bounds effects of corrupted counts follow a page-granularity
@@ -22,21 +23,7 @@
 //! overflow — raise a simulated segmentation fault.
 
 use crate::arena::JobState;
-use crate::coll::{
-    allgather::allgather as alg_allgather,
-    allreduce::{allreduce as alg_allreduce, allreduce_large as alg_allreduce_large},
-    alltoall::{alltoall as alg_alltoall, alltoallv as alg_alltoallv},
-    barrier::barrier as alg_barrier,
-    bcast::{bcast as alg_bcast, bcast_large as alg_bcast_large},
-    gather_scatter::{
-        allgatherv as alg_allgatherv, gather as alg_gather, gatherv as alg_gatherv,
-        scatter as alg_scatter, scatterv as alg_scatterv,
-    },
-    reduce::reduce as alg_reduce,
-    reduce_scatter::reduce_scatter_block as alg_reduce_scatter,
-    scan::{exscan as alg_exscan, scan as alg_scan},
-    CollEnv,
-};
+use crate::coll::{allgather::allgather as alg_allgather, rendezvous, Call, CollEnv};
 use crate::comm::{p2p_tag, Comm, CommHandle, CommRegistry, WORLD};
 use crate::control::{JobControl, RankPanic};
 use crate::datatype::{Datatype, MpiType};
@@ -44,7 +31,7 @@ use crate::error::MpiError;
 use crate::hook::{CallSite, CollCall, CollHook, CollKind, CollParams};
 use crate::op::ReduceOp;
 use crate::record::{CallRecord, Phase};
-use crate::replay::{CallResult, RecordedCall, ReplayPrefix};
+use crate::replay::{RecordedCall, ReplayPrefix};
 use crate::transport::{Fabric, RankFaultPlan};
 use prng::Prng;
 use std::collections::HashMap;
@@ -138,6 +125,9 @@ pub struct RankCtx {
     hook_open: bool,
     /// Where the call in progress stands on healing its own hook's flip.
     heal: Heal,
+    /// No fault can reach the job (no hook, coop engine): data-movement
+    /// calls complete by rendezvous.
+    rendezvous: bool,
     frames: Vec<&'static str>,
     phase: Phase,
     errhdl_depth: u32,
@@ -161,6 +151,7 @@ impl RankCtx {
             comms: CommRegistry::new_world(job.nranks, rank),
             hook_open: job.hook.is_some() && replay.is_some(),
             heal: Heal::No,
+            rendezvous: job.rendezvous,
             hook: job.hook.clone(),
             recording: job.record,
             records: Vec::new(),
@@ -522,10 +513,7 @@ impl RankCtx {
         let site = caller_site();
         let mut params = CollParams::simple(0, Datatype::Byte, ReduceOp::Sum, 0, comm);
         let d = self.pre_coll(CollKind::Barrier, site, &mut params, None, None);
-        self.exchange(&d, |env| {
-            alg_barrier(env);
-            None
-        });
+        self.exchange(&d, Call::Barrier);
     }
 
     /// `MPI_Bcast`: broadcast `buf` from `root` (in place).
@@ -543,13 +531,15 @@ impl RankCtx {
         } else {
             Vec::new()
         };
-        let payload = self.exchange(&d, |env| {
-            Some(if nbytes >= BCAST_LARGE_THRESHOLD {
-                alg_bcast_large(env, d.root, data)
-            } else {
-                alg_bcast(env, d.root, data)
-            })
-        });
+        let large = nbytes >= BCAST_LARGE_THRESHOLD;
+        let payload = self.exchange(
+            &d,
+            Call::Bcast {
+                root: d.root,
+                data,
+                large,
+            },
+        );
         if !is_root {
             if payload.len() > nbytes {
                 self.fatal(MpiError::Truncate);
@@ -589,7 +579,8 @@ impl RankCtx {
         );
         let nbytes = self.nbytes(&d, 1);
         let contrib = self.effective_read(simg, nbytes);
-        let res = self.exchange(&d, |env| alg_reduce(env, d.op, d.root, contrib));
+        let (op, root) = (d.op, d.root);
+        let res = self.exchange(&d, Call::Reduce { op, root, contrib });
         self.writeback(recv, rimg, res);
     }
 
@@ -614,13 +605,15 @@ impl RankCtx {
         );
         let nbytes = self.nbytes(&d, 1);
         let contrib = self.effective_read(simg, nbytes);
-        let res = self.exchange(&d, |env| {
-            Some(if nbytes >= ALLREDUCE_LARGE_THRESHOLD {
-                alg_allreduce_large(env, d.op, contrib)
-            } else {
-                alg_allreduce(env, d.op, contrib)
-            })
-        });
+        let large = nbytes >= ALLREDUCE_LARGE_THRESHOLD;
+        let res = self.exchange(
+            &d,
+            Call::Allreduce {
+                op: d.op,
+                contrib,
+                large,
+            },
+        );
         self.writeback(recv, rimg, res);
     }
 
@@ -662,7 +655,14 @@ impl RankCtx {
         } else {
             None
         };
-        let mine = self.exchange(&d, |env| Some(alg_scatter(env, d.root, data, chunk)));
+        let mine = self.exchange(
+            &d,
+            Call::Scatter {
+                root: d.root,
+                data,
+                chunk,
+            },
+        );
         self.writeback(recv, rimg, mine);
     }
 
@@ -688,7 +688,13 @@ impl RankCtx {
         );
         let chunk = self.nbytes(&d, 1);
         let contrib = self.effective_read(simg, chunk);
-        let all = self.exchange(&d, |env| alg_gather(env, d.root, contrib));
+        let all = self.exchange(
+            &d,
+            Call::Gather {
+                root: d.root,
+                contrib,
+            },
+        );
         self.writeback(recv, rimg, all);
     }
 
@@ -707,7 +713,7 @@ impl RankCtx {
         );
         let chunk = self.nbytes(&d, 1);
         let contrib = self.effective_read(simg, chunk);
-        let all = self.exchange(&d, |env| Some(alg_allgather(env, contrib)));
+        let all = self.exchange(&d, Call::Allgather { contrib });
         self.writeback(recv, rimg, all);
     }
 
@@ -729,7 +735,7 @@ impl RankCtx {
         );
         let chunk = self.nbytes(&d, 1);
         let data = self.effective_read(simg, chunk * d.comm.size());
-        let out = self.exchange(&d, |env| Some(alg_alltoall(env, data, chunk)));
+        let out = self.exchange(&d, Call::Alltoall { data, chunk });
         self.writeback(recv, rimg, out);
     }
 
@@ -821,7 +827,16 @@ impl RankCtx {
                 rimg.len()
             ));
         }
-        let out = self.exchange(&d, |env| Some(alg_alltoallv(env, simg, &sc, &sd, &rc, &rd)));
+        let out = self.exchange(
+            &d,
+            Call::Alltoallv {
+                data: simg,
+                send_counts: sc,
+                send_displs: sd,
+                recv_counts: rc,
+                recv_displs: rd,
+            },
+        );
         self.writeback(recv, rimg, out);
     }
 
@@ -841,7 +856,7 @@ impl RankCtx {
         );
         let nbytes = self.nbytes(&d, 1);
         let contrib = self.effective_read(simg, nbytes);
-        let res = self.exchange(&d, |env| Some(alg_scan(env, d.op, contrib)));
+        let res = self.exchange(&d, Call::Scan { op: d.op, contrib });
         self.writeback(recv, rimg, res);
     }
 
@@ -867,7 +882,7 @@ impl RankCtx {
         );
         let nbytes = self.nbytes(&d, 1);
         let contrib = self.effective_read(simg, nbytes);
-        let res = self.exchange(&d, |env| Some(alg_exscan(env, d.op, contrib)));
+        let res = self.exchange(&d, Call::Exscan { op: d.op, contrib });
         self.writeback(recv, rimg, res);
     }
 
@@ -893,7 +908,14 @@ impl RankCtx {
         );
         let block = self.nbytes(&d, 1);
         let data = self.effective_read(simg, block * d.comm.size());
-        let res = self.exchange(&d, |env| Some(alg_reduce_scatter(env, d.op, data, block)));
+        let res = self.exchange(
+            &d,
+            Call::ReduceScatter {
+                op: d.op,
+                data,
+                block,
+            },
+        );
         self.writeback(recv, rimg, res);
     }
 
@@ -928,9 +950,14 @@ impl RankCtx {
             Self::segfault("scatterv receive window past the buffer");
         }
         let data = (me == d.root).then_some(simg);
-        let mine = self.exchange(&d, |env| {
-            Some(alg_scatterv(env, d.root, data, &vc, &vd, my_count))
-        });
+        let call = Call::Scatterv {
+            root: d.root,
+            data,
+            counts: vc,
+            displs: vd,
+            mine: my_count,
+        };
+        let mine = self.exchange(&d, call);
         self.writeback(recv, rimg, mine);
     }
 
@@ -967,7 +994,13 @@ impl RankCtx {
             }
         }
         let contrib = self.effective_read(simg, vc.get(me).copied().unwrap_or(0));
-        let all = self.exchange(&d, |env| alg_gatherv(env, d.root, contrib, &vc, &vd));
+        let call = Call::Gatherv {
+            root: d.root,
+            contrib,
+            counts: vc,
+            displs: vd,
+        };
+        let all = self.exchange(&d, call);
         self.writeback(recv, rimg, all);
     }
 
@@ -1001,7 +1034,12 @@ impl RankCtx {
         }
         let mine = vc.get(d.comm.my_index).copied().unwrap_or(0);
         let contrib = self.effective_read(simg, mine);
-        let all = self.exchange(&d, |env| Some(alg_allgatherv(env, contrib, &vc, &vd)));
+        let call = Call::Allgatherv {
+            contrib,
+            counts: vc,
+            displs: vd,
+        };
+        let all = self.exchange(&d, call);
         self.writeback(recv, rimg, all);
     }
 
@@ -1219,6 +1257,11 @@ impl RankCtx {
     /// return that entry and touch the fabric not at all. A recorded run
     /// stores what `alg` returned under the call's `(communicator, seq)`.
     ///
+    /// In a job no fault can reach, a data-movement call completes by
+    /// rendezvous instead of messages ([`rendezvous`]): the same result,
+    /// or, where some receive would not get exactly the bytes it expects,
+    /// the algorithm after all.
+    ///
     /// Whether a call is replayed depends on the shared log and the anchor
     /// alone, so every participant decides alike; a rank the fault has
     /// touched never gets here with a call to replay (the fabric's taint
@@ -1231,7 +1274,7 @@ impl RankCtx {
     /// recorded result is clean again (what it sent meanwhile went out
     /// marked). Its own hook's image flip ([`Heal::Pending`]) is held to
     /// the same comparison, and then to `writeback`'s.
-    fn exchange(&mut self, d: &Decoded, alg: impl FnOnce(&CollEnv<'_>) -> CallResult) -> Vec<u8> {
+    fn exchange(&mut self, d: &Decoded, alg: Call) -> Vec<u8> {
         let (comm, seq) = (d.comm.handle.0, d.seq);
         if let Some(replay) = &self.replay {
             if comm == replay.comm && seq < replay.seq {
@@ -1243,7 +1286,12 @@ impl RankCtx {
         }
         let provisional = self.replay.is_some()
             && (self.heal == Heal::Pending || !self.fabric.is_tainted(self.rank));
-        let result = alg(&self.env(d));
+        let env = self.env(d);
+        let result = if self.rendezvous && rendezvous::admits(&alg) {
+            rendezvous::exchange(&env, alg)
+        } else {
+            alg.run(&env)
+        };
         if d.armed {
             self.fabric.disarm(self.rank, &self.ctl);
         }

@@ -560,8 +560,12 @@ impl CoopArena {
             // A rank waiting in `recv` always parks blocked, so only an
             // all-blocked round that moved nothing can be a stall
             // candidate — the sweep (one mailbox lock per rank) is not
-            // worth taking after any other.
-            let parked = (all_blocked && fabric.epoch() == e0).then_some(e0);
+            // worth taking after any other. A rank waiting at a
+            // rendezvous may wait for a member that never comes: such a
+            // round first sends every open slot to its algorithm, which is
+            // progress.
+            let quiet = all_blocked && fabric.epoch() == e0;
+            let parked = (quiet && !fabric.release_rendezvous()).then_some(e0);
             match sup.step(parked) {
                 Verdict::Stop => break,
                 Verdict::Continue => {}

@@ -99,6 +99,7 @@
 //! it consumed, so the count cannot touch zero in between, whatever the
 //! interleaving of rank threads.
 
+use crate::coll::rendezvous::Slots;
 use crate::comm::TagKind;
 use crate::control::{count_notify, JobControl, RankPanic};
 use crate::error::MpiError;
@@ -273,7 +274,7 @@ pub struct TransportStats {
     pub dup_suppressed: u64,
     /// Unrecoverable deliveries surfaced as `MPI_ERR_TRANSPORT`.
     pub transport_errors: u64,
-    /// Payload bytes handed to the fabric ([`Fabric::bytes_sent`]).
+    /// Payload moved between ranks ([`Fabric::bytes_sent`]).
     pub bytes_sent: u64,
 }
 
@@ -535,7 +536,8 @@ pub struct Fabric {
     /// timer scan costs nothing while no delay fault is in flight. Read
     /// only by the coop scheduler, on the one thread that also wrote it.
     held_count: AtomicUsize,
-    /// Total bytes ever enqueued, for diagnostics/benchmarks.
+    /// Payload moved between ranks, by message or by rendezvous, for
+    /// diagnostics/benchmarks.
     bytes_sent: AtomicU64,
     /// Progress epoch: bumped (under the destination mailbox lock) on every
     /// enqueue and every consume. An unchanged epoch across a watchdog
@@ -563,6 +565,9 @@ pub struct Fabric {
     open: AtomicUsize,
     /// The open set emptied; the job has been killed.
     absorbed: AtomicBool,
+    /// The data-movement collectives in progress by rendezvous
+    /// ([`crate::coll::rendezvous`]; jobs no fault can reach).
+    slots: Slots,
 }
 
 impl Fabric {
@@ -610,6 +615,7 @@ impl Fabric {
             diverged: AtomicBool::new(false),
             open: AtomicUsize::new(1),
             absorbed: AtomicBool::new(false),
+            slots: Slots::default(),
         })
     }
 
@@ -623,7 +629,8 @@ impl Fabric {
         self.resilient
     }
 
-    /// Total payload bytes sent through the fabric so far.
+    /// Payload moved between ranks so far: every message's, and what
+    /// each rendezvous moved in their stead.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent.load(Ordering::Relaxed)
     }
@@ -669,6 +676,30 @@ impl Fabric {
                     .min()
             })
             .min()
+    }
+
+    /// The job's rendezvous slots.
+    pub(crate) fn slots(&self) -> &Slots {
+        &self.slots
+    }
+
+    /// A rendezvous slot completed, having moved `bytes` of payload
+    /// between ranks (none if it sent its members to the algorithm):
+    /// progress, as a delivery is.
+    pub(crate) fn rendezvous_progress(&self, bytes: u64) {
+        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// Send every open rendezvous slot to its algorithm (the coop
+    /// scheduler, once a round has left every rank parked and nothing
+    /// moved). Whether there was one: then that is progress.
+    pub(crate) fn release_rendezvous(&self) -> bool {
+        let released = self.slots.release();
+        if released {
+            self.epoch.fetch_add(1, Ordering::Release);
+        }
+        released
     }
 
     /// Snapshot of the message-fault / recovery counters.

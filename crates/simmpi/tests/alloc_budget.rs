@@ -2,7 +2,11 @@
 //! job makes at most one heap call per message plus a fixed number per
 //! rank. Anything that allocates per received message (decoding a
 //! reduction's operands), per call and rank count (copying a member
-//! list), or per `(src, dst)` pair (a seqno set) breaks the budget.
+//! list), or per `(src, dst)` pair (a seqno set) breaks the budget. The
+//! message rows run under a hook that changes nothing, as every trial
+//! does: a job without one moves its data-movement collectives by
+//! rendezvous, and that row has no per-message term at all — and parks
+//! each rank a fixed number of times per call.
 //!
 //! The count is taken by a counting global allocator on the calling
 //! thread only: the coop engine runs every rank of the job there.
@@ -10,11 +14,11 @@
 // The coop engine exists only where the stack switch is implemented.
 #![cfg(target_arch = "x86_64")]
 
-use simmpi::arena::JobArena;
 use simmpi::ctx::{RankCtx, RankOutput};
+use simmpi::hook::{CollCall, CollHook};
 use simmpi::op::ReduceOp;
 use simmpi::runtime::{AppFn, JobOutcome, JobResult, JobSpec};
-use simmpi::sched::Engine;
+use simmpi::sched::CoopArena;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -66,27 +70,44 @@ const RINGS: usize = 16;
 /// (all-to-all job) and 25.6 (allreduce/ring job).
 const PER_RANK: u64 = 48;
 
-/// Run `app` twice on one coop arena and count the heap calls of the
-/// second job, so what the arena keeps between jobs is not counted.
-fn counted_job(app: AppFn, resilient: bool) -> (u64, JobResult) {
-    let mut arena = JobArena::with_engine(N, Engine::Coop);
-    assert_eq!(arena.engine(), Engine::Coop);
+/// Resumes a rank may take per data-movement call by rendezvous, on top
+/// of the one that starts it: it parks once per call. The all-to-all job
+/// takes 636 of the 640 this allows (each call's last arrival goes on
+/// without parking).
+const RESUMES_PER_CALL: usize = 1;
+
+/// A hook that changes nothing: its job sends every message.
+struct Bystander;
+
+impl CollHook for Bystander {
+    fn before(&self, _call: &mut CollCall<'_>) {}
+}
+
+/// Run `app` twice on one coop arena, with a hook that changes nothing
+/// when `messages`, and count the heap calls of the second job, so what
+/// the arena keeps between jobs is not counted. Also returns the second
+/// job's coroutine resumes.
+fn counted_job(app: AppFn, resilient: bool, messages: bool) -> (u64, usize, JobResult) {
+    let mut arena = CoopArena::new(N);
     let spec = JobSpec {
         nranks: N,
         resilient_transport: resilient,
+        hook: messages.then(|| Arc::new(Bystander) as Arc<dyn CollHook>),
         ..JobSpec::default()
     };
     let warm = arena.run(&spec, app.clone());
     assert!(matches!(warm.outcome, JobOutcome::Completed { .. }));
+    arena.set_trace(true);
     CALLS.with(|c| c.set(Some(0)));
     let res = arena.run(&spec, app);
     let calls = CALLS.with(|c| c.replace(None)).unwrap();
+    let resumes = arena.take_trace().len();
     assert!(
         matches!(res.outcome, JobOutcome::Completed { .. }),
         "{:?}",
         res.outcome
     );
-    (calls, res)
+    (calls, resumes, res)
 }
 
 fn assert_within_budget(what: &str, calls: u64, messages: u64) {
@@ -153,11 +174,8 @@ fn ring_app() -> AppFn {
     })
 }
 
-#[test]
-fn all_to_all_job_allocates_one_payload_per_message() {
-    let (calls, res) = counted_job(exchange_app(), true);
-    let messages = (2 * EXCHANGES * N * (N - 1)) as u64;
-    assert_eq!(res.transport.bytes_sent, 4 * messages);
+/// Every rank of the all-to-all job got what it was sent.
+fn assert_exchanged(res: &JobResult) {
     let JobOutcome::Completed { outputs } = &res.outcome else {
         unreachable!()
     };
@@ -166,12 +184,41 @@ fn all_to_all_job_allocates_one_payload_per_message() {
     for (r, out) in outputs.iter().enumerate() {
         assert_eq!(out.scalars[0].1, want(r), "rank {r}");
     }
+}
+
+#[test]
+fn all_to_all_job_allocates_one_payload_per_message() {
+    let (calls, _, res) = counted_job(exchange_app(), true, true);
+    let messages = (2 * EXCHANGES * N * (N - 1)) as u64;
+    assert_eq!(res.transport.bytes_sent, 4 * messages);
+    assert_exchanged(&res);
     assert_within_budget("alltoall/alltoallv", calls, messages);
+}
+
+/// The same job without a hook: no message at all, so heap calls have no
+/// per-message term, the same payload counts as moved, and each rank is
+/// resumed a fixed number of times per call.
+#[test]
+fn all_to_all_job_by_rendezvous_allocates_no_message() {
+    let (calls, resumes, res) = counted_job(exchange_app(), true, false);
+    let moved = (2 * EXCHANGES * N * (N - 1)) as u64;
+    assert_eq!(res.transport.bytes_sent, 4 * moved);
+    assert_exchanged(&res);
+    assert_within_budget("alltoall/alltoallv by rendezvous", calls, 0);
+    let per_call = (resumes as f64 / N as f64 - 1.0) / (2 * EXCHANGES) as f64;
+    eprintln!(
+        "alltoall/alltoallv by rendezvous: {resumes} resumes = 1 + {per_call:.2} per rank per call"
+    );
+    assert!(
+        resumes <= N * (1 + RESUMES_PER_CALL * 2 * EXCHANGES),
+        "{resumes} resumes > {N} ranks · (1 + {RESUMES_PER_CALL}·{} calls)",
+        2 * EXCHANGES
+    );
 }
 
 #[test]
 fn allreduce_and_ring_job_allocates_one_payload_per_message() {
-    let (calls, res) = counted_job(ring_app(), false);
+    let (calls, _, res) = counted_job(ring_app(), false, true);
     let log2n = N.trailing_zeros() as usize;
     let messages = (RINGS * (N * log2n + N)) as u64;
     assert_eq!(res.transport.bytes_sent, 8 * messages);

@@ -71,6 +71,38 @@ fn churn_app() -> AppFn {
     })
 }
 
+/// A hook-less job whose ranks park in rendezvous slots: an alltoall, an
+/// allgather and a gatherv per round, each rank reaching them after a
+/// rank-dependent number of yields, so members arrive over several
+/// scheduler rounds and leave in the order the scheduler resumes them.
+fn slots_app() -> AppFn {
+    Arc::new(|ctx: &mut RankCtx| {
+        let (n, me, w) = (ctx.size(), ctx.rank(), ctx.world());
+        let mut acc = 0.0f64;
+        for round in 0..3 {
+            for _ in 0..(me * 7 + round) % 4 {
+                ctx.yield_point();
+            }
+            let x = ctx.rng().next_f64();
+            let send = vec![x + me as f64; n];
+            let mut recv = vec![0.0; n];
+            ctx.alltoall(&send, &mut recv, w);
+            let mut all = vec![0.0; n];
+            ctx.allgather(&[recv.iter().sum::<f64>()], &mut all, w);
+            let counts: Vec<i32> = (0..n as i32).map(|r| 1 + r % 2).collect();
+            let displs: Vec<i32> = counts
+                .iter()
+                .scan(0, |d, &c| Some(std::mem::replace(d, *d + c)))
+                .collect();
+            let mine = vec![all[me] * 0.5; counts[me] as usize];
+            let mut gathered = vec![0.0; counts.iter().sum::<i32>() as usize];
+            ctx.gatherv(&mine, &mut gathered, &counts, &displs, round % n, w);
+            acc += all.iter().sum::<f64>() + gathered.iter().sum::<f64>();
+        }
+        RankOutput::from_scalars(&[("acc", acc)])
+    })
+}
+
 fn spec(nranks: usize) -> JobSpec {
     JobSpec {
         nranks,
@@ -147,6 +179,32 @@ fn perturbed_ready_queue_never_changes_rank_step_order() {
             assert_eq!(
                 trace, reference,
                 "perturb seed {seed:#x} changed the rank-step order ({nranks} ranks)"
+            );
+            assert_eq!(out, ref_out, "perturb seed {seed:#x} changed outputs");
+        }
+    }
+}
+
+/// The rendezvous park is a park like any other: with ranks waiting in
+/// rendezvous slots, a shuffled collection order still leaves the
+/// rank-step trace and the outputs as they are.
+#[test]
+fn perturbed_ready_queue_with_ranks_parked_at_a_rendezvous() {
+    for nranks in [5, 7] {
+        let run = |perturb: Option<u64>| {
+            let mut arena = CoopArena::new(nranks);
+            arena.set_perturb(perturb);
+            arena.set_trace(true);
+            let res = arena.run(&spec(nranks), slots_app());
+            (arena.take_trace(), outputs(&res))
+        };
+        let (reference, ref_out) = run(None);
+        assert!(!reference.is_empty(), "trace must record rank steps");
+        for seed in [1u64, 3, 0xDEAD_BEEF, u64::MAX, 0x5EED_5EED, 42] {
+            let (trace, out) = run(Some(seed));
+            assert_eq!(
+                trace, reference,
+                "perturb seed {seed:#x} changed the rank-step order at a rendezvous ({nranks} ranks)"
             );
             assert_eq!(out, ref_out, "perturb seed {seed:#x} changed outputs");
         }

@@ -275,11 +275,59 @@ fn one_measurement_loop() {
 }
 
 /// One seam between a collective's entry and its result (DESIGN.md §20),
-/// and one place that runs a trial's job.
+/// and one place that runs a trial's job. The rendezvous (DESIGN.md §12)
+/// is entered from that seam alone, beside the algorithm it stands in
+/// for, and the job's hook and engine alone choose it: no `JobSpec`
+/// field, config, flag or variable outside simmpi names it.
 #[test]
 fn one_exchange_seam() {
-    assert_eq!(count("crates/simmpi/src/ctx.rs", "self.env("), 1);
+    let ctx = "crates/simmpi/src/ctx.rs";
+    assert_eq!(count(ctx, "self.env("), 1);
     assert_eq!(count(CAMPAIGN, "self.arena.run("), 1);
+    let entries = hits(under(SIMMPI), |l| l.contains("rendezvous::exchange("));
+    assert_eq!(entries.len(), 1, "one way in:\n{}", entries.join("\n"));
+    let (seam, _) = split_items(source(ctx), "    fn exchange(");
+    let line = |needle: &str| {
+        let found = seam.lines().position(|l| l.contains(needle));
+        found.unwrap_or_else(|| panic!("RankCtx::exchange has no {needle}"))
+    };
+    let (env, enter, alg) = (
+        line("let env = self.env(d);"),
+        line("rendezvous::exchange(&env, alg)"),
+        line("alg.run(&env)"),
+    );
+    assert!(
+        env < enter && enter < alg && alg - env <= 4,
+        "the rendezvous sits beside the algorithm"
+    );
+    let chosen = hits(under(SIMMPI), |l| {
+        l.contains("rendezvous: ") && !l.trim_end().ends_with("bool,")
+    });
+    let choices = [
+        "rendezvous: spec.hook.is_none() && engine == Engine::Coop,",
+        "rendezvous: job.rendezvous,",
+    ];
+    assert_eq!(chosen.len(), choices.len(), "{}", chosen.join("\n"));
+    assert!(
+        chosen.iter().zip(choices).all(|(l, c)| l.ends_with(c)),
+        "{}",
+        chosen.join("\n")
+    );
+    let spec = source("crates/simmpi/src/runtime.rs")
+        .split("pub struct JobSpec {")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}\n").next())
+        .expect("JobSpec");
+    assert!(
+        !spec.to_lowercase().contains("rendezvous"),
+        "a JobSpec field names it"
+    );
+    let named = stray(
+        |p| !p.starts_with("crates/simmpi/"),
+        |l| l.to_lowercase().contains("rendezvous"),
+        &[],
+    );
+    assert_none("the rendezvous named outside simmpi", &named);
 }
 
 /// A trial ends early in one way (DESIGN.md §21): simmpi stores the
