@@ -1,15 +1,18 @@
 //! Determinism guarantees the whole methodology rests on: identical seeds
 //! must give bitwise-identical golden runs, and identical faults must give
 //! identical responses — including property-based checks over fault bits.
+//! That a journal survives a kill and resume byte for byte is the kill axis
+//! of the differential oracle (`tests/oracle/`), held here.
+
+mod oracle;
 
 use fastfit::prelude::*;
-use fastfit_store::{campaign_meta, durable_journal_lines, CampaignStore};
 use npb::{mg_app, MgConfig};
+use oracle::hold_slice;
 use prng::Prng;
 use simmpi::ctx::{RankCtx, RankOutput};
 use simmpi::op::ReduceOp;
 use simmpi::runtime::{run_job, AppFn, JobOutcome, JobSpec};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn noisy_app() -> AppFn {
@@ -95,203 +98,36 @@ fn mg_campaign_point_results_replay() {
     }
 }
 
-/// Observer that persists to a store but simulates a crash (panics) after
-/// a fixed budget of fresh — journal-backed — trials.
-struct CrashAfter {
-    store: CampaignStore,
-    fresh_budget: AtomicUsize,
-}
-
-impl CampaignObserver for CrashAfter {
-    fn replay(
-        &self,
-        point: &fastfit::space::InjectionPoint,
-        trial: usize,
-        bit: u64,
-    ) -> Option<TrialDisposition> {
-        self.store.replay(point, trial, bit)
-    }
-
-    fn on_event(&self, event: &ProgressEvent<'_>) {
-        self.store.on_event(event);
-        if let ProgressEvent::TrialFinished {
-            replayed: false, ..
-        } = event
-        {
-            if self.fresh_budget.fetch_sub(1, Ordering::SeqCst) == 1 {
-                panic!("simulated crash mid-campaign");
-            }
-        }
-    }
-}
-
-/// Determinism must survive a crash: a campaign killed mid-measurement and
-/// resumed from its journal yields the same point histograms — bit for
-/// bit — as one that ran uninterrupted.
+/// Determinism must survive a crash: an MG campaign killed after a few
+/// fresh trials and resumed from its journal journals what the
+/// uninterrupted run does, bit for bit.
 #[test]
 fn mg_campaign_killed_and_resumed_is_identical() {
-    fn mg_campaign() -> Campaign {
-        let w = Workload::new(
-            "MG",
-            mg_app(MgConfig {
-                n: 8,
-                cycles: 2,
-                sweeps: 1,
-            }),
-            1e-7,
-            4,
-        );
-        Campaign::prepare(
-            w,
-            CampaignConfig {
-                trials_per_point: 3,
-                ..Default::default()
-            },
-        )
-    }
-    let dir = std::env::temp_dir().join(format!("fastfit-determinism-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let reference = mg_campaign().run_all();
-
-    // Kill the campaign partway in; the journal keeps what was paid for.
-    let c1 = mg_campaign();
-    let meta = campaign_meta(&c1, c1.points(), None);
-    let crasher = CrashAfter {
-        store: CampaignStore::open(&dir, meta.clone()).unwrap(),
-        fresh_budget: AtomicUsize::new(4),
-    };
-    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        c1.run_all_observed(&crasher)
-    }));
-    assert!(crashed.is_err(), "crash must interrupt the run");
-
-    // Resume: replay the journal, measure the rest, merge.
-    let store = CampaignStore::open(&dir, meta).unwrap();
-    assert_eq!(store.replayable_trials(), 4);
-    let c2 = mg_campaign();
-    let resumed = c2.run_all_observed(&store);
-    store.finish().unwrap();
-
-    assert_eq!(resumed.results.len(), reference.results.len());
-    for (x, y) in resumed.results.iter().zip(&reference.results) {
-        assert_eq!(x.point, y.point);
-        assert_eq!(x.hist, y.hist, "point {:?}", x.point);
-        assert_eq!(x.fired, y.fired, "point {:?}", x.point);
-        assert_eq!(x.fatal_ranks, y.fatal_ranks, "point {:?}", x.point);
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
+    hold_slice(
+        module_path!(),
+        "mg_campaign_killed_and_resumed_is_identical",
+    );
 }
 
-/// Message-channel determinism, end to end: the same seed, config, and
-/// fault channel must journal byte-identical meta and trial records —
-/// including retransmit counts from the resilient transport — whether the
-/// campaign runs uninterrupted or is killed and resumed.
+/// The message channel, killed and resumed: the journal — retransmit
+/// counts from the resilient transport included — is byte-identical.
 #[test]
 fn message_channel_journals_byte_identical_across_kill_resume() {
-    fn msg_campaign() -> Campaign {
-        let w = Workload::new("noisy", noisy_app(), 0.0, 4);
-        Campaign::prepare(
-            w,
-            CampaignConfig {
-                trials_per_point: 3,
-                fault_channel: FaultChannel::Message,
-                resilient: true,
-                ..Default::default()
-            },
-        )
-    }
-    let dir_a = std::env::temp_dir().join(format!("fastfit-msg-det-a-{}", std::process::id()));
-    let dir_b = std::env::temp_dir().join(format!("fastfit-msg-det-b-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
-
-    // Uninterrupted reference run.
-    let c_a = msg_campaign();
-    let meta = campaign_meta(&c_a, c_a.points(), None);
-    assert_eq!(meta.fault_channel, FaultChannel::Message);
-    assert!(meta.resilient);
-    let store_a = CampaignStore::open(&dir_a, meta.clone()).unwrap();
-    c_a.run_all_observed(&store_a);
-    store_a.finish().unwrap();
-
-    // Killed after 2 fresh trials, then resumed from the journal.
-    let crasher = CrashAfter {
-        store: CampaignStore::open(&dir_b, meta.clone()).unwrap(),
-        fresh_budget: AtomicUsize::new(2),
-    };
-    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        msg_campaign().run_all_observed(&crasher)
-    }));
-    assert!(crashed.is_err(), "crash must interrupt the run");
-    let store_b = CampaignStore::open(&dir_b, meta).unwrap();
-    assert_eq!(store_b.replayable_trials(), 2);
-    msg_campaign().run_all_observed(&store_b);
-    store_b.finish().unwrap();
-
-    assert_eq!(
-        durable_journal_lines(&dir_a).unwrap(),
-        durable_journal_lines(&dir_b).unwrap(),
-        "message-channel kill/resume must replay to a byte-identical journal"
+    hold_slice(
+        module_path!(),
+        "message_channel_journals_byte_identical_across_kill_resume",
     );
-    std::fs::remove_dir_all(&dir_a).unwrap();
-    std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
-/// Timeline determinism, end to end: a burst+heal schedule keys every
-/// trigger to the anchor rank's logical op counter, so a campaign killed
-/// mid-measurement and resumed from its journal must replay to a
-/// byte-identical journal — including the per-trial `ef`/`el` event
-/// counts and resilient-transport retransmit totals.
+/// A timeline keys every trigger to the anchor rank's logical op counter,
+/// so a killed and resumed campaign journals the same per-trial event
+/// counts as the uninterrupted one.
 #[test]
 fn timeline_journals_byte_identical_across_kill_resume() {
-    fn tl_campaign() -> Campaign {
-        let w = Workload::new("noisy", noisy_app(), 0.0, 4);
-        let mut cfg = CampaignConfig {
-            trials_per_point: 3,
-            resilient: true,
-            ..Default::default()
-        };
-        cfg.set_timeline(FaultTimeline::parse("burst:2+heal:3").unwrap());
-        Campaign::prepare(w, cfg)
-    }
-    let dir_a = std::env::temp_dir().join(format!("fastfit-tl-det-a-{}", std::process::id()));
-    let dir_b = std::env::temp_dir().join(format!("fastfit-tl-det-b-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
-
-    // Uninterrupted reference run. The timeline is part of the campaign
-    // identity: the meta must carry it, with the channel pinned to the
-    // schedule's primary.
-    let c_a = tl_campaign();
-    let meta = campaign_meta(&c_a, c_a.points(), None);
-    assert_eq!(meta.timeline.token(), "burst:2+heal:3");
-    assert_eq!(meta.fault_channel, FaultChannel::Message);
-    let store_a = CampaignStore::open(&dir_a, meta.clone()).unwrap();
-    c_a.run_all_observed(&store_a);
-    store_a.finish().unwrap();
-
-    // Killed after 2 fresh trials, then resumed from the journal.
-    let crasher = CrashAfter {
-        store: CampaignStore::open(&dir_b, meta.clone()).unwrap(),
-        fresh_budget: AtomicUsize::new(2),
-    };
-    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        tl_campaign().run_all_observed(&crasher)
-    }));
-    assert!(crashed.is_err(), "crash must interrupt the run");
-    let store_b = CampaignStore::open(&dir_b, meta).unwrap();
-    assert_eq!(store_b.replayable_trials(), 2);
-    tl_campaign().run_all_observed(&store_b);
-    store_b.finish().unwrap();
-
-    assert_eq!(
-        durable_journal_lines(&dir_a).unwrap(),
-        durable_journal_lines(&dir_b).unwrap(),
-        "timeline kill/resume must replay to a byte-identical journal"
+    hold_slice(
+        module_path!(),
+        "timeline_journals_byte_identical_across_kill_resume",
     );
-    std::fs::remove_dir_all(&dir_a).unwrap();
-    std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
 /// Cases per property; case `seed` draws its inputs from

@@ -14,6 +14,7 @@ use fastfit_serve::{
 };
 use fastfit_store::json::Json;
 use fastfit_store::{campaign_meta, durable_journal_lines, journal_content_sha, CampaignStore};
+use simmpi::sched::Engine;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -251,6 +252,55 @@ fn fleet_campaign_merges_byte_identical_to_single_host() {
         w.join().expect("worker thread");
     }
     h.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Two workers on the coop engine lease trial ranges of one campaign from
+/// a coop coordinator; the merged journal must be byte-identical to a
+/// local run pinned to the *threaded* engine — the range split and the
+/// scheduler are both invisible.
+#[test]
+fn fleet_range_shard_on_coop_matches_threaded_local_run() {
+    let root = tmp_dir("fleet-coop");
+    let h = start(fleet_cfg(&root, Duration::from_secs(3))).expect("coordinator starts");
+    let addr = h.addr().to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let workers: Vec<_> = ["coop-a", "coop-b"]
+        .iter()
+        .map(|n| spawn_worker(&addr, n, stop.clone()))
+        .collect();
+
+    let spec = param_spec();
+    let id = submit(&addr, &spec);
+    wait_status(&addr, &id, "done", |state, _| state == "done");
+    let daemon_dir = root.join("campaigns").join(&id);
+
+    // Threaded local reference of the same spec.
+    let local = tmp_dir("fleet-coop-local");
+    let mut c = Campaign::prepare(resolve_workload(&spec), resolve_config(&spec));
+    c.pin_engine(Engine::Threads);
+    let meta = campaign_meta(&c, c.points(), None);
+    let store = CampaignStore::open(&local, meta).expect("open local store");
+    c.run_all_observed(&store);
+    store.finish().expect("finish local store");
+
+    assert_eq!(
+        durable_journal_lines(&daemon_dir).unwrap(),
+        durable_journal_lines(&local).unwrap(),
+        "coop fleet journal must be byte-identical to a threaded local run"
+    );
+    assert_eq!(
+        journal_content_sha(&daemon_dir).unwrap(),
+        journal_content_sha(&local).unwrap(),
+        "canonical journal SHA must match across shard split and scheduler"
+    );
+
+    stop.store(true, Ordering::SeqCst);
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+    h.shutdown();
+    std::fs::remove_dir_all(&local).unwrap();
     std::fs::remove_dir_all(&root).unwrap();
 }
 

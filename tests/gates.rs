@@ -517,3 +517,26 @@ fn one_progress_tally() {
         &hits(under("crates/store/src/"), atomic),
     );
 }
+
+/// One differential oracle (DESIGN.md §22): every byte-identity claim is
+/// a planned run of the oracle in `tests/oracle/`. The suites that hold
+/// the plan, `determinism` among them, store and compare no journal of
+/// their own, and under `tests/` the reference path is pinned only by the
+/// oracle, its guard tests in `tests/equivalence.rs` and the arena rig,
+/// which runs every trial to its end.
+#[test]
+fn one_differential_oracle() {
+    let suites = |p: &str| p.ends_with("_equivalence.rs") || p == "tests/determinism.rs";
+    let journals = contains_any("CampaignStore|durable_journal_lines|journal_content_sha|pin_");
+    assert_none(
+        "a journal compared outside the oracle",
+        &hits(suites, journals),
+    );
+    let places = [
+        ("tests/oracle/mod.rs", ""),
+        ("tests/equivalence.rs", ""),
+        ("tests/arena.rs", ""),
+    ];
+    let pins = stray(under("tests/"), |l| l.contains("pin_replay("), &places);
+    assert_none("pin_replay( outside the oracle", &pins);
+}

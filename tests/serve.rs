@@ -103,6 +103,25 @@ fn wait_status(addr: &str, id: &str, what: &str, pred: impl Fn(&str, &Json) -> b
     }
 }
 
+/// Poll `/metrics` until one of its lines is `line`, and return it whole.
+/// A campaign's status.json says `done` once its store finishes, a moment
+/// before its runner journals the transition in the queue log and the
+/// daemon counts it.
+fn wait_metric(addr: &str, line: &str) -> String {
+    let deadline = Instant::now() + DEADLINE;
+    loop {
+        let metrics = get(addr, "/metrics").body;
+        if metrics.lines().any(|l| l == line) {
+            return metrics;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "/metrics never showed {line}:\n{metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// Run `body` on its own thread and fail if it has not returned within
 /// `limit`. The daemon's waits have no timeout to fall back on, so a lost
 /// wakeup parks a thread for good; the limit is far above any honest run
@@ -154,8 +173,7 @@ fn concurrent_daemon_campaigns_journal_byte_identical_to_local_runs() {
         wait_status(&addr, id, "done", |state, _| state == "done");
     }
 
-    let metrics = get(&addr, "/metrics").body;
-    assert!(metrics.contains("campaigns_done 2"), "{metrics}");
+    let metrics = wait_metric(&addr, "campaigns_done 2");
     assert!(metrics.contains("campaigns_failed 0"), "{metrics}");
 
     for (spec, id) in specs.iter().zip(&ids) {
@@ -400,8 +418,7 @@ fn killed_daemon_resumes_on_restart() {
     // journal supplies its progress.
     let (mut child, addr) = spawn_daemon_child(&root, &addr_file);
     wait_status(&addr, &id, "done after restart", |state, _| state == "done");
-    let metrics = get(&addr, "/metrics").body;
-    assert!(metrics.contains("campaigns_done 1"), "{metrics}");
+    wait_metric(&addr, "campaigns_done 1");
     child.kill().expect("stop restarted daemon");
     let _ = child.wait();
 
