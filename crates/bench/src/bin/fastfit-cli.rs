@@ -610,12 +610,10 @@ fn cmd_scenario(flags: &Flags) {
     println!("aggregate status: GET http://{addr}/scenarios/{sid}/status");
 }
 
-/// The `state` token of a status body (full snapshot or minimal form).
-fn status_state(body: &str) -> String {
-    Json::parse(body)
-        .ok()
-        .and_then(|v| v.get("state").and_then(Json::as_str).map(str::to_string))
-        .unwrap_or_default()
+/// The lifecycle state of a status body (full snapshot or minimal form).
+fn status_state(body: &str) -> Option<CampaignState> {
+    let v = Json::parse(body).ok()?;
+    CampaignState::from_name(v.get("state")?.as_str()?)
 }
 
 /// Redraw a single-screen status view (shared by `watch` and
@@ -627,7 +625,10 @@ fn render_status_screen(header: &str, body: &str) {
         .and_then(|v| StatusSnapshot::from_json(&v).ok())
     {
         Some(s) => print!("{}", s.render()),
-        None => println!("state: {}", status_state(body)),
+        None => println!(
+            "state: {}",
+            status_state(body).map_or("?", CampaignState::name)
+        ),
     }
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
@@ -651,9 +652,9 @@ fn cmd_watch(id: &str, flags: &Flags) {
             render_status_screen(&format!("campaign {id} @ {addr}"), &r.body);
             last = r.body.clone();
         }
-        match status_state(&r.body).as_str() {
-            "done" => return,
-            "cancelled" | "failed" | "interrupted" => std::process::exit(1),
+        match status_state(&r.body) {
+            Some(CampaignState::Done) => return,
+            Some(state) if state.is_terminal() => std::process::exit(1),
             _ => std::thread::sleep(WATCH_POLL),
         }
     }
@@ -901,7 +902,7 @@ fn cmd_status(dir: &Path, watch: bool) {
         return;
     }
     // --watch: re-render on every status.json mtime change, single-screen
-    // refresh, until the campaign leaves the running state.
+    // refresh, until the campaign reaches a terminal state.
     let path = dir.join(STATUS_FILE);
     let header = format!("store {}", dir.display());
     let mut last_mtime = None;
@@ -914,7 +915,7 @@ fn cmd_status(dir: &Path, watch: bool) {
             match std::fs::read_to_string(&path) {
                 Ok(body) => {
                     render_status_screen(&header, &body);
-                    if status_state(&body) != CampaignState::Running.name() {
+                    if status_state(&body).is_none_or(CampaignState::is_terminal) {
                         return;
                     }
                 }

@@ -798,21 +798,6 @@ fn metrics(addr: &str) -> Vec<String> {
     get(addr, "/metrics").lines().map(String::from).collect()
 }
 
-/// The lines of `/metrics` once one of them is `line`. A campaign's status
-/// says `done` once its store finishes, a moment before the daemon
-/// journals the transition in its queue log and counts it.
-fn metrics_showing(addr: &str, line: &str) -> Vec<String> {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let m = metrics(addr);
-        if m.iter().any(|l| l == line) {
-            return m;
-        }
-        assert!(Instant::now() < deadline, "{line} never in {m:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 /// An operator's session with the daemon: `serve` on a free port, `submit`,
 /// `watch`, `/metrics` and `results.csv`; then the committed channel
 /// grammar previewed, and a four-member grammar submitted to a second
@@ -824,7 +809,7 @@ fn serve_submit_watch_and_scenario_verbs_run_end_to_end() {
     let (_daemon, addr) = serve(&root, &[]);
     let id = submit(&addr, &["--workload", "IS"]);
     watch(&addr, &id);
-    let m = metrics_showing(&addr, "campaigns_done 1");
+    let m = metrics(&addr);
     for line in ["campaigns_done 1", "campaigns_failed 0"] {
         assert!(m.iter().any(|l| l == line), "{line} in {m:?}");
     }

@@ -110,51 +110,20 @@ impl ServeConfig {
 /// The default control-plane address.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:8717";
 
-/// In-memory lifecycle of one submission (the queue log keeps only
-/// submit + terminal transitions; `Running`/`Interrupted` are
-/// reconstructible and deliberately not journaled).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EntryState {
-    /// Waiting for budget.
-    Queued,
-    /// A runner thread owns it.
-    Running,
-    /// Completed; `results.csv` and final `status.json` written.
-    Done,
-    /// Cooperatively cancelled.
-    Cancelled,
-    /// Could not run.
-    Failed(String),
-    /// Stopped by daemon shutdown after a clean checkpoint; re-queued on
-    /// the next start.
-    Interrupted,
-}
-
-impl EntryState {
-    /// Status token shown in listings and minimal status bodies.
-    pub fn token(&self) -> &'static str {
-        match self {
-            EntryState::Queued => "queued",
-            EntryState::Running => "running",
-            EntryState::Done => "done",
-            EntryState::Cancelled => "cancelled",
-            EntryState::Failed(_) => "failed",
-            EntryState::Interrupted => "interrupted",
-        }
-    }
-}
-
+/// One submission as the scheduler holds it. Its `state` is what every
+/// endpoint reports for the campaign: the queue log keeps only submit and
+/// terminal transitions, so `Running` and `Interrupted` (a shutdown stop,
+/// re-queued on the next start) live here alone.
 pub(crate) struct Entry {
     pub(crate) id: String,
     /// The pinned spec ([`pin_spec`]): what the queue log journals and
     /// the campaign resolves, whatever the environment does meanwhile.
     spec: CampaignSpec,
-    pub(crate) state: EntryState,
+    pub(crate) state: CampaignState,
+    /// Why a `Failed` campaign could not run.
+    error: Option<String>,
     /// Cancellation token handed to the campaign when it runs.
     cancel: CancelToken,
-    /// A `DELETE` arrived while running; the runner finalizes it as
-    /// `Cancelled` (vs. daemon shutdown, which finalizes `Interrupted`).
-    cancel_requested: bool,
 }
 
 impl Entry {
@@ -162,9 +131,9 @@ impl Entry {
         Entry {
             id,
             spec,
-            state: EntryState::Queued,
+            state: CampaignState::Queued,
+            error: None,
             cancel: CancelToken::new(),
-            cancel_requested: false,
         }
     }
 
@@ -218,7 +187,7 @@ impl SchedState {
     /// log and when a handler has just appended the event. A terminal
     /// event keeps the entry (listings show past work).
     pub(crate) fn apply(&mut self, ev: &QueueEvent) {
-        let (id, state) = match ev {
+        let (id, state, error) = match ev {
             QueueEvent::Submitted { id, seq, spec } => {
                 self.next_seq = self.next_seq.max(seq + 1);
                 self.entries.push(Entry::queued(id.clone(), spec.clone()));
@@ -242,15 +211,15 @@ impl SchedState {
             }
             QueueEvent::Done { id } => {
                 self.done += 1;
-                (id, EntryState::Done)
+                (id, CampaignState::Done, None)
             }
             QueueEvent::Cancelled { id } => {
                 self.cancelled += 1;
-                (id, EntryState::Cancelled)
+                (id, CampaignState::Cancelled, None)
             }
             QueueEvent::Failed { id, error } => {
                 self.failed += 1;
-                (id, EntryState::Failed(error.clone()))
+                (id, CampaignState::Failed, Some(error.clone()))
             }
             QueueEvent::Worker { .. } | QueueEvent::Lease { .. } | QueueEvent::LeaseDone { .. } => {
                 return
@@ -258,7 +227,12 @@ impl SchedState {
         };
         if let Some(e) = self.entry_mut(id) {
             e.state = state;
+            e.error = error;
         }
+    }
+
+    fn entry(&self, id: &str) -> Option<&Entry> {
+        self.entries.iter().find(|e| e.id == id)
     }
 
     fn entry_mut(&mut self, id: &str) -> Option<&mut Entry> {
@@ -547,9 +521,8 @@ impl Daemon {
                     .campaigns
                     .iter()
                     .filter(|cid| {
-                        st.entries
-                            .iter()
-                            .any(|e| &e.id == *cid && e.state == EntryState::Done)
+                        st.entry(cid)
+                            .is_some_and(|e| e.state == CampaignState::Done)
                     })
                     .count();
                 Json::obj([
@@ -570,34 +543,35 @@ impl Daemon {
     fn scenario_status(&self, id: &str) -> Option<Json> {
         let st = self.state.lock().expect("scheduler lock poisoned");
         let sc = st.scenarios.iter().find(|s| s.id == id)?;
+        // A crash between the member submissions and the scenario record
+        // cannot leave a member without an entry (members are journaled
+        // first), but a hand-edited queue can.
+        let states: Vec<Option<CampaignState>> = sc
+            .campaigns
+            .iter()
+            .map(|cid| st.entry(cid).map(|e| e.state))
+            .collect();
+        let token = |s: &Option<CampaignState>| s.map_or("unknown", CampaignState::name);
         let mut counts: std::collections::BTreeMap<&'static str, u64> = Default::default();
         let members: Vec<Json> = sc
             .campaigns
             .iter()
-            .map(|cid| {
-                let token = st
-                    .entries
-                    .iter()
-                    .find(|e| &e.id == cid)
-                    .map(|e| e.state.token())
-                    // A crash between the member submissions and the
-                    // scenario record cannot produce this (members are
-                    // journaled first), but a hand-edited queue can.
-                    .unwrap_or("unknown");
-                *counts.entry(token).or_insert(0) += 1;
+            .zip(&states)
+            .map(|(cid, s)| {
+                *counts.entry(token(s)).or_insert(0) += 1;
                 Json::obj([
                     ("id", Json::Str(cid.clone())),
-                    ("state", Json::Str(token.into())),
+                    ("state", Json::Str(token(s).into())),
                 ])
             })
             .collect();
-        let total: u64 = counts.values().sum();
-        let rollup = if counts.contains_key("running") {
-            "running"
-        } else if counts.contains_key("queued") {
-            "queued"
-        } else if counts.get("done").copied() == Some(total) {
-            "done"
+        let any = |s: CampaignState| states.contains(&Some(s));
+        let rollup = if any(CampaignState::Running) {
+            CampaignState::Running.name()
+        } else if any(CampaignState::Queued) {
+            CampaignState::Queued.name()
+        } else if states.iter().all(|s| *s == Some(CampaignState::Done)) {
+            CampaignState::Done.name()
         } else {
             "mixed"
         };
@@ -625,56 +599,46 @@ impl Daemon {
             .entries
             .iter()
             .map(|e| {
-                let shown = if e.cancel_requested && e.state == EntryState::Running {
-                    "cancelling"
-                } else {
-                    e.state.token()
-                };
                 Json::obj([
                     ("id", Json::Str(e.id.clone())),
                     ("workload", Json::Str(e.spec.workload.clone())),
                     ("ranks", Json::U64(e.ranks() as u64)),
-                    ("state", Json::Str(shown.into())),
+                    ("state", Json::Str(e.state.name().into())),
                 ])
             })
             .collect();
         Json::Arr(items)
     }
 
-    /// Handle `GET /campaigns/{id}/status`: the campaign's `status.json`
-    /// bytes verbatim once the store has written one; before that (and
-    /// for failed campaigns that never opened a store) a minimal object
-    /// carrying the scheduler's view.
-    fn status(&self, id: &str) -> Option<(u16, String)> {
-        let state = {
+    /// Handle `GET /campaigns/{id}/status`: the counts of the campaign's
+    /// `status.json` (`{}` before the store writes one) under the
+    /// scheduler's state, plus the error of a failed campaign. The store's
+    /// own `state` is not served: it says `done` before the queue log
+    /// does, and a restart re-queues what it calls `interrupted`.
+    fn status(&self, id: &str) -> Option<Json> {
+        let (state, error) = {
             let st = self.state.lock().expect("scheduler lock poisoned");
-            st.entries.iter().find(|e| e.id == id)?.state.clone()
+            let e = st.entry(id)?;
+            (e.state, e.error.clone())
         };
-        // A failed campaign's status.json (if it got far enough to have
-        // one) froze at whatever the store last wrote; the scheduler's
-        // verdict is the truth, so serve it instead.
-        if let EntryState::Failed(e) = &state {
-            let body = Json::obj([
-                ("state", Json::Str("failed".into())),
-                ("error", Json::Str(e.clone())),
-            ]);
-            return Some((200, body.encode() + "\n"));
-        }
-        let path = self.campaign_dir(id).join(STATUS_FILE);
-        if let Ok(bytes) = std::fs::read_to_string(&path) {
-            return Some((200, bytes));
+        let file = std::fs::read_to_string(self.campaign_dir(id).join(STATUS_FILE)).ok();
+        let mut body = match file.as_deref().map(Json::parse) {
+            Some(Ok(Json::Obj(m))) => m,
+            _ => Default::default(),
+        };
+        body.insert("state".into(), Json::Str(state.name().into()));
+        if let Some(e) = error {
+            body.insert("error".into(), Json::Str(e));
         }
         // Fleet campaigns have no store-written status.json while they
         // lease; surface the range pool's coverage instead.
-        let mut fields = vec![("state", Json::Str(state.token().into()))];
-        if self.cfg.fleet {
+        if file.is_none() && self.cfg.fleet {
             if let Some((covered, total)) = self.fleet_progress(id) {
-                fields.push(("trials_fresh", Json::U64(covered)));
-                fields.push(("trials_total", Json::U64(total)));
+                body.insert("trials_fresh".into(), Json::U64(covered));
+                body.insert("trials_total".into(), Json::U64(total));
             }
         }
-        let body = Json::obj(fields);
-        Some((200, body.encode() + "\n"))
+        Some(Json::Obj(body))
     }
 
     /// Handle `DELETE /campaigns/{id}`.
@@ -684,25 +648,27 @@ impl Daemon {
             return (404, err_json("no such campaign"));
         };
         match entry.state {
-            EntryState::Queued => {
+            CampaignState::Queued => {
                 let ev = QueueEvent::Cancelled { id: id.to_string() };
                 if let Err(e) = self.append_event(&ev) {
                     return (500, err_json(&format!("queue journal write failed: {e}")));
                 }
                 self.apply(&mut st, std::slice::from_ref(&ev));
-                (200, Json::obj([("state", Json::Str("cancelled".into()))]))
+                let cancelled = CampaignState::Cancelled.name();
+                (200, Json::obj([("state", Json::Str(cancelled.into()))]))
             }
-            EntryState::Running => {
-                entry.cancel_requested = true;
+            // The campaign stays `running` until its runner finishes it
+            // `cancelled`; the body answers the request, not the state.
+            CampaignState::Running => {
                 entry.cancel.cancel();
                 drop(st);
                 // A fleet runner waits for coverage, not on the token.
                 self.wake_fleet();
                 (202, Json::obj([("state", Json::Str("cancelling".into()))]))
             }
-            _ => (
+            state => (
                 409,
-                err_json(&format!("campaign is already {}", entry.state.token())),
+                err_json(&format!("campaign is already {}", state.name())),
             ),
         }
     }
@@ -714,12 +680,12 @@ impl Daemon {
             let queued = st
                 .entries
                 .iter()
-                .filter(|e| e.state == EntryState::Queued)
+                .filter(|e| e.state == CampaignState::Queued)
                 .count();
             let running: Vec<&Entry> = st
                 .entries
                 .iter()
-                .filter(|e| e.state == EntryState::Running)
+                .filter(|e| e.state == CampaignState::Running)
                 .collect();
             let occupancy: usize = running.iter().map(|e| self.carrier_cost(e.ranks())).sum();
             let counts = (st.accepted, st.done, st.cancelled, st.failed);
@@ -786,7 +752,7 @@ impl Daemon {
         let running: Vec<usize> = st
             .entries
             .iter()
-            .filter(|e| e.state == EntryState::Running)
+            .filter(|e| e.state == CampaignState::Running)
             .map(|e| self.carrier_cost(e.ranks()))
             .collect();
         if running.len() >= self.cfg.max_campaigns {
@@ -795,14 +761,14 @@ impl Daemon {
         let occupancy: usize = running.iter().sum();
         let budget = self.cfg.worker_budget;
         let idx = st.entries.iter().position(|e| {
-            e.state == EntryState::Queued
+            e.state == CampaignState::Queued
                 // Fits, or nothing is running (an oversized campaign
                 // must not starve — it just runs alone).
                 && (occupancy + self.carrier_cost(e.ranks()) <= budget || occupancy == 0)
         })?;
         st.runners += 1;
         let entry = &mut st.entries[idx];
-        entry.state = EntryState::Running;
+        entry.state = CampaignState::Running;
         entry
             .cancel
             .hold_after(self.hold_after.load(Ordering::Relaxed));
@@ -817,21 +783,22 @@ impl Daemon {
             .append(event)
     }
 
-    /// Record a runner's terminal transition: journal it when the queue
-    /// log owes one, then apply it and release the runner's slot. Durable
-    /// before visible, and the fsync happens outside the `state` lock so
-    /// status and listing requests never wait on the disk.
-    pub(crate) fn finish(&self, id: &str, state: EntryState) {
-        let event = match &state {
-            EntryState::Done => Some(QueueEvent::Done { id: id.to_string() }),
-            EntryState::Cancelled => Some(QueueEvent::Cancelled { id: id.to_string() }),
-            EntryState::Failed(e) => Some(QueueEvent::Failed {
+    /// Record a runner's terminal transition (an error is `Failed`):
+    /// journal it when the queue log owes one, then apply it and release
+    /// the runner's slot. Durable before visible, and the fsync happens
+    /// outside the `state` lock so status and listing requests never wait
+    /// on the disk.
+    pub(crate) fn finish(&self, id: &str, outcome: Result<CampaignState, String>) {
+        let event = match &outcome {
+            Ok(CampaignState::Done) => Some(QueueEvent::Done { id: id.to_string() }),
+            Ok(CampaignState::Cancelled) => Some(QueueEvent::Cancelled { id: id.to_string() }),
+            Err(e) => Some(QueueEvent::Failed {
                 id: id.to_string(),
                 error: e.clone(),
             }),
             // Interrupted is deliberately not journaled: the submission
             // is still owed, and the next start re-queues it.
-            _ => None,
+            Ok(_) => None,
         };
         if let Some(ev) = &event {
             if let Err(e) = self.append_event(ev) {
@@ -842,7 +809,7 @@ impl Daemon {
         match &event {
             Some(ev) => self.apply(&mut st, std::slice::from_ref(ev)),
             None => {
-                if let Some(entry) = st.entry_mut(id) {
+                if let (Some(entry), Ok(state)) = (st.entry_mut(id), outcome) {
                     entry.state = state;
                 }
             }
@@ -880,7 +847,7 @@ impl Daemon {
         id: &str,
         spec: &CampaignSpec,
         token: CancelToken,
-    ) -> Result<EntryState, String> {
+    ) -> Result<CampaignState, String> {
         let campaign = self.prepare(spec, token)?;
         let registry = spec.ml_threshold.map(|_| self.model_registry());
         let registry = registry.transpose().map_err(store_err)?;
@@ -898,19 +865,19 @@ impl Daemon {
             .trials_absorbed
             .fetch_add(replay.absorbed_trials, Ordering::Relaxed);
         match ran? {
-            Ran::Done { .. } => Ok(EntryState::Done),
+            Ran::Done { .. } => Ok(CampaignState::Done),
             Ran::Stopped { .. } => {
                 // Shutdown interrupts; an explicit DELETE cancels. Same
                 // checkpoint, different lifecycle state.
-                let (state, entry) = if self.is_shutting_down() {
-                    (CampaignState::Interrupted, EntryState::Interrupted)
+                let state = if self.is_shutting_down() {
+                    CampaignState::Interrupted
                 } else {
-                    (CampaignState::Cancelled, EntryState::Cancelled)
+                    CampaignState::Cancelled
                 };
                 if let Some(store) = &run.store {
                     store.checkpoint(state).map_err(store_err)?;
                 }
-                Ok(entry)
+                Ok(state)
             }
         }
     }
@@ -990,11 +957,7 @@ impl DaemonHandle {
     #[doc(hidden)]
     pub fn wait_held(&self, id: &str, timeout: Duration) -> bool {
         let st = self.daemon.state.lock().expect("scheduler lock poisoned");
-        let token = st
-            .entries
-            .iter()
-            .find(|e| e.id == id)
-            .map(|e| e.cancel.clone());
+        let token = st.entry(id).map(|e| e.cancel.clone());
         drop(st);
         token.is_some_and(|t| t.wait_held(timeout))
     }
@@ -1006,7 +969,11 @@ impl DaemonHandle {
         let d = &self.daemon;
         d.shutdown.store(true, Ordering::SeqCst);
         let st = d.state.lock().expect("scheduler lock poisoned");
-        for e in st.entries.iter().filter(|e| e.state == EntryState::Running) {
+        for e in st
+            .entries
+            .iter()
+            .filter(|e| e.state == CampaignState::Running)
+        {
             e.cancel.cancel();
         }
         drop(st);
@@ -1077,7 +1044,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
     let recovered = sched
         .entries
         .iter()
-        .filter(|e| e.state == EntryState::Queued)
+        .filter(|e| e.state == CampaignState::Queued)
         .count();
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -1204,15 +1171,10 @@ fn spawn_runner(daemon: &Arc<Daemon>, id: String, spec: CampaignSpec, token: Can
                     d.run_campaign(&id, &spec, token)
                 }
             }));
-            let state = match outcome {
-                Ok(Ok(state)) => state,
-                Ok(Err(e)) => EntryState::Failed(e),
-                Err(panic) => EntryState::Failed(panic_text(&panic)),
-            };
-            d.finish(&id, state);
+            d.finish(&id, outcome.unwrap_or_else(|panic| Err(panic_text(&panic))));
         });
     if spawned.is_err() {
-        daemon.finish(&id, EntryState::Failed("cannot spawn runner".into()));
+        daemon.finish(&id, Err("cannot spawn runner".into()));
     }
 }
 
@@ -1231,9 +1193,7 @@ fn handle(daemon: &Daemon, req: &Request, stream: &mut std::net::TcpStream) {
         }
         ("GET", ["campaigns"]) => respond_json(stream, 200, daemon.list()),
         ("GET", ["campaigns", id, "status"]) => match daemon.status(id) {
-            Some((status, body)) => {
-                let _ = write_response(stream, status, "application/json", body.as_bytes());
-            }
+            Some(body) => respond_json(stream, 200, body),
             None => respond_json(stream, 404, err_json("no such campaign")),
         },
         ("GET", ["campaigns", id, "results.csv"]) => {

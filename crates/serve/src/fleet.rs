@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use crate::daemon::{err_json, store_err, Daemon, EntryState};
+use crate::daemon::{err_json, store_err, Daemon};
 use crate::queue::{seq_of, QueueEvent};
 use crate::run::write_results;
 use crate::spec::CampaignSpec;
@@ -42,7 +42,8 @@ use fastfit::prelude::{CancelToken, InjectionPoint, PointResult};
 use fastfit_store::journal::JOURNAL_FILE;
 use fastfit_store::json::Json;
 use fastfit_store::{
-    campaign_meta, load_segments, merge_segments, write_segment, CampaignMeta, Record, TrialRecord,
+    campaign_meta, load_segments, merge_segments, write_segment, CampaignMeta, CampaignState,
+    Record, TrialRecord,
 };
 
 /// How long `/fleet/lease` is held open while no range is grantable.
@@ -779,7 +780,7 @@ impl Daemon {
         id: &str,
         spec: &CampaignSpec,
         token: CancelToken,
-    ) -> Result<EntryState, String> {
+    ) -> Result<CampaignState, String> {
         if spec.ml_threshold.is_some() {
             return Err("ml campaigns cannot run on a fleet".to_string());
         }
@@ -800,9 +801,9 @@ impl Daemon {
                 drop(fl);
                 self.fleet_close_pool(id);
                 return if self.is_shutting_down() {
-                    Ok(EntryState::Interrupted)
+                    Ok(CampaignState::Interrupted)
                 } else {
-                    Ok(EntryState::Cancelled)
+                    Ok(CampaignState::Cancelled)
                 };
             }
             match fl.pools.iter().find(|p| p.campaign == id) {
@@ -831,7 +832,7 @@ impl Daemon {
             fastfit_store::journal::read_journal(&dir.join(JOURNAL_FILE)).map_err(store_err)?;
         let results = reconstruct_results(&points, &meta, &contents.trials);
         write_results(&dir, &campaign, &results)?;
-        Ok(EntryState::Done)
+        Ok(CampaignState::Done)
     }
 }
 

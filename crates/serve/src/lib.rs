@@ -53,7 +53,7 @@ pub mod worker;
 pub mod workload;
 
 pub use cost::GoldenCostModel;
-pub use daemon::{start, DaemonHandle, EntryState, ServeConfig, DEFAULT_ADDR};
+pub use daemon::{start, DaemonHandle, ServeConfig, DEFAULT_ADDR};
 pub use http::{http_request, http_request_retry, HttpLimits, Response};
 pub use queue::{read_queue, QueueEvent, QueueLog};
 pub use run::{open_store, CampaignRun, Ran, RESULTS_FILE};

@@ -323,8 +323,9 @@ pub(crate) fn seq_of(id: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::{EntryState, SchedState};
+    use crate::daemon::SchedState;
     use crate::fleet::FleetState;
+    use fastfit_store::CampaignState;
     use std::path::PathBuf;
     use std::time::{Duration, Instant};
 
@@ -357,7 +358,7 @@ mod tests {
         sched
             .entries
             .iter()
-            .filter(|e| e.state == EntryState::Queued)
+            .filter(|e| e.state == CampaignState::Queued)
             .map(|e| e.id.as_str())
             .collect()
     }

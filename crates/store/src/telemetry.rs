@@ -23,9 +23,13 @@ fn channel_hist_key(ch: FaultChannel) -> String {
     format!("responses_{}", ch.token().replace('-', "_"))
 }
 
-/// Campaign lifecycle states recorded in `status.json`.
+/// A campaign's lifecycle: the state `status.json` records and every
+/// daemon endpoint reports. A store writes `Running`, `Done`, `Cancelled`
+/// and `Interrupted`; `Queued` and `Failed` are the daemon scheduler's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CampaignState {
+    /// Submitted to a daemon and waiting for budget.
+    Queued,
     /// Measurement in progress (or the process died without finishing —
     /// a `running` status older than its campaign's process is exactly
     /// the resume case).
@@ -37,6 +41,8 @@ pub enum CampaignState {
     /// cancel): the journal is checkpointed and resumable, but nobody
     /// intends to resume it.
     Cancelled,
+    /// Could not run; the daemon keeps the error text beside the state.
+    Failed,
     /// Interrupted by an external signal (SIGINT/SIGTERM) after a clean
     /// checkpoint: resumable, and resuming is the expected next step.
     Interrupted,
@@ -46,9 +52,11 @@ impl CampaignState {
     /// The token recorded in `status.json`.
     pub fn name(self) -> &'static str {
         match self {
+            CampaignState::Queued => "queued",
             CampaignState::Running => "running",
             CampaignState::Done => "done",
             CampaignState::Cancelled => "cancelled",
+            CampaignState::Failed => "failed",
             CampaignState::Interrupted => "interrupted",
         }
     }
@@ -56,12 +64,20 @@ impl CampaignState {
     /// Decode a `status.json` state token.
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
+            "queued" => Some(CampaignState::Queued),
             "running" => Some(CampaignState::Running),
             "done" => Some(CampaignState::Done),
             "cancelled" => Some(CampaignState::Cancelled),
+            "failed" => Some(CampaignState::Failed),
             "interrupted" => Some(CampaignState::Interrupted),
             _ => None,
         }
+    }
+
+    /// Whether the campaign has stopped moving: every state but `Queued`
+    /// and `Running`.
+    pub fn is_terminal(self) -> bool {
+        !matches!(self, CampaignState::Queued | CampaignState::Running)
     }
 
     /// Whether this state means the campaign stopped short of completion
@@ -565,23 +581,33 @@ mod tests {
 
     #[test]
     fn lifecycle_state_tokens_roundtrip() {
-        for state in [
+        let all = [
+            CampaignState::Queued,
             CampaignState::Running,
             CampaignState::Done,
             CampaignState::Cancelled,
+            CampaignState::Failed,
             CampaignState::Interrupted,
-        ] {
+        ];
+        for state in all {
             assert_eq!(CampaignState::from_name(state.name()), Some(state));
+            // The snapshot schema carries every state verbatim.
+            let back = StatusSnapshot::from_json(&snap(state).to_json()).unwrap();
+            assert_eq!(back.state, state);
         }
         assert_eq!(CampaignState::from_name("bogus"), None);
         assert!(CampaignState::Cancelled.is_resumable_stop());
         assert!(CampaignState::Interrupted.is_resumable_stop());
-        assert!(!CampaignState::Done.is_resumable_stop());
-        assert!(!CampaignState::Running.is_resumable_stop());
-        // The snapshot schema carries the new states verbatim.
-        let snap = snap(CampaignState::Cancelled);
-        let back = StatusSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back.state, CampaignState::Cancelled);
+        for state in [
+            CampaignState::Queued,
+            CampaignState::Running,
+            CampaignState::Done,
+            CampaignState::Failed,
+        ] {
+            assert!(!state.is_resumable_stop(), "{state:?}");
+        }
+        let moving: Vec<_> = all.into_iter().filter(|s| !s.is_terminal()).collect();
+        assert_eq!(moving, [CampaignState::Queued, CampaignState::Running]);
     }
 
     #[test]

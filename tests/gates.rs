@@ -540,3 +540,60 @@ fn one_differential_oracle() {
     let pins = stray(under("tests/"), |l| l.contains("pin_replay("), &places);
     assert_none("pin_replay( outside the oracle", &pins);
 }
+
+/// A line that compares or builds the lifecycle token `token` as a string:
+/// `== "done"`, `"done" =>`, `| "done"`, `contains_key("done")`,
+/// `Json::Str("done".into())`, or a bare `"done"` as a branch's value. A
+/// JSON key, `("done", Json::U64(n))`, is none of these.
+fn handles_token(line: &str, token: &str) -> bool {
+    let q = format!("\"{token}\"");
+    let l = line.trim();
+    let shapes = [
+        format!("== {q}"),
+        format!("!= {q}"),
+        format!("{q} =="),
+        format!("{q} !="),
+        format!("{q} =>"),
+        format!("{q} |"),
+        format!("| {q}"),
+        format!("{q})"),
+        format!("Str({q}"),
+        format!("{q}."),
+    ];
+    l == q || shapes.iter().any(|shape| l.contains(shape.as_str()))
+}
+
+/// A campaign has one lifecycle (DESIGN.md §13 "One lifecycle"):
+/// `CampaignState`, whose tokens only `telemetry.rs` spells. Every other
+/// source decides on the enum; `queue.rs` keeps its durable event tags.
+#[test]
+fn one_lifecycle() {
+    stays_deleted("EntryState");
+    assert!(handles_token("if s == \"done\" {", "done"));
+    assert!(handles_token(
+        "\"cancelled\" | \"failed\" => exit(1),",
+        "failed"
+    ));
+    assert!(!handles_token(
+        "(\"done\", Json::U64(done as u64)),",
+        "done"
+    ));
+    let tokens = [
+        "queued",
+        "running",
+        "done",
+        "cancelled",
+        "failed",
+        "interrupted",
+    ];
+    let places = [
+        ("crates/store/src/telemetry.rs", ""),
+        ("crates/serve/src/queue.rs", ""),
+    ];
+    let found = stray(
+        crate_src,
+        |l| tokens.iter().any(|t| handles_token(l, t)),
+        &places,
+    );
+    assert_none("a lifecycle token handled as a string", &found);
+}

@@ -103,22 +103,14 @@ fn wait_status(addr: &str, id: &str, what: &str, pred: impl Fn(&str, &Json) -> b
     }
 }
 
-/// Poll `/metrics` until one of its lines is `line`, and return it whole.
-/// A campaign's status.json says `done` once its store finishes, a moment
-/// before its runner journals the transition in the queue log and the
-/// daemon counts it.
-fn wait_metric(addr: &str, line: &str) -> String {
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        let metrics = get(addr, "/metrics").body;
-        if metrics.lines().any(|l| l == line) {
-            return metrics;
-        }
+/// Assert that `/metrics` shows every line of `lines`.
+fn assert_metrics(addr: &str, lines: &[&str]) {
+    let metrics = get(addr, "/metrics").body;
+    for line in lines {
         assert!(
-            Instant::now() < deadline,
-            "/metrics never showed {line}:\n{metrics}"
+            metrics.lines().any(|l| l == *line),
+            "/metrics lacks {line}:\n{metrics}"
         );
-        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -173,8 +165,7 @@ fn concurrent_daemon_campaigns_journal_byte_identical_to_local_runs() {
         wait_status(&addr, id, "done", |state, _| state == "done");
     }
 
-    let metrics = wait_metric(&addr, "campaigns_done 2");
-    assert!(metrics.contains("campaigns_failed 0"), "{metrics}");
+    assert_metrics(&addr, &["campaigns_done 2", "campaigns_failed 0"]);
 
     for (spec, id) in specs.iter().zip(&ids) {
         let local = tmp_dir(&format!("local-{id}"));
@@ -418,7 +409,7 @@ fn killed_daemon_resumes_on_restart() {
     // journal supplies its progress.
     let (mut child, addr) = spawn_daemon_child(&root, &addr_file);
     wait_status(&addr, &id, "done after restart", |state, _| state == "done");
-    wait_metric(&addr, "campaigns_done 1");
+    assert_metrics(&addr, &["campaigns_done 1"]);
     child.kill().expect("stop restarted daemon");
     let _ = child.wait();
 
@@ -430,6 +421,56 @@ fn killed_daemon_resumes_on_restart() {
         "killed + restarted daemon must complete a byte-identical journal"
     );
     std::fs::remove_dir_all(&local).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A campaign a shutdown stopped is re-queued by the next start, and
+/// every endpoint says so: status, listing and `/metrics` all read the
+/// scheduler's `queued`, while status keeps the counts of the
+/// `status.json` the stopped store checkpointed as `interrupted`.
+#[test]
+fn a_restarted_daemon_shows_one_state_on_every_endpoint() {
+    let root = tmp_dir("restart-one-state");
+    let h = start(serve_cfg(&root)).expect("daemon starts");
+    let addr = h.addr().to_string();
+    h.hold_campaigns_after(3);
+    let mut spec = param_spec();
+    spec.trials = Some(24);
+    let id = submit(&addr, &spec);
+    assert!(
+        h.wait_held(&id, DEADLINE),
+        "campaign reached the hold after three trials"
+    );
+    h.shutdown();
+    let dir = root.join("campaigns").join(&id);
+    let file = StatusSnapshot::read_from(&dir).expect("the stop checkpointed status.json");
+    assert_eq!(file.state, CampaignState::Interrupted);
+
+    // Restarted with no room to run anything, the campaign stays owed.
+    let h = start(ServeConfig {
+        max_campaigns: 0,
+        ..serve_cfg(&root)
+    })
+    .expect("daemon restarts");
+    let addr = h.addr().to_string();
+    let status = Json::parse(&get(&addr, &format!("/campaigns/{id}/status")).body).unwrap();
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("queued"),
+        "{}",
+        status.encode()
+    );
+    assert_eq!(status.get("trials_fresh").and_then(Json::as_u64), Some(3));
+    let listing = Json::parse(&get(&addr, "/campaigns").body).unwrap();
+    let listed = listing
+        .as_arr()
+        .expect("listing is an array")
+        .iter()
+        .find(|e| e.get("id").and_then(Json::as_str) == Some(&id))
+        .and_then(|e| e.get("state").and_then(Json::as_str));
+    assert_eq!(listed, Some("queued"), "{}", listing.encode());
+    assert_metrics(&addr, &["campaigns_queued 1", "campaigns_running 0"]);
+    h.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }
 
