@@ -14,17 +14,27 @@
 //! a malformed value exits 2 before any experiment runs. Every campaign
 //! is described as a `CampaignSpec` and resolved through the daemon's
 //! resolver, so it is the campaign `fastfit-cli` would run for the same
-//! flags under the same environment.
-//! `--store DIR` journals the shared campaigns to durable store
-//! directories (one per campaign under DIR) — an interrupted `experiments`
-//! run then resumes its campaigns instead of remeasuring.
+//! flags under the same environment. Every whole campaign runs through
+//! `CampaignRun`, as `fastfit-cli campaign` runs one, and a campaign that
+//! several experiments share runs once.
+//! `--store DIR` journals every whole campaign under `DIR/<campaign ID>`,
+//! which `fastfit-cli status`, `resume` and `journal-sha` read; an
+//! interrupted `experiments` run then resumes its campaigns instead of
+//! remeasuring. A store that cannot open exits 2.
 
 use fastfit::prelude::*;
-use fastfit_serve::{open_store, pin_spec, resolve_config, resolve_workload, CampaignSpec};
-use fastfit_store::{campaign_meta, CampaignStore};
+use fastfit_serve::{
+    pin_spec, resolve_config, resolve_workload, validate_spec, CampaignRun, CampaignSpec, PointSet,
+    Ran,
+};
+use fastfit_store::short_id;
 use prng::Prng;
 use randomforest::{gaussian_fit, histogram, ForestParams, RandomForest};
 use simmpi::hook::{CollKind, ParamId};
+use std::cell::RefCell;
+use std::path::Path;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -64,14 +74,18 @@ fn prepare(spec: &CampaignSpec) -> Campaign {
     Campaign::prepare(resolve_workload(spec), resolve_config(spec))
 }
 
-/// The scale every experiment runs at: a spec pinned against the
-/// environment (`FASTFIT_RANKS`, `FASTFIT_TRIALS`, `FASTFIT_CLASS`). A
-/// malformed value exits 2.
+/// A spec pinned against the environment (`FASTFIT_RANKS`,
+/// `FASTFIT_TRIALS`, `FASTFIT_CLASS`) and validated, as `fastfit-cli`
+/// admits one. A malformed value exits 2.
+fn admit(spec: &CampaignSpec) -> CampaignSpec {
+    pin_spec(spec)
+        .and_then(|s| validate_spec(&s).map(|()| s))
+        .unwrap_or_else(|e| refuse(e))
+}
+
+/// The scale every experiment runs at.
 fn scale() -> CampaignSpec {
-    pin_spec(&CampaignSpec::new("IS")).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
+    admit(&CampaignSpec::new("IS"))
 }
 
 /// Trials per point.
@@ -87,111 +101,166 @@ fn csv_dir() -> Option<String> {
     CSV_DIR.get().cloned()
 }
 
-/// Open a campaign store under `<--store DIR>/<tag>` for one of the shared
-/// campaigns, if `--store` was given. Store failures (a directory holding
-/// a different campaign, say) disable persistence for that campaign rather
-/// than aborting the whole experiments run.
-fn store_for(c: &Campaign, points: &[InjectionPoint], tag: &str) -> Option<CampaignStore> {
-    let base = STORE_DIR.get()?;
-    let dir = std::path::Path::new(base).join(tag);
-    match open_store(&dir, c, points, campaign_meta(c, points, None)) {
-        Ok(s) => {
-            if s.replayable_trials() > 0 {
-                eprintln!(
-                    "[{}] resuming from {}: {} journaled trials",
-                    tag,
-                    dir.display(),
-                    s.replayable_trials()
-                );
+/// A measured campaign: the prepared campaign and its result.
+type Measured = Rc<(Campaign, CampaignResult)>;
+
+thread_local! {
+    /// Every campaign measured in this invocation, by its pinned spec.
+    static MEASURED: RefCell<Vec<(CampaignSpec, Measured)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The campaign `spec` describes, measured: prepared, opened as a
+/// `CampaignRun` — journaled under `<--store DIR>/<campaign ID>` when
+/// `--store` was given — and run to the end. Memoized by the pinned spec:
+/// equal specs have equal campaign IDs, so a campaign that several
+/// experiments share runs once. A store that cannot open exits 2, and one
+/// whose `results.csv` or final flush fails exits 1.
+fn measured(spec: &CampaignSpec) -> Measured {
+    let spec = admit(spec);
+    let known =
+        MEASURED.with_borrow(|m| m.iter().find(|(s, _)| *s == spec).map(|(_, r)| r.clone()));
+    if let Some(m) = known {
+        return m;
+    }
+    let t = Instant::now();
+    let c = prepare(&spec);
+    let notes = Notes::default();
+    let (result, tag) = {
+        let open = |dir: Option<&Path>| {
+            CampaignRun::open(&c, &spec, dir, None).unwrap_or_else(|e| refuse(e))
+        };
+        let mut run = open(None);
+        if let Some(base) = STORE_DIR.get() {
+            run = open(Some(&Path::new(base).join(&run.id)));
+        }
+        let tag = format!("{} {}", c.workload.name, short_id(&run.id));
+        match run.measure(&notes) {
+            Ok(Ran::Done { result, .. } | Ran::Stopped { result, .. }) => (result, tag),
+            Err(e) => {
+                eprintln!("[{tag}] {e}");
+                std::process::exit(1)
             }
-            Some(s)
         }
-        Err(e) => {
-            eprintln!("[{}] store disabled: {}", tag, e);
-            None
-        }
-    }
-}
-
-/// The quarantined trials of a run, in point order: a point's key, why
-/// its trials were quarantined, and how many in a row were.
-type QuarantineLog = Vec<(String, QuarantineReason, usize)>;
-
-/// Run a point set through the campaign, journaled when a store opened.
-fn run_points_stored(
-    c: &Campaign,
-    points: &[InjectionPoint],
-    tag: &str,
-) -> (CampaignResult, QuarantineLog) {
-    let store = store_for(c, points, tag);
-    let noting = NoteQuarantine {
-        inner: match &store {
-            Some(s) => s,
-            None => &NullObserver,
-        },
-        seen: Mutex::new(Vec::new()),
     };
-    let r = c.run_points_observed(points, &noting);
-    let seen = noting.seen.into_inner().unwrap();
-    if let Some(s) = store {
-        if let Err(e) = s.finish() {
-            eprintln!("[{}] final store flush failed: {}", tag, e);
-        }
+    eprintln!(
+        "[{tag}] {} points, {} trials, {} quarantined, {} fresh (not replayed), {:?}",
+        result.results.len(),
+        result.total_trials,
+        result.quarantined,
+        notes.fresh.into_inner(),
+        t.elapsed()
+    );
+    for (key, reason, n) in notes.quarantined.into_inner().unwrap() {
+        eprintln!("[{tag}]   quarantined {key} ×{n}: {}", reason.token());
     }
-    (r, seen)
+    let m = Rc::new((c, result));
+    MEASURED.with_borrow_mut(|v| v.push((spec, m.clone())));
+    m
 }
 
-/// An observer that passes everything on to `inner` and notes which
-/// points' trials were quarantined, and why.
-struct NoteQuarantine<'a> {
-    inner: &'a dyn CampaignObserver,
-    seen: Mutex<QuarantineLog>,
+/// What [`measured`] reports of a run besides its result: how many trials
+/// ran fresh (not replayed from a journal), and which points' trials were
+/// quarantined, why, and how many in a row.
+#[derive(Default)]
+struct Notes {
+    fresh: AtomicUsize,
+    quarantined: Mutex<Vec<(String, QuarantineReason, usize)>>,
 }
 
-impl CampaignObserver for NoteQuarantine<'_> {
-    fn replay(&self, point: &InjectionPoint, trial: usize, bit: u64) -> Option<TrialDisposition> {
-        self.inner.replay(point, trial, bit)
-    }
-
+impl CampaignObserver for Notes {
     fn on_event(&self, event: &ProgressEvent<'_>) {
-        if let ProgressEvent::TrialFinished {
+        let ProgressEvent::TrialFinished {
             point,
-            disposition: TrialDisposition::Quarantined { reason, .. },
+            disposition,
+            replayed,
             ..
         } = event
-        {
+        else {
+            return;
+        };
+        if !replayed {
+            self.fresh.fetch_add(1, Ordering::Relaxed);
+        }
+        if let TrialDisposition::Quarantined { reason, .. } = disposition {
             let key = point_key(point);
-            let mut seen = self.seen.lock().unwrap();
+            let mut seen = self.quarantined.lock().unwrap();
             match seen.last_mut() {
                 Some((k, r, n)) if *k == key && r == reason => *n += 1,
                 _ => seen.push((key, *reason, 1)),
             }
         }
-        self.inner.on_event(event);
     }
 }
 
-/// The `[tag] N points, M trials, Q quarantined` line, then a line per
-/// point with quarantined trials: how many, and why.
-fn report_run(
-    tag: &str,
-    what: &str,
-    (r, quarantined): &(CampaignResult, QuarantineLog),
-    points: usize,
-    t: Instant,
-) {
-    eprintln!(
-        "[{}] {} {}, {} trials, {} quarantined, {:?}",
-        tag,
-        points,
-        what,
-        r.total_trials,
-        r.quarantined,
-        t.elapsed()
-    );
-    for (key, reason, n) in quarantined {
-        eprintln!("[{}]   quarantined {} ×{}: {}", tag, key, n, reason.token());
-    }
+/// Each measured point's feature vector.
+fn features((c, r): &(Campaign, CampaignResult)) -> Vec<Vec<f64>> {
+    r.results
+        .iter()
+        .map(|p| c.extractor.features(&p.point))
+        .collect()
+}
+
+/// Each measured point's error-rate level among `k` even levels.
+fn rate_levels(r: &CampaignResult, k: usize) -> Vec<usize> {
+    let levels = Levels::even(k);
+    r.results
+        .iter()
+        .map(|p| levels.of(p.error_rate()))
+        .collect()
+}
+
+/// The four NPB kernels' campaigns with faults in every parameter.
+fn npb() -> Vec<Measured> {
+    npb::KERNELS
+        .iter()
+        .map(|k| measured(&spec(k, ParamsMode::All)))
+        .collect()
+}
+
+/// The LAMMPS campaign with faults in every parameter.
+fn lammps() -> Measured {
+    measured(&lammps_spec(10, ParamsMode::All))
+}
+
+/// The LAMMPS ML-study campaign: data-buffer faults on every invocation of
+/// the representative rank (the post-semantic population the ML stage
+/// works through at paper scale).
+fn lammps_ml() -> Measured {
+    measured(&CampaignSpec {
+        points: Some(PointSet::Invocations),
+        ..lammps_spec(20, ParamsMode::DataBuffer)
+    })
+}
+
+/// Every experiment, in the order `all` runs them (EXPERIMENTS.md's).
+const EXPERIMENTS: [(&str, fn()); 21] = [
+    ("profile", profile_report),
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig4", fig4),
+    ("fig6", fig6),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("tab3", tab3),
+    ("tab4", tab4),
+    ("ext-cg", ext_cg),
+    ("ext-trials", ext_trials),
+    ("ext-algos", ext_algos),
+    ("ext-propagation", ext_propagation),
+    ("ext-transport", ext_transport),
+    ("ext-timeline", ext_timeline),
+];
+
+/// Report a refused invocation and exit 2.
+fn refuse(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 fn main() {
@@ -205,130 +274,35 @@ fn main() {
                 args.push(arg);
                 continue;
             }
-            flag => {
-                eprintln!("experiments takes no flag {flag}");
-                std::process::exit(2);
-            }
+            flag => refuse(format!("experiments takes no flag {flag}")),
         };
         let dir = argv.next().filter(|d| !d.starts_with("--"));
         if dir.map(|d| out.set(d)) != Some(Ok(())) {
-            eprintln!("{arg} needs one directory");
-            std::process::exit(2);
+            refuse(format!("{arg} needs one directory"));
         }
     }
     if args.is_empty() {
-        eprintln!("usage: experiments <fig1|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|tab3|tab4|profile|all> ... [--csv DIR] [--store DIR]");
-        std::process::exit(2);
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        refuse(format!(
+            "usage: experiments <{}|all> ... [--csv DIR] [--store DIR]",
+            ids.join("|")
+        ));
+    }
+    let mut runs: Vec<fn()> = Vec::new();
+    for a in &args {
+        let picked = EXPERIMENTS.iter().filter(|(id, _)| a == "all" || id == a);
+        let before = runs.len();
+        runs.extend(picked.map(|(_, run)| *run));
+        if runs.len() == before {
+            refuse(format!("unknown experiment {a:?}"));
+        }
     }
     scale();
-    let mut ctx = ExpContext::default();
     let t0 = Instant::now();
-    for a in &args {
-        match a.as_str() {
-            "profile" => profile_report(),
-            "fig1" => fig1(),
-            "fig2" => fig2(),
-            "fig3" => fig3(),
-            "fig4" => fig4(&mut ctx),
-            "fig6" => fig6(&mut ctx),
-            "fig7" => fig7(&mut ctx),
-            "fig8" => fig8(&mut ctx),
-            "fig9" => fig9(&mut ctx),
-            "fig10" => fig10(&mut ctx),
-            "fig11" => fig11(&mut ctx),
-            "fig12" => fig12(&mut ctx),
-            "fig13" => fig13(&mut ctx),
-            "tab3" => tab3(&mut ctx),
-            "tab4" => tab4(&mut ctx),
-            "ext-cg" => ext_cg(),
-            "ext-trials" => ext_trials(),
-            "ext-algos" => ext_algos(),
-            "ext-propagation" => ext_propagation(),
-            "ext-transport" => ext_transport(),
-            "ext-timeline" => ext_timeline(),
-            "all" => {
-                profile_report();
-                fig1();
-                fig2();
-                fig3();
-                fig7(&mut ctx);
-                fig8(&mut ctx);
-                fig9(&mut ctx);
-                fig10(&mut ctx);
-                fig11(&mut ctx);
-                fig4(&mut ctx);
-                fig6(&mut ctx);
-                fig12(&mut ctx);
-                fig13(&mut ctx);
-                tab3(&mut ctx);
-                tab4(&mut ctx);
-                ext_cg();
-                ext_trials();
-                ext_algos();
-                ext_propagation();
-                ext_transport();
-                ext_timeline();
-            }
-            other => {
-                eprintln!("unknown experiment {other:?}");
-                std::process::exit(2);
-            }
-        }
+    for run in runs {
+        run();
     }
     println!("\n[experiments done in {:?}]", t0.elapsed());
-}
-
-/// Campaign results shared between experiments in one invocation.
-#[derive(Default)]
-struct ExpContext {
-    /// NPB campaigns in ParamsMode::All, keyed by kernel name.
-    npb_all: Option<Vec<(String, Campaign, CampaignResult)>>,
-    /// LAMMPS campaign in ParamsMode::All.
-    lammps_all: Option<(Campaign, CampaignResult)>,
-    /// LAMMPS ML-study campaign: data-buffer faults on every invocation of
-    /// the representative rank (the post-semantic population the ML stage
-    /// works through at paper scale).
-    lammps_ml: Option<(Campaign, CampaignResult)>,
-}
-
-impl ExpContext {
-    fn npb(&mut self) -> &Vec<(String, Campaign, CampaignResult)> {
-        if self.npb_all.is_none() {
-            let mut v = Vec::new();
-            for k in npb::KERNELS {
-                let t = Instant::now();
-                let c = prepare(&spec(k, ParamsMode::All));
-                let run = run_points_stored(&c, c.points(), &format!("npb-{}", k));
-                report_run(k, "points", &run, c.points().len(), t);
-                v.push((k.to_string(), c, run.0));
-            }
-            self.npb_all = Some(v);
-        }
-        self.npb_all.as_ref().unwrap()
-    }
-
-    fn lammps(&mut self) -> &(Campaign, CampaignResult) {
-        if self.lammps_all.is_none() {
-            let t = Instant::now();
-            let c = prepare(&lammps_spec(10, ParamsMode::All));
-            let run = run_points_stored(&c, c.points(), "lammps-all");
-            report_run("LAMMPS", "points", &run, c.points().len(), t);
-            self.lammps_all = Some((c, run.0));
-        }
-        self.lammps_all.as_ref().unwrap()
-    }
-
-    fn lammps_ml(&mut self) -> &(Campaign, CampaignResult) {
-        if self.lammps_ml.is_none() {
-            let t = Instant::now();
-            let c = prepare(&lammps_spec(20, ParamsMode::DataBuffer));
-            let points = c.invocation_points();
-            let run = run_points_stored(&c, &points, "lammps-ml");
-            report_run("LAMMPS-ML", "invocation points", &run, points.len(), t);
-            self.lammps_ml = Some((c, run.0));
-        }
-        self.lammps_ml.as_ref().unwrap()
-    }
 }
 
 fn banner(id: &str, what: &str, paper: &str) {
@@ -551,24 +525,16 @@ fn fig3() {
 }
 
 /// Figure 4: print an example decision tree from the LAMMPS campaign.
-fn fig4(ctx: &mut ExpContext) {
+fn fig4() {
     banner(
         "fig4",
         "an example decision tree over the application features",
         "a tree splitting on nDiffStack/Type/Phase/... into 4 sensitivity levels",
     );
-    let (c, r) = ctx.lammps_ml();
+    let m = lammps_ml();
     let levels = Levels::even(4);
-    let x: Vec<Vec<f64>> = r
-        .results
-        .iter()
-        .map(|p| c.extractor.features(&p.point))
-        .collect();
-    let y: Vec<usize> = r
-        .results
-        .iter()
-        .map(|p| levels.of(p.error_rate()))
-        .collect();
+    let x = features(&m);
+    let y = rate_levels(&m.1, 4);
     let forest = RandomForest::fit(
         &x,
         &y,
@@ -598,26 +564,17 @@ fn fig4(ctx: &mut ExpContext) {
 }
 
 /// Figure 6: accuracy threshold vs reduction of fault injection points.
-fn fig6(ctx: &mut ExpContext) {
+fn fig6() {
     banner(
         "fig6",
         "prediction-accuracy threshold vs reduction in injection points (LAMMPS)",
         "reduction falls from >80% at threshold 45% to small at 75%; 65% is the chosen balance",
     );
-    let (c, r) = ctx.lammps_ml();
+    let m = lammps_ml();
     // Labels were measured once; the feedback loop replays against the
     // cache so the sweep costs no extra fault-injection tests.
-    let levels = Levels::even(4);
-    let labels: Vec<usize> = r
-        .results
-        .iter()
-        .map(|p| levels.of(p.error_rate()))
-        .collect();
-    let features: Vec<Vec<f64>> = r
-        .results
-        .iter()
-        .map(|p| c.extractor.features(&p.point))
-        .collect();
+    let labels = rate_levels(&m.1, 4);
+    let features = features(&m);
     println!(
         "{:>10} {:>12} {:>10} {:>9}",
         "threshold", "reduction", "accuracy", "rounds"
@@ -645,16 +602,15 @@ fn fig6(ctx: &mut ExpContext) {
 }
 
 /// Figure 7: NPB error-type breakdown per kernel.
-fn fig7(ctx: &mut ExpContext) {
+fn fig7() {
     banner(
         "fig7",
         "NPB response in error types (faults in all collective parameters)",
         "IS crashes most (44% SEG_FAULT); FT dominated by MPI_ERR (46%); INF_LOOP rarest",
     );
-    let rows: Vec<(String, ResponseHistogram)> = ctx
-        .npb()
+    let rows: Vec<(String, ResponseHistogram)> = npb()
         .iter()
-        .map(|(name, _, r)| (name.clone(), r.aggregate()))
+        .map(|m| (m.0.workload.name.clone(), m.1.aggregate()))
         .collect();
     let view: Vec<(&String, &ResponseHistogram)> = rows.iter().map(|(k, h)| (k, h)).collect();
     println!("{}", render_histogram_table("Figure 7", &view));
@@ -662,31 +618,31 @@ fn fig7(ctx: &mut ExpContext) {
 }
 
 /// Figure 8: NPB per-collective error-rate levels.
-fn fig8(ctx: &mut ExpContext) {
+fn fig8() {
     banner(
         "fig8",
         "NPB per-collective error-rate levels (15%/85% thresholds)",
         "Reduce and Barrier most damaging; Alltoallv least",
     );
     let mut merged: Vec<PointResult> = Vec::new();
-    for (_, _, r) in ctx.npb() {
-        merged.extend(data_buffer_subset(&r.results));
+    for m in npb() {
+        merged.extend(data_buffer_subset(&m.1.results));
     }
     let levels = per_kind_levels(&merged);
     println!("{}", render_level_table("Figure 8", &levels));
 }
 
 /// Figure 9: per-parameter responses for MPI_Allreduce across NPB.
-fn fig9(ctx: &mut ExpContext) {
+fn fig9() {
     banner(
         "fig9",
         "NPB MPI_Allreduce: response per injected parameter",
         "recvbuf mostly harmless (overwritten); count/datatype/op/comm skew to SEG_FAULT/MPI_ERR",
     );
     let mut merged: Vec<PointResult> = Vec::new();
-    for (_, _, r) in ctx.npb() {
+    for m in npb() {
         merged.extend(
-            r.results
+            m.1.results
                 .iter()
                 .filter(|p| p.point.kind == CollKind::Allreduce)
                 .cloned(),
@@ -709,14 +665,13 @@ fn fig9(ctx: &mut ExpContext) {
 }
 
 /// Figure 10: LAMMPS error-type breakdown per collective.
-fn fig10(ctx: &mut ExpContext) {
+fn fig10() {
     banner(
         "fig10",
         "LAMMPS response in error types per collective",
         "~65% SUCCESS; APP_DETECTED second (mature error handling); INF_LOOP rarest; WRONG_ANS rare",
     );
-    let (_, r) = ctx.lammps();
-    let subset = data_buffer_subset(&r.results);
+    let subset = data_buffer_subset(&lammps().1.results);
     let by_kind = per_kind_histograms(&subset);
     let mut rows: Vec<(&str, &ResponseHistogram)> =
         by_kind.iter().map(|(k, h)| (k.name(), h)).collect();
@@ -734,14 +689,13 @@ fn fig10(ctx: &mut ExpContext) {
 }
 
 /// Figure 11: LAMMPS per-collective error-rate levels.
-fn fig11(ctx: &mut ExpContext) {
+fn fig11() {
     banner(
         "fig11",
         "LAMMPS per-collective error-rate levels",
         "Barrier lethal (high levels); Allreduce low despite being 84% of calls",
     );
-    let (_, r) = ctx.lammps();
-    let levels = per_kind_levels(&data_buffer_subset(&r.results));
+    let levels = per_kind_levels(&data_buffer_subset(&lammps().1.results));
     println!("{}", render_level_table("Figure 11", &levels));
 }
 
@@ -851,19 +805,16 @@ fn site_split_accuracy(
 }
 
 /// Figure 12: error-type prediction accuracy.
-fn fig12(ctx: &mut ExpContext) {
+fn fig12() {
     banner(
         "fig12",
         "error-type prediction accuracy (5 random train/test splits)",
         "SUCCESS 86%, APP_DETECTED 80%, SEG_FAULT 47%, WRONG_ANS 75%",
     );
-    let (c, r) = ctx.lammps_ml();
+    let m = lammps_ml();
+    let r = &m.1;
     let points: Vec<InjectionPoint> = r.results.iter().map(|p| p.point).collect();
-    let x: Vec<Vec<f64>> = r
-        .results
-        .iter()
-        .map(|p| c.extractor.features(&p.point))
-        .collect();
+    let x = features(&m);
     let y: Vec<usize> = r
         .results
         .iter()
@@ -887,26 +838,19 @@ fn fig12(ctx: &mut ExpContext) {
 }
 
 /// Figure 13: error-rate-level prediction accuracy for 2 and 3 levels.
-fn fig13(ctx: &mut ExpContext) {
+fn fig13() {
     banner(
         "fig13",
         "error-rate-level prediction accuracy, 2 and 3 even levels",
         ">80% for 2 levels; 76% low / 66% high for 3 levels",
     );
-    let (c, r) = ctx.lammps_ml();
+    let m = lammps_ml();
+    let r = &m.1;
     let points: Vec<InjectionPoint> = r.results.iter().map(|p| p.point).collect();
-    let x: Vec<Vec<f64>> = r
-        .results
-        .iter()
-        .map(|p| c.extractor.features(&p.point))
-        .collect();
+    let x = features(&m);
     for k in [2usize, 3] {
         let levels = Levels::even(k);
-        let y: Vec<usize> = r
-            .results
-            .iter()
-            .map(|p| levels.of(p.error_rate()))
-            .collect();
+        let y = rate_levels(r, k);
         let (per_class, overall) = split_accuracy(&x, &y, k);
         let (pc_site, ov_site) = site_split_accuracy(&points, &x, &y, k);
         println!(
@@ -927,41 +871,30 @@ fn fig13(ctx: &mut ExpContext) {
 }
 
 /// Table III: reduction ratios per technique and workload.
-fn tab3(ctx: &mut ExpContext) {
+fn tab3() {
     banner(
         "tab3",
         "reduction of injection points after the three techniques",
         "IS 96.88/90.00/NA/99.69; FT 96.31/95.24/NA/99.78; MG 96.09/90.70/NA/99.64; LU 96.35/40.00/NA/97.81; LAMMPS 97.24/87.58/53.33/99.84",
     );
-    let mut rows = Vec::new();
-    for (name, c, _) in ctx.npb() {
-        rows.push(Table3Row::from_campaign(c, None));
-        let _ = name;
-    }
+    let mut rows: Vec<Table3Row> = npb()
+        .iter()
+        .map(|m| Table3Row::from_campaign(&m.0, None))
+        .collect();
     // LAMMPS row: semantic/context reductions from the campaign, ML saving
     // measured on the post-semantic invocation population at the paper's
     // 65% threshold.
-    let (cm, rm) = ctx.lammps_ml();
-    let levels = Levels::even(3);
-    let labels: Vec<usize> = rm
-        .results
-        .iter()
-        .map(|p| levels.of(p.error_rate()))
-        .collect();
-    let features: Vec<Vec<f64>> = rm
-        .results
-        .iter()
-        .map(|p| cm.extractor.features(&p.point))
-        .collect();
+    let ml_run = lammps_ml();
+    let labels = rate_levels(&ml_run.1, 3);
+    let features = features(&ml_run);
     let ml = ml_driven(
         &features,
         MlTarget::RateLevels(3),
         |i| labels[i],
         &MlConfig::default(),
     );
-    let (c, _) = ctx.lammps();
     rows.push(Table3Row::from_campaign(
-        c,
+        &lammps().0,
         if ml.reached_threshold {
             Some(ml.tests_saved)
         } else {
@@ -978,13 +911,14 @@ fn tab3(ctx: &mut ExpContext) {
 }
 
 /// Table IV: correlation between features and error-rate level (LAMMPS).
-fn tab4(ctx: &mut ExpContext) {
+fn tab4() {
     banner(
         "tab4",
         "feature vs error-rate-level correlation, Eq. 1 (LAMMPS)",
         "Input 0.69, ErrHdl 0.64, Init 0.56, End 0.49, nDiffGraph 0.47, nInv 0.41, StackDepth 0.37, Non-ErrHdl 0.36, Compute 0.3",
     );
-    let (c, r) = ctx.lammps_ml();
+    let m = lammps_ml();
+    let (c, r) = &*m;
     let table = correlation_table(c, &r.results);
     println!("{}", render_table4(&table));
 }
@@ -997,8 +931,8 @@ fn ext_cg() {
         "EXTENSION: CG kernel sensitivity (Allgather + dot-product Allreduces)",
         "n/a — beyond the paper; §VIII names this as future work",
     );
-    let c = prepare(&spec("CG", ParamsMode::All));
-    let r = c.run_all();
+    let m = measured(&spec("CG", ParamsMode::All));
+    let (c, r) = &*m;
     println!(
         "points {} of {} (reduction {:.2}%)",
         c.points().len(),
@@ -1206,12 +1140,12 @@ fn ext_transport() {
     );
     let mut results = Vec::new();
     for (label, resilient) in [("plain", false), ("resilient", true)] {
-        let c = prepare(&CampaignSpec {
+        let m = measured(&CampaignSpec {
             fault_channel: Some(FaultChannel::Message),
             resilient: Some(resilient),
             ..spec("IS", ParamsMode::DataBuffer)
         });
-        let r = c.run_all();
+        let (c, r) = &*m;
         let retransmits: u64 = r.results.iter().map(|p| p.retransmits).sum();
         let agg = r.aggregate();
         println!(
@@ -1256,12 +1190,12 @@ fn ext_timeline() {
         let token = format!("burst:{width}");
         let mut success = Vec::new();
         for (label, resilient) in [("plain", false), ("resilient", true)] {
-            let c = prepare(&CampaignSpec {
+            let m = measured(&CampaignSpec {
                 resilient: Some(resilient),
                 timeline: Some(token.clone()),
                 ..spec("IS", ParamsMode::DataBuffer)
             });
-            let r = c.run_all();
+            let (c, r) = &*m;
             let events: u64 = r.results.iter().map(|p| p.events_fired).sum();
             let retransmits: u64 = r.results.iter().map(|p| p.retransmits).sum();
             let agg = r.aggregate();

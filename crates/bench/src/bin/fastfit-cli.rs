@@ -9,7 +9,7 @@
 //! fastfit-cli point    --workload <...> --site <file.rs:LINE> --param <p>
 //!                      [--rank R] [--invocation I] [--trials N]
 //! fastfit-cli status   <DIR>
-//! fastfit-cli resume   <DIR> [--steps N] [--threshold 0.65] [--csv DIR]
+//! fastfit-cli resume   <DIR> [--steps N] [--points P] [--threshold 0.65] [--csv DIR]
 //! ```
 //!
 //! `profile` prints the communication profile and pruning inventory;
@@ -103,6 +103,8 @@ const FLAGS: &[Flag] = &[
     flag("seed", Value("N"), SPEC, Some("seed"), "fault-bit selection"),
     flag("app-seed", Value("N"), SPEC, Some("app_seed"), "the application's seed"),
     flag("steps", Value("N"), SPEC_RESUME, Some("steps"), "LAMMPS run length"),
+    flag("points", Value("pruned|invocations"), SPEC_RESUME, Some("points"),
+         "the pruned points, or every invocation on the representative ranks"),
     flag("colls", Value("MPI_Allreduce,MPI_Bcast,..."), SPEC, Some("colls"), "measure only these collectives"),
     flag("timeline", Value("single|burst:W[:G]|cascade:D|heal:D"), SPEC, Some("timeline"),
          "a correlated fault schedule (join with +); pins the channel to its first event's"),
@@ -930,9 +932,10 @@ fn cmd_status(dir: &Path, watch: bool) {
 /// completion. The journal's metadata becomes the campaign's spec
 /// ([`CampaignSpec::from_meta`]), the flags are lowered onto it as onto an
 /// empty one, and it resolves like any other; LAMMPS run length
-/// (`--steps`) and the ML threshold (`--threshold`) must be re-given when
-/// they differed from the defaults — a wrong value is caught by the
-/// campaign-ID check, not silently mismeasured.
+/// (`--steps`), the point set (`--points`) and the ML threshold
+/// (`--threshold`) must be re-given when they differed from the defaults —
+/// a wrong value is caught by the campaign-ID check, not silently
+/// mismeasured.
 fn cmd_resume(dir: &Path, flags: &Flags) {
     let (id, meta) = read_store_meta(dir)
         .unwrap_or_else(|e| fail(format!("cannot read journal in {}: {}", dir.display(), e)));

@@ -10,8 +10,8 @@ use fastfit::prelude::{Campaign, MlConfig, MlTarget, FEATURE_NAMES};
 use fastfit_mlstore::{ModelRegistry, StoredModel, MODELS_DIR};
 use fastfit_scenario::Grammar;
 use fastfit_serve::{
-    campaign_identity, http_request, resolve_config, resolve_ml, resolve_workload, start,
-    CampaignSpec, ServeConfig, RESULTS_FILE,
+    campaign_identity, http_request, resolve_config, resolve_workload, start, CampaignSpec,
+    ServeConfig, RESULTS_FILE,
 };
 use fastfit_store::journal::{CampaignMeta, JOURNAL_FILE};
 use fastfit_store::json::Json;
@@ -103,7 +103,7 @@ fn workload_case_does_not_change_the_campaign() {
         ..CampaignSpec::new("is")
     };
     let c = Campaign::prepare(resolve_workload(&spec), resolve_config(&spec));
-    let (_, resolved, _) = campaign_identity(&c, None, None, None);
+    let (_, resolved, _) = campaign_identity(&c, &spec, None, None);
     assert_eq!(id_upper, resolved.campaign_id());
     for d in [lower, upper] {
         std::fs::remove_dir_all(d).unwrap();
@@ -282,7 +282,7 @@ fn each_spec_flag_journals_the_campaign_its_json_describes() {
         ("trials", &CHEAP[4..6], "1"),
         ("colls", &CHEAP[6..8], "[\"MPI_Allreduce\"]"),
     ];
-    let cases: [(&str, &[&str], &str); 13] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         ("workload", &["--workload", "is"], "\"is\""),
         ("ranks", &["--ranks", "4"], "4"),
         ("trials", &["--trials", "2"], "2"),
@@ -304,6 +304,7 @@ fn each_spec_flag_journals_the_campaign_its_json_describes() {
         ),
         ("ml_threshold", &["--ml", "--threshold", "0.6"], "0.6"),
         ("timeline", &["--timeline", "burst:2"], "\"burst:2\""),
+        ("points", &["--points", "invocations"], "\"invocations\""),
     ];
     for field in CampaignSpec::FIELDS {
         let covered = field == "warm_start" || cases.iter().any(|(f, ..)| *f == field);
@@ -330,7 +331,7 @@ fn each_spec_flag_journals_the_campaign_its_json_describes() {
         let doc = Json::parse(&format!("{{{}}}", json.join(","))).unwrap();
         let spec = CampaignSpec::from_json(&doc).unwrap();
         let c = Campaign::prepare(resolve_workload(&spec), resolve_config(&spec));
-        let (_, resolved, _) = campaign_identity(&c, resolve_ml(&spec).as_ref(), None, None);
+        let (_, resolved, _) = campaign_identity(&c, &spec, None, None);
         assert_eq!(id, resolved.campaign_id(), "{field}: {}", doc.encode());
         ids.insert(id);
         std::fs::remove_dir_all(dir).unwrap();
@@ -338,6 +339,11 @@ fn each_spec_flag_journals_the_campaign_its_json_describes() {
     // Each flag reaches the campaign ID, but for the two that leave IS
     // as it was: the workload's case and LAMMPS' run length.
     assert_eq!(ids.len(), cases.len() - 1);
+    // A token the spec does not know, and the pruned set for the ML loop,
+    // are refused.
+    for bad in [&["--points", "all"][..], &["--ml", "--points", "pruned"]] {
+        assert_refused(&[&["campaign"][..], &CHEAP, bad].concat(), "points");
+    }
 }
 
 /// Copy `full`'s journal into `cut`, up to and including its `k`th trial
@@ -1051,5 +1057,72 @@ fn an_is_model_warm_starts_ft_with_fewer_points() {
         let oob = round.get("oob_accuracy");
         assert!(oob.is_some_and(|v| *v != Json::Null), "{}", round.encode());
     }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// `experiments` runs each of its whole campaigns through the runner
+/// `fastfit-cli campaign` uses: at 4 ranks and 2 trials per point, Figure
+/// 10, the CG extension and the two transports, run twice on one store,
+/// measure nothing fresh the second time and write the same CSVs; each
+/// campaign's directory holds its `results.csv`, and the CG campaign's
+/// directory is named by the campaign ID the CLI journals for the same
+/// flags, with the same `journal-sha`.
+#[test]
+fn experiments_journal_each_campaign_as_the_cli_does() {
+    let dir = tmp_dir("experiments");
+    let store = dir.join("store");
+    let scale = [("FASTFIT_RANKS", Some("4")), ("FASTFIT_TRIALS", Some("2"))];
+    let run = |csv: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["fig10", "ext-cg", "ext-transport", "--store"])
+            .arg(&store)
+            .arg("--csv")
+            .arg(dir.join(csv))
+            .envs(scale.map(|(k, v)| (k, v.unwrap())))
+            .env("FASTFIT_CLASS", "mini")
+            .output()
+            .expect("experiments runs");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+    run("csv1");
+    let again = run("csv2");
+    let reports: Vec<&str> = again.lines().filter(|l| l.contains(" fresh ")).collect();
+    assert_eq!(reports.len(), 4, "{again}");
+    for line in reports {
+        assert!(line.contains(", 0 fresh "), "a rerun measures: {line}");
+    }
+    let csvs = std::fs::read_dir(dir.join("csv1")).unwrap();
+    let mut names: Vec<_> = csvs.map(|e| e.unwrap().file_name()).collect();
+    names.sort();
+    assert_eq!(names.len(), 4, "{names:?}");
+    for name in names {
+        assert_eq!(
+            std::fs::read(dir.join("csv1").join(&name)).unwrap(),
+            std::fs::read(dir.join("csv2").join(&name)).unwrap(),
+            "{name:?}"
+        );
+    }
+    let campaigns: Vec<PathBuf> = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(campaigns.len(), 4, "{campaigns:?}");
+    for d in &campaigns {
+        assert!(d.join(RESULTS_FILE).is_file(), "{}", d.display());
+    }
+
+    let cg = dir.join("cg");
+    let flags = ["campaign", "--workload", "CG", "--params", "all", "--store"];
+    let out = cli_with(&[&flags[..], &[cg.to_str().unwrap()]].concat(), &scale);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (id, _) = read_store_meta(&cg).unwrap();
+    let sha = |d: &Path| cli_ok(&["journal-sha", d.to_str().unwrap()]);
+    assert_eq!(sha(&store.join(&id)), sha(&cg));
     std::fs::remove_dir_all(dir).unwrap();
 }

@@ -44,7 +44,7 @@ use crate::golden::GoldenStore;
 use crate::http::{read_request_limited, write_response, HttpLimits, Request};
 use crate::queue::{seq_of, QueueEvent, QueueLog};
 use crate::run::{CampaignRun, Ran, RESULTS_FILE};
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, PointSet};
 use crate::workload::{golden_key, pin_spec, resolve_config, validate_spec};
 use fastfit::observe::{CampaignObserver, ProgressEvent};
 use fastfit::prelude::{Campaign, CancelToken};
@@ -446,12 +446,13 @@ impl Daemon {
 
     /// Admission of one submitted spec: pinned against the daemon's
     /// environment once (the queue log journals the pinned spec), then
-    /// validated and held to the fleet-ML rule.
+    /// validated and held to the fleet rules.
     fn admit_spec(&self, spec: &CampaignSpec) -> Result<CampaignSpec, String> {
         let spec = pin_spec(spec)?;
         validate_spec(&spec)?;
-        if self.cfg.fleet && spec.ml_threshold.is_some() {
-            return Err("ml campaigns cannot run on a fleet: adaptive sampling decides the next point from prior results, so the trial space is not shardable into independent ranges".to_string());
+        let shardable = spec.ml_threshold.is_none() && spec.points != Some(PointSet::Invocations);
+        if self.cfg.fleet && !shardable {
+            return Err("ml campaigns and points \"invocations\" cannot run on a fleet: a lease is a range of the pruned points' trials, and adaptive sampling decides the next point from prior results".to_string());
         }
         Ok(spec)
     }

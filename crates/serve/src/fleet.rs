@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use crate::daemon::{err_json, store_err, Daemon};
 use crate::queue::{seq_of, QueueEvent};
 use crate::run::write_results;
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, PointSet};
 use fastfit::prelude::{CancelToken, InjectionPoint, PointResult};
 use fastfit_store::journal::JOURNAL_FILE;
 use fastfit_store::json::Json;
@@ -781,8 +781,8 @@ impl Daemon {
         spec: &CampaignSpec,
         token: CancelToken,
     ) -> Result<CampaignState, String> {
-        if spec.ml_threshold.is_some() {
-            return Err("ml campaigns cannot run on a fleet".to_string());
+        if spec.ml_threshold.is_some() || spec.points == Some(PointSet::Invocations) {
+            return Err("ml and invocation-point campaigns cannot run on a fleet".to_string());
         }
         let campaign = self.prepare(spec, token.clone())?;
         let dir = self.campaign_dir(id);

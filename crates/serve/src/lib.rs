@@ -23,7 +23,8 @@
 //!   `Workload`/`CampaignConfig` resolution, warm starts and round-model
 //!   registration.
 //! - [`run`] — the one campaign runner: a prepared campaign and its spec
-//!   to a journaled result and `results.csv` (daemon runners, the CLI).
+//!   to a journaled result and `results.csv` (daemon runners, the CLI,
+//!   `experiments`).
 //! - [`queue`] — the durable submission queue (`queue.jsonl`); the
 //!   daemon and the fleet apply each of its events through one function,
 //!   at restart and at runtime alike.
@@ -56,8 +57,8 @@ pub use cost::GoldenCostModel;
 pub use daemon::{start, DaemonHandle, ServeConfig, DEFAULT_ADDR};
 pub use http::{http_request, http_request_retry, HttpLimits, Response};
 pub use queue::{read_queue, QueueEvent, QueueLog};
-pub use run::{open_store, CampaignRun, Ran, RESULTS_FILE};
-pub use spec::CampaignSpec;
+pub use run::{CampaignRun, Ran, RESULTS_FILE};
+pub use spec::{CampaignSpec, PointSet};
 pub use worker::{run_worker, WorkerConfig};
 pub use workload::{
     campaign_identity, pin_spec, resolve_config, resolve_ml, resolve_workload, validate_spec,

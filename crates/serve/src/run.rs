@@ -1,20 +1,21 @@
 //! Running a prepared campaign: the one path from a [`Campaign`] and its
 //! [`CampaignSpec`] to a journaled result.
 //!
-//! The daemon's runners and `fastfit-cli campaign`/`resume` run a
-//! campaign here, and the `experiments` binary opens its stores here. A
-//! run takes two steps, so a caller can report between them:
+//! The daemon's runners, `fastfit-cli campaign`/`resume` and every whole
+//! campaign of the `experiments` binary run a campaign here. A run takes
+//! two steps, so a caller can report between them:
 //!
 //! - [`CampaignRun::open`] resolves what the spec adds to the prepared
-//!   campaign — the ML target, the warm-start model (a journaled ID wins
-//!   over `auto`) and the ML order (a journal's recorded one, else the one
-//!   the warm start implies) — derives the campaign identity from them and
-//!   opens the store under it ([`open_store`]).
-//! - [`CampaignRun::measure`] runs every trial, through the ML feedback
-//!   loop when the spec asks for it. A stop (the campaign's cancel token)
-//!   comes back as [`Ran::Stopped`] and the caller checkpoints the store
-//!   in whichever state its stop means; a finished campaign has its
-//!   `results.csv` written (`write_results`) and its store finished.
+//!   campaign — the point set, the ML target, the warm-start model (a
+//!   journaled ID wins over `auto`) and the ML order (a journal's recorded
+//!   one, else the one the warm start implies) — derives the campaign
+//!   identity from them and opens the store under it (`open_store`).
+//! - [`CampaignRun::measure`] runs every trial of the points `open`
+//!   resolved, through the ML feedback loop when the spec asks for it. A
+//!   stop (the campaign's cancel token) comes back as [`Ran::Stopped`] and
+//!   the caller checkpoints the store in whichever state its stop means; a
+//!   finished campaign has its `results.csv` written (`write_results`) and
+//!   its store finished.
 
 use crate::spec::CampaignSpec;
 use crate::workload::{campaign_identity, register_model, resolve_ml, resolve_warm_start};
@@ -37,7 +38,7 @@ pub const RESULTS_FILE: &str = "results.csv";
 /// another random stream drew or a class-less journal written at another
 /// class, and backfill the profile phase's timing (the golden run ran
 /// during prepare, before the store existed).
-pub fn open_store(
+fn open_store(
     dir: &Path,
     campaign: &Campaign,
     points: &[InjectionPoint],
@@ -85,6 +86,9 @@ pub struct CampaignRun<'a> {
     ordering: MlOrdering,
     /// The points the campaign measures (an ML campaign's population).
     pub points: Vec<InjectionPoint>,
+    /// The campaign ID of the resolved identity: the store's, when one is
+    /// open.
+    pub id: String,
     /// The open store, when the run is journaled.
     pub store: Option<CampaignStore>,
     registry: Option<&'a ModelRegistry>,
@@ -141,7 +145,8 @@ impl<'a> CampaignRun<'a> {
             _ => None,
         };
         let warm = prior.as_ref().map(StoredModel::id);
-        let (points, meta, ordering) = campaign_identity(campaign, ml.as_ref(), warm, order);
+        let (points, meta, ordering) = campaign_identity(campaign, spec, warm, order);
+        let id = meta.campaign_id();
         let store = dir
             .map(|d| {
                 open_store(d, campaign, &points, meta)
@@ -154,6 +159,7 @@ impl<'a> CampaignRun<'a> {
             prior,
             ordering,
             points,
+            id,
             store,
             registry,
         })
@@ -169,7 +175,7 @@ impl<'a> CampaignRun<'a> {
         };
         let c = self.campaign;
         let (result, ml) = match &self.ml {
-            None => (c.run_all_observed(&observer), None),
+            None => (c.run_points_observed(&self.points, &observer), None),
             Some((target, ml_cfg)) => {
                 let opts = ActiveOptions {
                     prior: self.prior.as_ref().map(|m| &m.forest),

@@ -61,13 +61,48 @@ pub struct CampaignSpec {
     /// `ml_threshold`. Warm campaigns order pending points by vote
     /// entropy.
     pub warm_start: Option<String>,
+    /// The point set a plain campaign measures; default
+    /// [`PointSet::Pruned`]. An ML campaign works through
+    /// [`PointSet::Invocations`] whatever this says, and refuses `pruned`.
+    pub points: Option<PointSet>,
+}
+
+/// Which injection points a campaign measures.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PointSet {
+    /// `Campaign::points`: the set left after semantic and context
+    /// pruning.
+    #[default]
+    Pruned,
+    /// `Campaign::invocation_points`: every invocation of every call site
+    /// on the representative ranks, after semantic pruning only.
+    Invocations,
+}
+
+impl PointSet {
+    /// The spec token: `pruned` or `invocations`.
+    pub fn token(self) -> &'static str {
+        match self {
+            PointSet::Pruned => "pruned",
+            PointSet::Invocations => "invocations",
+        }
+    }
+
+    /// The point set a token names.
+    pub fn from_token(tok: &str) -> Option<PointSet> {
+        match tok {
+            "pruned" => Some(PointSet::Pruned),
+            "invocations" => Some(PointSet::Invocations),
+            _ => None,
+        }
+    }
 }
 
 impl CampaignSpec {
     /// The JSON keys of a spec, one per field: every key
     /// [`CampaignSpec::from_json`] accepts and [`CampaignSpec::to_json`]
     /// may write.
-    pub const FIELDS: [&'static str; 14] = [
+    pub const FIELDS: [&'static str; 15] = [
         "workload",
         "ranks",
         "trials",
@@ -82,6 +117,7 @@ impl CampaignSpec {
         "ml_threshold",
         "timeline",
         "warm_start",
+        "points",
     ];
 
     /// A plain spec for `workload` with every knob defaulted.
@@ -101,6 +137,7 @@ impl CampaignSpec {
             ml_threshold: None,
             timeline: None,
             warm_start: None,
+            points: None,
         }
     }
 
@@ -109,10 +146,11 @@ impl CampaignSpec {
     /// environment's defaults cannot change it (a journal without a
     /// `class` key is read as `mini`; one from before classes were
     /// journaled is sampled against that by
-    /// `CampaignStore::check_class`). LAMMPS' run length is not journaled
-    /// (`steps` stays unset) and an ML campaign gets the default
-    /// threshold; a campaign that ran with other values needs them
-    /// re-given, and a wrong one is refused by the campaign-ID check.
+    /// `CampaignStore::check_class`). LAMMPS' run length and the point set
+    /// are not journaled (`steps` and `points` stay unset) and an ML
+    /// campaign gets the default threshold; a campaign that ran with other
+    /// values needs them re-given, and a wrong one is refused by the
+    /// campaign-ID check.
     pub fn from_meta(meta: &CampaignMeta) -> Result<CampaignSpec, String> {
         let params = ParamsMode::from_token(&meta.params)
             .ok_or_else(|| format!("journal has unknown params mode {:?}", meta.params))?;
@@ -151,6 +189,7 @@ impl CampaignSpec {
                 .map(|_| MlConfig::default().accuracy_threshold),
             timeline: Some(meta.timeline.token().to_string()),
             warm_start: meta.ml.as_ref().and_then(|ml| ml.warm.clone()),
+            points: None,
         })
     }
 
@@ -206,6 +245,9 @@ impl CampaignSpec {
         if let Some(w) = &self.warm_start {
             m.insert("warm_start".into(), Json::Str(w.clone()));
         }
+        if let Some(p) = self.points {
+            m.insert("points".into(), Json::Str(p.token().into()));
+        }
         Json::Obj(m)
     }
 
@@ -242,6 +284,12 @@ impl CampaignSpec {
                 FaultChannel::from_token(tok).ok_or_else(|| {
                     format!("unknown fault_channel {tok:?} (param|message|crash-stop|fail-slow|partition)")
                 })
+            })
+            .transpose()?;
+        let points = token("points")?
+            .map(|tok| {
+                PointSet::from_token(tok)
+                    .ok_or_else(|| format!("unknown points {tok:?} (pruned|invocations)"))
             })
             .transpose()?;
         let colls = match v.get("colls") {
@@ -281,6 +329,7 @@ impl CampaignSpec {
             timeline: token("timeline")?.map(String::from),
             warm_start: field(v, "warm_start", "a model ID or \"auto\"", Json::as_str)?
                 .map(String::from),
+            points,
         })
     }
 }
@@ -328,6 +377,7 @@ mod tests {
             ml_threshold: Some(0.65),
             timeline: None,
             warm_start: Some("auto".into()),
+            points: Some(PointSet::Invocations),
         };
         let back = CampaignSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec);
@@ -336,6 +386,10 @@ mod tests {
             .encode()
             .contains("\"colls\":[\"MPI_Allreduce\",\"MPI_Bcast\"]"));
         assert!(spec.to_json().encode().contains("\"class\":\"standard\""));
+        assert!(spec
+            .to_json()
+            .encode()
+            .contains("\"points\":\"invocations\""));
         let full = CampaignSpec {
             timeline: Some("single".into()),
             ..spec.clone()
@@ -347,8 +401,10 @@ mod tests {
             .iter()
             .copied()
             .collect::<std::collections::BTreeSet<_>>()));
-        let bad = Json::parse("{\"workload\":\"IS\",\"class\":\"smal\"}").unwrap();
-        assert!(CampaignSpec::from_json(&bad).unwrap_err().contains("class"));
+        for (key, bad) in [("class", "smal"), ("points", "all")] {
+            let bad = Json::parse(&format!("{{\"workload\":\"IS\",\"{key}\":\"{bad}\"}}")).unwrap();
+            assert!(CampaignSpec::from_json(&bad).unwrap_err().contains(key));
+        }
     }
 
     #[test]
@@ -409,11 +465,11 @@ mod tests {
     /// `from_meta` recovers must resolve back to the very same meta.
     #[test]
     fn journaled_meta_resolves_back_to_itself() {
-        use crate::workload::{campaign_identity, resolve_config, resolve_ml, resolve_workload};
+        use crate::workload::{campaign_identity, resolve_config, resolve_workload};
         use fastfit::prelude::Campaign;
         let meta_of = |spec: &CampaignSpec| {
             let c = Campaign::prepare(resolve_workload(spec), resolve_config(spec));
-            campaign_identity(&c, resolve_ml(spec).as_ref(), spec.warm_start.clone(), None).1
+            campaign_identity(&c, spec, spec.warm_start.clone(), None).1
         };
         let base = CampaignSpec {
             ranks: Some(4),

@@ -16,7 +16,7 @@
 //! front, so a bad submission — or a malformed `FASTFIT_*` value — is an
 //! HTTP 400 (or a CLI exit 2), not a panic inside a runner thread.
 
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, PointSet};
 use fastfit::prelude::{
     Campaign, CampaignConfig, FaultTimeline, InjectionPoint, MlConfig, MlOrdering, MlTarget,
     Workload, DEFAULT_APP_SEED, FEATURE_NAMES,
@@ -162,6 +162,9 @@ pub fn validate_spec(spec: &CampaignSpec) -> Result<(), String> {
         if !(0.0..=1.0).contains(&t) {
             return Err(format!("ml_threshold must be in [0, 1], got {t}"));
         }
+    }
+    if spec.ml_threshold.is_some() && spec.points == Some(PointSet::Pruned) {
+        return Err("points \"pruned\" cannot run an ML campaign: the ML loop works through the invocation points".into());
     }
     if let Some(w) = &spec.warm_start {
         if spec.ml_threshold.is_none() {
@@ -322,22 +325,25 @@ pub fn resolve_ml(spec: &CampaignSpec) -> Option<(MlTarget, MlConfig)> {
 }
 
 /// The points a prepared campaign measures, the journal meta its store
-/// opens with, and the ML loop's pending-point order. ML campaigns work
-/// through the post-semantic [`Campaign::invocation_points`] population;
-/// plain ones through the pruned [`Campaign::points`]. `warm` is the
-/// resolved warm-start model ID. The order follows the warm start
-/// (entropy when warm, the historic scan when cold) unless `order` — a
-/// journal's recorded order, which the runner (`crate::run`) honours —
-/// says otherwise.
+/// opens with, and the ML loop's pending-point order. The spec's point
+/// set picks the points: the pruned [`Campaign::points`] by default, the
+/// post-semantic [`Campaign::invocation_points`] population for
+/// `invocations` and for every ML campaign. The meta names the set by its
+/// point keys, so the set adds no key of its own. `warm` is the resolved
+/// warm-start model ID. The order follows the warm start (entropy when
+/// warm, the historic scan when cold) unless `order` — a journal's
+/// recorded order, which the runner (`crate::run`) honours — says
+/// otherwise.
 pub fn campaign_identity(
     campaign: &Campaign,
-    ml: Option<&(MlTarget, MlConfig)>,
+    spec: &CampaignSpec,
     warm: Option<String>,
     order: Option<MlOrdering>,
 ) -> (Vec<InjectionPoint>, CampaignMeta, MlOrdering) {
-    let points = match ml {
-        Some(_) => campaign.invocation_points(),
-        None => campaign.points().to_vec(),
+    let ml = resolve_ml(spec);
+    let points = match (&ml, spec.points.unwrap_or_default()) {
+        (Some(_), _) | (None, PointSet::Invocations) => campaign.invocation_points(),
+        (None, PointSet::Pruned) => campaign.points().to_vec(),
     };
     let ordering = order.unwrap_or(if warm.is_some() {
         MlOrdering::Entropy
@@ -347,7 +353,7 @@ pub fn campaign_identity(
     let meta = campaign_meta(
         campaign,
         &points,
-        ml.map(|(target, config)| MlIdentity {
+        ml.as_ref().map(|(target, config)| MlIdentity {
             target: *target,
             config,
             warm,
@@ -521,6 +527,11 @@ mod tests {
         let mut s = CampaignSpec::new("IS");
         s.ml_threshold = Some(1.5);
         assert!(validate_spec(&s).is_err());
+        s.ml_threshold = Some(0.65);
+        s.points = Some(PointSet::Invocations);
+        assert!(validate_spec(&s).is_ok());
+        s.points = Some(PointSet::Pruned);
+        assert!(validate_spec(&s).unwrap_err().contains("points"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use fastfit::prelude::*;
 use fastfit_serve::{
     http_request, http_request_retry, read_queue, resolve_config, resolve_workload, run_worker,
-    start, CampaignSpec, QueueEvent, ServeConfig, WorkerConfig,
+    start, CampaignSpec, PointSet, QueueEvent, ServeConfig, WorkerConfig,
 };
 use fastfit_store::json::Json;
 use fastfit_store::{campaign_meta, durable_journal_lines, journal_content_sha, CampaignStore};
@@ -872,6 +872,35 @@ fn a_restart_folds_back_the_state_the_daemon_ran_with() {
             fleet
         )
     );
+    h.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A coordinator refuses at admission, with a 400, the two kinds of
+/// campaign a lease cannot shard: an ML campaign, whose next point depends
+/// on what was measured, and one over the invocation points, since a
+/// lease ranges over the pruned points. Neither reaches the queue log.
+#[test]
+fn a_coordinator_refuses_what_a_lease_cannot_shard() {
+    let root = tmp_dir("refusals");
+    let h = start(fleet_cfg(&root, Duration::from_secs(3))).expect("coordinator starts");
+    let addr = h.addr().to_string();
+    let queue = || std::fs::read(root.join("queue.jsonl")).ok();
+    let before = queue();
+    let ml = CampaignSpec {
+        ml_threshold: Some(0.65),
+        ..param_spec()
+    };
+    let invocations = CampaignSpec {
+        points: Some(PointSet::Invocations),
+        ..param_spec()
+    };
+    for (spec, reason) in [(ml, "ml campaigns"), (invocations, "invocations")] {
+        let r = post(&addr, "/campaigns", &spec.to_json().encode());
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains(reason), "{}", r.body);
+    }
+    assert_eq!(queue(), before, "a refused spec is not journaled");
     h.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -375,11 +375,13 @@ fn one_golden_store() {
 }
 
 /// A prepared campaign is run in one place (DESIGN.md §13 "One campaign
-/// runner"): `serve::run`.
+/// runner"): `serve::run`. `experiments` keeps no runner of its own.
 #[test]
 fn one_campaign_runner() {
-    let rules: [(&str, &[&str]); 4] = [
+    stays_deleted("fn store_for|fn run_points_stored|ExpContext|QuarantineLog");
+    let rules: [(&str, &[&str]); 5] = [
         ("CampaignStore::open(", &[RUN]),
+        ("open_store(", &[RUN]),
         ("run_ml_loop(", &[CAMPAIGN, RUN]),
         ("resolve_warm_start(", &[WORKLOAD, RUN]),
         ("campaign_identity(", &[WORKLOAD, RUN]),

@@ -9,7 +9,7 @@ use fastfit::prelude::*;
 use fastfit_mlstore::{ModelRegistry, StoredModel, MODELS_DIR};
 use fastfit_serve::{
     http_request, resolve_config, resolve_ml, resolve_workload, start, CampaignRun, CampaignSpec,
-    Ran, ServeConfig, RESULTS_FILE,
+    PointSet, Ran, ServeConfig, RESULTS_FILE,
 };
 use fastfit_store::json::Json;
 use fastfit_store::{
@@ -728,6 +728,44 @@ fn a_journaled_ml_order_reopens_under_its_campaign_id() {
     );
     drop(run);
     for d in [dir, fresh] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+/// A plain spec over `points: "invocations"` is the campaign `experiments`
+/// journaled for LAMMPS-ML before it ran through `CampaignRun`: the
+/// invocation points measured with the plain per-point seeds into a
+/// store opened under `campaign_meta` with no ML identity. Same campaign
+/// ID, same journal.
+#[test]
+fn invocation_points_run_as_the_store_journaled_them() {
+    let spec = CampaignSpec {
+        points: Some(PointSet::Invocations),
+        ..param_spec()
+    };
+    let c = Campaign::prepare(resolve_workload(&spec), resolve_config(&spec));
+    let points = c.invocation_points();
+    assert!(points.len() > c.points().len(), "semantic pruning only");
+    let reference = tmp_dir("runner-invocations-ref");
+    let meta = campaign_meta(&c, &points, None);
+    let id = meta.campaign_id();
+    let store = CampaignStore::open(&reference, meta).unwrap();
+    c.run_points_observed(&points, &store);
+    store.finish().unwrap();
+
+    let dir = tmp_dir("runner-invocations");
+    let run = CampaignRun::open(&c, &spec, Some(&dir), None).unwrap();
+    assert_eq!(
+        (run.id.as_str(), run.store.as_ref().unwrap().id()),
+        (&*id, &*id)
+    );
+    assert_eq!(run.points.len(), points.len());
+    assert!(matches!(run.measure(&NullObserver), Ok(Ran::Done { .. })));
+    assert_eq!(
+        durable_journal_lines(&dir).unwrap(),
+        durable_journal_lines(&reference).unwrap()
+    );
+    for d in [dir, reference] {
         std::fs::remove_dir_all(d).unwrap();
     }
 }
