@@ -1140,11 +1140,7 @@ fn ext_transport() {
     );
     let mut results = Vec::new();
     for (label, resilient) in [("plain", false), ("resilient", true)] {
-        let m = measured(&CampaignSpec {
-            fault_channel: Some(FaultChannel::Message),
-            resilient: Some(resilient),
-            ..spec("IS", ParamsMode::DataBuffer)
-        });
+        let m = measured(&message_spec(resilient, 1));
         let (c, r) = &*m;
         let retransmits: u64 = r.results.iter().map(|p| p.retransmits).sum();
         let agg = r.aggregate();
@@ -1171,6 +1167,19 @@ fn ext_transport() {
     );
 }
 
+/// IS on the message channel, on the resilient transport or the plain one,
+/// under a `burst:W` timeline. A one-event burst is the channel's single
+/// draw, so width 1 is the spec with no timeline (the campaign
+/// `ext-transport` measures).
+fn message_spec(resilient: bool, width: u64) -> CampaignSpec {
+    CampaignSpec {
+        fault_channel: Some(FaultChannel::Message),
+        resilient: Some(resilient),
+        timeline: (width > 1).then(|| format!("burst:{width}")),
+        ..spec("IS", ParamsMode::DataBuffer)
+    }
+}
+
 /// EXTENSION: correlated fault bursts on the message channel. A
 /// `burst:W` timeline arms W message-fault plans on consecutive anchor
 /// ops — the correlated regime a single independent draw cannot model —
@@ -1190,11 +1199,7 @@ fn ext_timeline() {
         let token = format!("burst:{width}");
         let mut success = Vec::new();
         for (label, resilient) in [("plain", false), ("resilient", true)] {
-            let m = measured(&CampaignSpec {
-                resilient: Some(resilient),
-                timeline: Some(token.clone()),
-                ..spec("IS", ParamsMode::DataBuffer)
-            });
+            let m = measured(&message_spec(resilient, width));
             let (c, r) = &*m;
             let events: u64 = r.results.iter().map(|p| p.events_fired).sum();
             let retransmits: u64 = r.results.iter().map(|p| p.retransmits).sum();

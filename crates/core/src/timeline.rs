@@ -97,7 +97,8 @@ fn parse_span(what: &str, seg: &str, s: &str) -> Result<u64, String> {
 impl FaultTimeline {
     /// Parse a timeline token (`single`, or `+`-joined family segments).
     /// Returns the timeline with its *canonical* token — `burst:4:1`
-    /// normalises to `burst:4` — so identity never depends on spelling.
+    /// normalises to `burst:4`, and `burst:1:G` to `burst:1` (one event
+    /// has no gap) — so identity never depends on spelling.
     pub fn parse(token: &str) -> Result<FaultTimeline, String> {
         if token == SINGLE_TOKEN {
             return Ok(FaultTimeline::default());
@@ -114,6 +115,8 @@ impl FaultTimeline {
                         ["burst", _, g] => parse_span("gap", seg, g)?,
                         _ => 1,
                     };
+                    // One event has no gap: `burst:1:G` is `burst:1`.
+                    let gap = if width == 1 { 1 } else { gap };
                     if width.saturating_mul(gap) > MAX_TIMELINE_SPAN {
                         return Err(format!(
                             "timeline segment {seg:?}: burst spans more than \
@@ -279,6 +282,15 @@ mod tests {
             let t = FaultTimeline::parse(tok).unwrap();
             assert_eq!(t.token(), tok);
             assert_eq!(FaultTimeline::parse(t.token()).unwrap(), t);
+        }
+        // A one-event burst has no gap: every spelling is one timeline.
+        for (spelling, tok) in [
+            ("burst:1:7", "burst:1"),
+            ("burst:1:3+heal:2", "burst:1+heal:2"),
+        ] {
+            let t = FaultTimeline::parse(spelling).unwrap();
+            assert_eq!(t.token(), tok);
+            assert_eq!(t, FaultTimeline::parse(tok).unwrap());
         }
     }
 

@@ -179,6 +179,13 @@ pub fn validate_spec(spec: &CampaignSpec) -> Result<(), String> {
     }
     if let Some(tok) = &spec.timeline {
         let timeline = FaultTimeline::parse(tok)?;
+        // One message event alone is the message channel's single draw:
+        // the same trials, so it gets one spelling and one campaign ID.
+        if timeline.token() == "burst:1" {
+            return Err(format!(
+                "timeline {tok:?} is one message fault: submit fault_channel \"message\" with no timeline"
+            ));
+        }
         // A non-single timeline owns the channel: an explicit
         // fault_channel that disagrees with the first segment's channel
         // would silently journal a campaign the submitter did not ask
@@ -532,6 +539,15 @@ mod tests {
         assert!(validate_spec(&s).is_ok());
         s.points = Some(PointSet::Pruned);
         assert!(validate_spec(&s).unwrap_err().contains("points"));
+        // A lone one-event burst is the message channel's single draw.
+        let mut s = CampaignSpec::new("IS");
+        for tok in ["burst:1", "burst:1:5"] {
+            s.timeline = Some(tok.into());
+            let refused = validate_spec(&s).unwrap_err();
+            assert!(refused.contains("fault_channel \"message\""), "{refused}");
+        }
+        s.timeline = Some("burst:1+heal:3".into());
+        assert!(validate_spec(&s).is_ok());
     }
 
     #[test]

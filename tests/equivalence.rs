@@ -2,7 +2,8 @@
 //! see in a journal. The oracle (`tests/oracle/`) plans which variants of
 //! which campaign identities run; the suites that hold the plan are its
 //! slices, one per test of `sched_equivalence`, `pipeline_equivalence`,
-//! `prefix_equivalence`, `absorb_equivalence` and `determinism`. Here the
+//! `prefix_equivalence`, `absorb_equivalence`, `determinism`, `serve` and
+//! `fleet`. Here the
 //! plan is held to covering every pair of axis values and to being held
 //! whole by those suites. The tests after that check a mechanism rather
 //! than a journal: the guard programs of absorption and of prefix replay,
@@ -13,6 +14,7 @@ mod oracle;
 use fastfit::prelude::*;
 use fastfit_store::journal::JOURNAL_FILE;
 use fastfit_store::{campaign_meta, durable_journal_lines, journal_content_sha, CampaignStore};
+use oracle::Path::{Daemon, Fleet, InProcess};
 use oracle::*;
 use simmpi::arena::CarrierCharge;
 use simmpi::ctx::{RankCtx, RankOutput};
@@ -44,11 +46,24 @@ fn the_plan_covers_every_pair_of_axis_values() {
         assert!(mine.iter().all(|v| !v.split || id.splits()), "{id:?}");
         let split = |v: &&Variant| v.split && v.kill.is_none();
         assert!(!id.splits() || mine.iter().any(split), "{id:?}");
+        // A served row runs through an uninterrupted daemon and a fleet;
+        // no other row leaves this process.
+        let daemon = |v: &&Variant| v.path == Daemon && v.kill.is_none();
+        let served = [
+            mine.iter().any(daemon),
+            mine.iter().any(|v| v.path == Fleet),
+        ];
+        match id.spec() {
+            Some(_) => assert_eq!(served, [true, true], "{id:?}"),
+            None => assert!(mine.iter().all(|v| v.path == InProcess), "{id:?}"),
+        }
         assert!(
             !mine.contains(&&REFERENCE),
             "{id:?}: a variant is the reference"
         );
     }
+    let killed = |(_, v): &(usize, Variant)| v.path == Daemon && v.kill.is_some();
+    assert!(plan.iter().any(killed), "a daemon is stopped and restarted");
     let covered: BTreeSet<[usize; 4]> = plan
         .iter()
         .flat_map(|(i, v)| pairs(coords(&ids[*i], v)))

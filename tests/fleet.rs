@@ -1,132 +1,87 @@
 //! End-to-end tests of fleet mode: a coordinator daemon sharding a
-//! campaign into trial-range leases executed by worker loops, with the
-//! tentpole claims of ISSUE 7 — the merged journal is **byte-identical**
-//! to a single-host run of the same campaign, a SIGKILLed worker
-//! mid-lease loses nothing (the re-leased range re-journals
-//! identically), and a coordinator kill -9 + restart folds workers and
-//! outstanding leases back from the queue log and converges to the same
-//! canonical journal SHA.
+//! campaign into trial-range leases executed by worker loops. That the
+//! merged journal is **byte-identical** to the reference run of its spec
+//! is the fleet path of the differential oracle in `tests/oracle/`, held
+//! here; so is what a SIGKILLed worker mid-lease (the re-leased range
+//! re-journals identically) and a coordinator kill -9 + restart (workers
+//! and outstanding leases fold back from the queue log) leave behind.
 
-use fastfit::prelude::*;
+mod oracle;
+
 use fastfit_serve::{
-    http_request, http_request_retry, read_queue, resolve_config, resolve_workload, run_worker,
-    start, CampaignSpec, PointSet, QueueEvent, ServeConfig, WorkerConfig,
+    http_request, read_queue, start, CampaignSpec, PointSet, QueueEvent, ServeConfig,
 };
 use fastfit_store::json::Json;
-use fastfit_store::{campaign_meta, durable_journal_lines, journal_content_sha, CampaignStore};
-use simmpi::sched::Engine;
+use oracle::*;
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Generous deadline for debug-build IS campaigns with worker churn.
-const DEADLINE: Duration = Duration::from_secs(300);
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("fastfit-fleet-e2e-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+/// Two workers lease ranges of one campaign of the parameter channel; the
+/// merged journal and the results.csv rebuilt from it are the reference's.
+#[test]
+fn fleet_campaign_merges_byte_identical_to_single_host() {
+    hold_slice(
+        module_path!(),
+        "fleet_campaign_merges_byte_identical_to_single_host",
+    );
 }
 
-/// Coordinator config: fleet mode, small leases, short heartbeat TTL so
-/// expiry tests run in seconds.
-fn fleet_cfg(root: &Path, ttl: Duration) -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        worker_budget: 8,
-        fleet: true,
-        lease_trials: 4,
-        lease_ttl: ttl,
-        ..ServeConfig::new(root)
-    }
+/// Two workers on the platform's engine (coop on x86_64) lease trial
+/// ranges of a message-channel campaign; the merged journal is its
+/// reference's, run on the *threaded* engine: the range split and the
+/// scheduler are both invisible.
+#[test]
+fn fleet_range_shard_on_coop_matches_threaded_local_run() {
+    hold_slice(
+        module_path!(),
+        "fleet_range_shard_on_coop_matches_threaded_local_run",
+    );
 }
 
-/// A small plain IS campaign on the parameter channel.
-fn param_spec() -> CampaignSpec {
-    let mut s = CampaignSpec::new("IS");
-    s.ranks = Some(4);
-    s.trials = Some(3);
-    s.seed = Some(11);
-    s
+/// A burst+heal timeline sharded across two workers: trigger state is
+/// per-trial (anchored to the rank-0 op counter inside each job), so the
+/// range split is invisible, the per-trial event counts included, and
+/// the merged meta names the schedule.
+#[test]
+fn fleet_timeline_campaign_merges_byte_identical_to_single_host() {
+    hold_slice(
+        module_path!(),
+        "fleet_timeline_campaign_merges_byte_identical_to_single_host",
+    );
 }
 
-fn get(addr: &str, path: &str) -> fastfit_serve::Response {
-    // Retried: fleet tests restart coordinators mid-flight.
-    http_request_retry(addr, "GET", path, None, 6).expect("daemon reachable")
-}
-
-fn submit(addr: &str, spec: &CampaignSpec) -> String {
-    let body = spec.to_json().encode();
-    let r = http_request_retry(
-        addr,
-        "POST",
-        "/campaigns",
-        Some(("application/json", &body)),
-        6,
-    )
-    .expect("daemon reachable");
-    assert_eq!(r.status, 201, "submission accepted: {}", r.body);
-    Json::parse(&r.body)
-        .unwrap()
-        .get("id")
-        .and_then(Json::as_str)
-        .expect("receipt carries an id")
-        .to_string()
-}
-
-fn wait_status(addr: &str, id: &str, what: &str, pred: impl Fn(&str, &Json) -> bool) -> Json {
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        let r = get(addr, &format!("/campaigns/{id}/status"));
-        assert_eq!(r.status, 200, "{}", r.body);
-        let v = Json::parse(&r.body).expect("status is JSON");
-        let state = v
-            .get("state")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        assert_ne!(state, "failed", "campaign {id} failed: {}", r.body);
-        if pred(&state, &v) {
-            return v;
+/// Both workers are parked inside a held `/fleet/lease` when the
+/// campaign arrives: opening its pool must wake them, and the runner —
+/// which waits for coverage with no timeout to fall back on — must be
+/// woken by the upload that completes it.
+#[test]
+fn campaign_submitted_to_parked_workers_completes() {
+    within(DEADLINE * 2, "a campaign for parked workers", || {
+        let root = tmp_dir("parked");
+        let h = start(fleet_cfg(&root, Duration::from_secs(3))).expect("coordinator starts");
+        let addr = h.addr().to_string();
+        let workers = Workers::spawn(&addr, &["park-a", "park-b"]);
+        // A registered worker asks for a lease at once and, with no
+        // campaign, is held; half a second sees both through an empty
+        // answer and into their next held poll.
+        while !get(&addr, "/metrics")
+            .body
+            .contains("fleet_workers_registered 2")
+        {
+            std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(
-            Instant::now() < deadline,
-            "campaign {id} never reached {what}; last status: {}",
-            r.body
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
+        std::thread::sleep(Duration::from_millis(500));
 
-/// Run `spec` locally — the single-host reference the fleet must match
-/// byte-for-byte.
-fn run_local(spec: &CampaignSpec, dir: &Path) -> Vec<PointResult> {
-    let c = Campaign::prepare(resolve_workload(spec), resolve_config(spec));
-    let meta = campaign_meta(&c, c.points(), None);
-    let store = CampaignStore::open(dir, meta).expect("open local store");
-    let r = c.run_all_observed(&store);
-    store.finish().expect("finish local store");
-    r.results
-}
-
-/// Spawn an in-thread worker loop that stops when `stop` is raised.
-fn spawn_worker(addr: &str, name: &str, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<u64> {
-    spawn_worker_with(addr, name, move || stop.load(Ordering::SeqCst))
-}
-
-/// Spawn an in-thread worker loop that calls `stop` between leases.
-fn spawn_worker_with(
-    addr: &str,
-    name: &str,
-    stop: impl Fn() -> bool + Send + Sync + 'static,
-) -> std::thread::JoinHandle<u64> {
-    let cfg = WorkerConfig::new(addr, name);
-    std::thread::Builder::new()
-        .name(format!("fleet-worker-{name}"))
-        .spawn(move || run_worker(&cfg, &stop).expect("worker loop"))
-        .expect("spawn worker thread")
+        let id = submit(&addr, &param_spec());
+        wait_done(&addr, &id);
+        assert_reference(&param_spec(), &root.join("campaigns").join(&id));
+        workers.stop();
+        h.shutdown();
+        std::fs::remove_dir_all(&root).unwrap();
+    });
 }
 
 /// Holds fleet workers between leases: a worker parks in [`LeaseGate::park`]
@@ -194,207 +149,6 @@ fn leases_done_by(root: &Path, name: &str) -> usize {
         .count()
 }
 
-fn assert_fleet_matches_local(spec: &CampaignSpec, daemon_dir: &Path, tag: &str) {
-    let local = tmp_dir(tag);
-    run_local(spec, &local);
-    assert_eq!(
-        durable_journal_lines(daemon_dir).unwrap(),
-        durable_journal_lines(&local).unwrap(),
-        "fleet journal must be byte-identical to a single-host run"
-    );
-    assert_eq!(
-        journal_content_sha(daemon_dir).expect("fleet journal sha"),
-        journal_content_sha(&local).expect("local journal sha"),
-        "canonical journal SHA must match the single-host run"
-    );
-    std::fs::remove_dir_all(&local).unwrap();
-}
-
-/// Two workers lease ranges of one campaign; the merged journal and the
-/// exported results.csv are byte-identical to a single-host run.
-#[test]
-fn fleet_campaign_merges_byte_identical_to_single_host() {
-    let root = tmp_dir("merge");
-    let h = start(fleet_cfg(&root, Duration::from_secs(3))).expect("coordinator starts");
-    let addr = h.addr().to_string();
-    let stop = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = ["w-a", "w-b"]
-        .iter()
-        .map(|n| spawn_worker(&addr, n, stop.clone()))
-        .collect();
-
-    let spec = param_spec();
-    let id = submit(&addr, &spec);
-    wait_status(&addr, &id, "done", |state, _| state == "done");
-
-    let daemon_dir = root.join("campaigns").join(&id);
-    assert_fleet_matches_local(&spec, &daemon_dir, "merge-local");
-
-    // results.csv is reconstructed from the merged journal and must
-    // equal the local export.
-    let local = tmp_dir("merge-csv");
-    let results = run_local(&spec, &local);
-    let csv = get(&addr, &format!("/campaigns/{id}/results.csv"));
-    assert_eq!(csv.status, 200);
-    assert_eq!(
-        csv.body,
-        points_csv(&results, resolve_config(&spec).fault_channel),
-        "fleet results.csv must equal the local export"
-    );
-    std::fs::remove_dir_all(&local).unwrap();
-
-    let metrics = get(&addr, "/metrics").body;
-    assert!(metrics.contains("fleet_enabled 1"), "{metrics}");
-    assert!(metrics.contains("fleet_workers_registered 2"), "{metrics}");
-
-    stop.store(true, Ordering::SeqCst);
-    for w in workers {
-        w.join().expect("worker thread");
-    }
-    h.shutdown();
-    std::fs::remove_dir_all(&root).unwrap();
-}
-
-/// Two workers on the coop engine lease trial ranges of one campaign from
-/// a coop coordinator; the merged journal must be byte-identical to a
-/// local run pinned to the *threaded* engine — the range split and the
-/// scheduler are both invisible.
-#[test]
-fn fleet_range_shard_on_coop_matches_threaded_local_run() {
-    let root = tmp_dir("fleet-coop");
-    let h = start(fleet_cfg(&root, Duration::from_secs(3))).expect("coordinator starts");
-    let addr = h.addr().to_string();
-    let stop = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = ["coop-a", "coop-b"]
-        .iter()
-        .map(|n| spawn_worker(&addr, n, stop.clone()))
-        .collect();
-
-    let spec = param_spec();
-    let id = submit(&addr, &spec);
-    wait_status(&addr, &id, "done", |state, _| state == "done");
-    let daemon_dir = root.join("campaigns").join(&id);
-
-    // Threaded local reference of the same spec.
-    let local = tmp_dir("fleet-coop-local");
-    let mut c = Campaign::prepare(resolve_workload(&spec), resolve_config(&spec));
-    c.pin_engine(Engine::Threads);
-    let meta = campaign_meta(&c, c.points(), None);
-    let store = CampaignStore::open(&local, meta).expect("open local store");
-    c.run_all_observed(&store);
-    store.finish().expect("finish local store");
-
-    assert_eq!(
-        durable_journal_lines(&daemon_dir).unwrap(),
-        durable_journal_lines(&local).unwrap(),
-        "coop fleet journal must be byte-identical to a threaded local run"
-    );
-    assert_eq!(
-        journal_content_sha(&daemon_dir).unwrap(),
-        journal_content_sha(&local).unwrap(),
-        "canonical journal SHA must match across shard split and scheduler"
-    );
-
-    stop.store(true, Ordering::SeqCst);
-    for w in workers {
-        w.join().expect("worker thread");
-    }
-    h.shutdown();
-    std::fs::remove_dir_all(&local).unwrap();
-    std::fs::remove_dir_all(&root).unwrap();
-}
-
-/// Both workers are parked inside a held `/fleet/lease` when the
-/// campaign arrives: opening its pool must wake them, and the runner —
-/// which waits for coverage with no timeout to fall back on — must be
-/// woken by the upload that completes it.
-#[test]
-fn campaign_submitted_to_parked_workers_completes() {
-    let (done, finished) = std::sync::mpsc::channel();
-    let body = std::thread::spawn(move || {
-        let root = tmp_dir("parked");
-        let h = start(fleet_cfg(&root, Duration::from_secs(3))).expect("coordinator starts");
-        let addr = h.addr().to_string();
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers: Vec<_> = ["park-a", "park-b"]
-            .iter()
-            .map(|n| spawn_worker(&addr, n, stop.clone()))
-            .collect();
-        // A registered worker asks for a lease at once and, with no
-        // campaign, is held; half a second sees both through an empty
-        // answer and into their next held poll.
-        while !get(&addr, "/metrics")
-            .body
-            .contains("fleet_workers_registered 2")
-        {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        std::thread::sleep(Duration::from_millis(500));
-
-        let spec = param_spec();
-        let id = submit(&addr, &spec);
-        wait_status(&addr, &id, "done", |state, _| state == "done");
-        assert_fleet_matches_local(&spec, &root.join("campaigns").join(&id), "parked-local");
-
-        stop.store(true, Ordering::SeqCst);
-        for w in workers {
-            w.join().expect("worker thread");
-        }
-        h.shutdown();
-        std::fs::remove_dir_all(&root).unwrap();
-        let _ = done.send(());
-    });
-    // Far above any honest run: this can only trip on a hang.
-    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(DEADLINE * 2) {
-        panic!("fleet campaign still not done; a wakeup was lost");
-    }
-    if let Err(panic) = body.join() {
-        std::panic::resume_unwind(panic);
-    }
-}
-
-/// A burst+heal timeline sharded across two workers: trigger state is
-/// per-trial (anchored to the rank-0 op counter inside each job), so the
-/// range split must be invisible — the merged journal, including the
-/// per-trial event counts, is byte-identical to a single-host run.
-#[test]
-fn fleet_timeline_campaign_merges_byte_identical_to_single_host() {
-    let root = tmp_dir("tl-merge");
-    let h = start(fleet_cfg(&root, Duration::from_secs(3))).expect("coordinator starts");
-    let addr = h.addr().to_string();
-    let stop = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = ["tl-a", "tl-b"]
-        .iter()
-        .map(|n| spawn_worker(&addr, n, stop.clone()))
-        .collect();
-
-    let mut spec = param_spec();
-    spec.resilient = Some(true);
-    spec.timeline = Some("burst:2+heal:3".into());
-    let id = submit(&addr, &spec);
-    wait_status(&addr, &id, "done", |state, _| state == "done");
-
-    let daemon_dir = root.join("campaigns").join(&id);
-    // The schedule must be part of the merged campaign's identity.
-    let meta_line = durable_journal_lines(&daemon_dir)
-        .unwrap()
-        .into_iter()
-        .next()
-        .expect("journal has a meta line");
-    assert!(
-        meta_line.contains("\"timeline\":\"burst:2+heal:3\""),
-        "fleet meta must carry the timeline: {meta_line}"
-    );
-    assert_fleet_matches_local(&spec, &daemon_dir, "tl-merge-local");
-
-    stop.store(true, Ordering::SeqCst);
-    for w in workers {
-        w.join().expect("worker thread");
-    }
-    h.shutdown();
-    std::fs::remove_dir_all(&root).unwrap();
-}
-
 /// Helper process for the worker-SIGKILL test: registers as a worker,
 /// takes ONE lease, heartbeats it forever without executing a single
 /// trial, and publishes a marker once the lease is held. The parent
@@ -406,60 +160,43 @@ fn fleet_hang_worker_child() {
         return;
     };
     let marker = std::env::var("FASTFIT_FLEET_MARKER").expect("marker env");
-    let body = Json::obj([("name", Json::Str("hangman".into()))]).encode();
-    let r = http_request(
-        &addr,
-        "POST",
-        "/fleet/workers",
-        Some(("application/json", &body)),
-    )
-    .expect("register");
-    assert_eq!(r.status, 201, "{}", r.body);
-    let me = Json::parse(&r.body)
-        .unwrap()
-        .get("worker")
-        .and_then(Json::as_str)
-        .expect("worker id")
-        .to_string();
-    let lease_body = Json::obj([("worker", Json::Str(me.clone()))]).encode();
-    let lease = loop {
-        let r = http_request(
-            &addr,
-            "POST",
-            "/fleet/lease",
-            Some(("application/json", &lease_body)),
-        )
-        .expect("lease poll");
-        assert_eq!(r.status, 200, "{}", r.body);
-        let v = Json::parse(&r.body).unwrap();
-        match v.get("lease") {
-            Some(Json::Null) | None => std::thread::sleep(Duration::from_millis(100)),
-            Some(l) => {
-                break l
-                    .get("id")
-                    .and_then(Json::as_str)
-                    .expect("lease id")
-                    .to_string()
-            }
-        }
-    };
+    let me = register(&addr, "hangman");
+    let lease = take_lease(&addr, &me);
     std::fs::write(&marker, &lease).expect("publish marker");
     let hb = Json::obj([("worker", Json::Str(me)), ("lease", Json::Str(lease))]).encode();
     loop {
-        let _ = http_request(
-            &addr,
-            "POST",
-            "/fleet/heartbeat",
-            Some(("application/json", &hb)),
-        );
+        post(&addr, "/fleet/heartbeat", &hb);
         std::thread::sleep(Duration::from_millis(100));
+    }
+}
+
+/// Register a worker named `name` by hand; its ID.
+fn register(addr: &str, name: &str) -> String {
+    let body = Json::obj([("name", Json::Str(name.into()))]).encode();
+    let r = post(addr, "/fleet/workers", &body);
+    assert_eq!(r.status, 201, "{}", r.body);
+    let v = Json::parse(&r.body).unwrap();
+    v.get("worker").and_then(Json::as_str).unwrap().to_string()
+}
+
+/// Ask for a lease as `worker` until one is granted (an empty answer
+/// comes after the coordinator held the poll open); its ID.
+fn take_lease(addr: &str, worker: &str) -> String {
+    let ask = Json::obj([("worker", Json::Str(worker.into()))]).encode();
+    loop {
+        let r = post(addr, "/fleet/lease", &ask);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let grant = Json::parse(&r.body).unwrap();
+        if let Some(id) = grant.get("lease").and_then(|l| l.get("id")) {
+            return id.as_str().unwrap().to_string();
+        }
     }
 }
 
 /// SIGKILL a worker mid-lease: its range expires after the heartbeat
 /// deadline and is re-leased (with backoff) to a live worker; the final
-/// journal is still byte-identical to a single-host run, and the expiry
-/// and re-lease are visible in `/metrics`.
+/// journal is still its reference's, and the expiry and re-lease are
+/// visible in `/metrics`.
 #[test]
 fn killed_worker_loses_nothing_and_range_is_released() {
     let root = tmp_dir("worker-kill");
@@ -511,10 +248,8 @@ fn killed_worker_loses_nothing_and_range_is_released() {
     // a live worker must pick up the expired range.
     child.kill().expect("SIGKILL hang worker");
     let _ = child.wait();
-    let stop = Arc::new(AtomicBool::new(false));
-    let worker = spawn_worker(&addr, "survivor", stop.clone());
-
-    wait_status(&addr, &id, "done", |state, _| state == "done");
+    let worker = Workers::spawn(&addr, &["survivor"]);
+    wait_done(&addr, &id);
     let metrics = get(&addr, "/metrics").body;
     let gauge = |name: &str| -> u64 {
         metrics
@@ -531,14 +266,8 @@ fn killed_worker_loses_nothing_and_range_is_released() {
         "the expired range must be re-leased: {metrics}"
     );
 
-    assert_fleet_matches_local(
-        &spec,
-        &root.join("campaigns").join(&id),
-        "worker-kill-local",
-    );
-
-    stop.store(true, Ordering::SeqCst);
-    worker.join().expect("worker thread");
+    assert_reference(&spec, &root.join("campaigns").join(&id));
+    worker.stop();
     h.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }
@@ -569,18 +298,18 @@ fn fleet_coordinator_child() {
     }
 }
 
-fn spawn_coordinator(root: &Path, bind: &str, ready: &Path) -> std::process::Child {
-    spawn_coordinator_with(root, bind, ready, &[])
+/// A free loopback address: a coordinator restarted on it is reachable
+/// where its workers knew it.
+fn free_addr() -> String {
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe port");
+    probe.local_addr().unwrap().to_string()
 }
 
-/// As [`spawn_coordinator`], with `env` set in the child on top.
-fn spawn_coordinator_with(
-    root: &Path,
-    bind: &str,
-    ready: &Path,
-    env: &[(&str, &str)],
-) -> std::process::Child {
-    let _ = std::fs::remove_file(ready);
+/// A coordinator child on `root` and `bind`, with `env` set in it on top,
+/// once it serves.
+fn spawn_coordinator(root: &Path, bind: &str, env: &[(&str, &str)]) -> std::process::Child {
+    let ready = root.join("coordinator.ready");
+    let _ = std::fs::remove_file(&ready);
     let child = std::process::Command::new(std::env::current_exe().unwrap())
         .args([
             "fleet_coordinator_child",
@@ -590,7 +319,7 @@ fn spawn_coordinator_with(
         ])
         .env("FASTFIT_FLEET_ROOT", root)
         .env("FASTFIT_FLEET_BIND", bind)
-        .env("FASTFIT_FLEET_READY", ready)
+        .env("FASTFIT_FLEET_READY", &ready)
         .envs(env.iter().copied())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -611,21 +340,14 @@ fn spawn_coordinator_with(
 /// between leases: a restart on the same root and address folds registered
 /// workers back from the queue log, the surviving workers carry on with
 /// their ids, and the completed campaign's canonical journal is still
-/// byte-identical to a single-host run — no trial duplicated or lost.
+/// its reference's — no trial duplicated or lost.
 #[test]
 fn killed_coordinator_resumes_leases_on_restart() {
     let root = tmp_dir("coord-kill");
     std::fs::create_dir_all(&root).unwrap();
-    // Reserve a port for both coordinator incarnations.
-    let bind = {
-        let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe port");
-        let addr = probe.local_addr().unwrap().to_string();
-        drop(probe);
-        addr
-    };
-    let ready = root.join("coordinator.ready");
-
-    let mut child = spawn_coordinator(&root, &bind, &ready);
+    // One address for both coordinator incarnations.
+    let bind = free_addr();
+    let mut child = spawn_coordinator(&root, &bind, &[]);
     let stop = Arc::new(AtomicBool::new(false));
     // Each worker parks between leases once it has completed one, so the
     // kill lands with segments on disk and most of the campaign owed,
@@ -635,7 +357,7 @@ fn killed_coordinator_resumes_leases_on_restart() {
         .into_iter()
         .map(|name| {
             let (root, gate, stop) = (root.clone(), gate.clone(), stop.clone());
-            spawn_worker_with(&bind, name, move || {
+            spawn_worker(&bind, name, move || {
                 if !gate.released() && leases_done_by(&root, name) > 0 {
                     gate.park();
                 }
@@ -655,12 +377,10 @@ fn killed_coordinator_resumes_leases_on_restart() {
     // Restart on the same root and address. The queue log owes the
     // campaign, the fleet fold restores worker ids, and the segment scan
     // resumes exactly what is still owed.
-    let mut child = spawn_coordinator(&root, &bind, &ready);
+    let mut child = spawn_coordinator(&root, &bind, &[]);
     gate.release();
-    wait_status(&bind, &id, "done after restart", |state, _| state == "done");
-
-    assert_fleet_matches_local(&spec, &root.join("campaigns").join(&id), "coord-kill-local");
-
+    wait_done(&bind, &id);
+    assert_reference(&spec, &root.join("campaigns").join(&id));
     stop.store(true, Ordering::SeqCst);
     for w in workers {
         w.join().expect("worker thread");
@@ -678,17 +398,9 @@ fn killed_coordinator_resumes_leases_on_restart() {
 fn fleet_workers_run_the_class_the_coordinator_pinned() {
     let root = tmp_dir("class-pin");
     std::fs::create_dir_all(&root).unwrap();
-    let bind = {
-        let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe port");
-        probe.local_addr().unwrap().to_string()
-    };
-    let ready = root.join("coordinator.ready");
-    let mut child = spawn_coordinator_with(&root, &bind, &ready, &[("FASTFIT_CLASS", "small")]);
-    let stop = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = ["class-a", "class-b"]
-        .iter()
-        .map(|n| spawn_worker(&bind, n, stop.clone()))
-        .collect();
+    let bind = free_addr();
+    let mut child = spawn_coordinator(&root, &bind, &[("FASTFIT_CLASS", "small")]);
+    let workers = Workers::spawn(&bind, &["class-a", "class-b"]);
 
     let spec = CampaignSpec {
         ranks: Some(4),
@@ -696,24 +408,16 @@ fn fleet_workers_run_the_class_the_coordinator_pinned() {
         ..CampaignSpec::new("FT")
     };
     let id = submit(&bind, &spec);
-    wait_status(&bind, &id, "done", |state, _| state == "done");
+    wait_done(&bind, &id);
     let small = CampaignSpec {
         class: Some(npb::Class::Small),
         ..spec
     };
-    assert_fleet_matches_local(&small, &root.join("campaigns").join(&id), "class-pin-local");
-
-    stop.store(true, Ordering::SeqCst);
-    for w in workers {
-        w.join().expect("worker thread");
-    }
+    assert_reference(&small, &root.join("campaigns").join(&id));
+    workers.stop();
     child.kill().expect("stop coordinator");
     let _ = child.wait();
     std::fs::remove_dir_all(&root).unwrap();
-}
-
-fn post(addr: &str, path: &str, body: &str) -> fastfit_serve::Response {
-    http_request(addr, "POST", path, Some(("application/json", body))).expect("daemon reachable")
 }
 
 /// What a coordinator restart must fold back from `queue.jsonl`: the
@@ -796,31 +500,15 @@ fn a_restart_folds_back_the_state_the_daemon_ran_with() {
     wait_listed(&addr, "c0001", "failed");
 
     // A worker registers, leases and completes `c0002` to done.
-    let stop = Arc::new(AtomicBool::new(false));
-    let worker = spawn_worker(&addr, "fold-a", stop.clone());
+    let worker = Workers::spawn(&addr, &["fold-a"]);
     let c2 = submit(&addr, &param_spec());
-    wait_status(&addr, &c2, "done", |state, _| state == "done");
-    stop.store(true, Ordering::SeqCst);
-    assert!(worker.join().expect("worker thread") > 0);
+    wait_done(&addr, &c2);
+    assert!(worker.stop()[0] > 0);
 
     // A second worker, by hand, takes a lease of `c0003` and keeps it.
-    let r = post(&addr, "/fleet/workers", r#"{"name":"fold-b"}"#);
-    assert_eq!(r.status, 201, "{}", r.body);
-    let w2 = Json::parse(&r.body)
-        .unwrap()
-        .get("worker")
-        .and_then(Json::as_str)
-        .unwrap()
-        .to_string();
+    let w2 = register(&addr, "fold-b");
     let c3 = submit(&addr, &param_spec());
-    let ask = Json::obj([("worker", Json::Str(w2.clone()))]).encode();
-    // An empty answer comes after the coordinator held the poll open.
-    let lease = loop {
-        let grant = Json::parse(&post(&addr, "/fleet/lease", &ask).body).unwrap();
-        if let Some(id) = grant.get("lease").and_then(|l| l.get("id")) {
-            break id.as_str().unwrap().to_string();
-        }
-    };
+    let lease = take_lease(&addr, &w2);
 
     // A scenario batch queues behind `c0003`; one member is cancelled.
     let r = post(

@@ -523,17 +523,27 @@ fn one_progress_tally() {
 /// One differential oracle (DESIGN.md §22): every byte-identity claim is
 /// a planned run of the oracle in `tests/oracle/`. The suites that hold
 /// the plan, `determinism` among them, store and compare no journal of
-/// their own, and under `tests/` the reference path is pinned only by the
-/// oracle, its guard tests in `tests/equivalence.rs` and the arena rig,
-/// which runs every trial to its end.
+/// their own; the service suites, whose lifecycle tests may open a store
+/// or a runner, compare what they leave through the oracle and run no
+/// campaign of their own to compare with; and under `tests/` the reference
+/// path is pinned only by the oracle, its guard tests in
+/// `tests/equivalence.rs` and the arena rig, which runs every trial to its
+/// end.
 #[test]
 fn one_differential_oracle() {
     let suites = |p: &str| p.ends_with("_equivalence.rs") || p == "tests/determinism.rs";
     let journals = contains_any("CampaignStore|durable_journal_lines|journal_content_sha|pin_");
-    assert_none(
-        "a journal compared outside the oracle",
-        &hits(suites, journals),
-    );
+    let service = |p: &str| {
+        [
+            "tests/serve.rs",
+            "tests/fleet.rs",
+            "tests/scenario_sweep.rs",
+        ]
+        .contains(&p)
+    };
+    let compared = contains_any("durable_journal_lines|journal_content_sha|fn run_local");
+    let outside = [hits(suites, journals), hits(service, compared)].concat();
+    assert_none("a journal compared outside the oracle", &outside);
     let places = [
         ("tests/oracle/mod.rs", ""),
         ("tests/equivalence.rs", ""),

@@ -1,30 +1,44 @@
 //! The differential oracle: *same campaign identity ⇒ byte-identical
 //! journal*. The thread-per-rank engine, one trial at a time, every
 //! collective exchanged and every trial run to its end, unsplit and
-//! uninterrupted, is the reference path. The coop engine, the trial
-//! pipeline, prefix replay with absorption, a fleet range split inside a
-//! point and a kill followed by a resume are each a way to run the same
-//! campaign for less, and each must be invisible in what it journals.
+//! uninterrupted, in this process, is the reference path. The coop engine,
+//! the trial pipeline, prefix replay with absorption, a range split inside
+//! a point, a kill followed by a resume, and the service (a daemon, a
+//! fleet of workers) are each a way to run the same campaign for less, and
+//! each must be invisible in what it journals.
 //!
 //! Each row of a table of campaign identities (app or kernel, channel,
 //! transport, timeline, ML cold or warm) runs once on the reference path.
 //! A seeded plan then runs it again under variant vectors drawn from the
 //! product of those axes, and every variant must journal the reference's
-//! durable lines and content SHA. Every row also holds the counts to what
-//! the rules promise: nothing falls back, the reference replays and
-//! absorbs nothing, and which trials end absorbed depends on the channel.
+//! durable lines and content SHA (and serve its `results.csv`, on a
+//! service path). Every row also holds the counts to what the rules
+//! promise: nothing falls back, the reference replays and absorbs nothing,
+//! and which trials end absorbed depends on the channel. The rows the
+//! service suites submit run through the service instead
+//! ([`Path::Daemon`], [`Path::Fleet`]), against a reference built from
+//! their [`CampaignSpec`]; a lifecycle test holds what a service left
+//! behind to the reference of its spec through [`assert_reference`].
 //!
-//! The suites that hold the plan are [`SLICES`]: each test of
+//! The suites that hold the plan are [`slices`]: each test of
 //! `sched_equivalence`, `pipeline_equivalence`, `prefix_equivalence`,
-//! `absorb_equivalence` and `determinism` holds the planned runs its
-//! selector picks, and `tests/equivalence.rs` proves every planned run is
-//! picked by one. A new mechanism becomes one more axis of [`Variant`]; a
-//! new family of campaigns, one more set of rows in [`identities`].
+//! `absorb_equivalence`, `determinism`, `serve` and `fleet` holds the
+//! planned runs its selector picks, and `tests/equivalence.rs` proves every
+//! planned run is picked by one. A new mechanism becomes one more axis of
+//! [`Variant`]; a new family of campaigns, one more set of rows in
+//! [`identities`].
 //!
 //! Each test binary that declares `mod oracle;` uses a part of it.
 #![allow(dead_code)]
 
+mod service;
+
+pub use service::*;
+
 use fastfit::prelude::*;
+use fastfit_serve::{
+    pin_spec, resolve_config, resolve_workload, CampaignSpec, PointSet, RESULTS_FILE,
+};
 use fastfit_store::{
     campaign_meta, durable_journal_lines, journal_content_sha, CampaignStore, MlIdentity,
 };
@@ -40,7 +54,6 @@ use simmpi::runtime::AppFn;
 use simmpi::sched::Engine;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -54,13 +67,7 @@ pub fn alone() -> MutexGuard<'static, ()> {
     ALONE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-pub fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("fastfit-equiv-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-pub fn trial_lines(dir: &Path) -> Vec<String> {
+pub fn trial_lines(dir: &std::path::Path) -> Vec<String> {
     durable_journal_lines(dir)
         .unwrap()
         .into_iter()
@@ -319,6 +326,9 @@ pub struct Identity {
     trials: usize,
     /// Points measured, spread evenly over the pruned list (`None`: all).
     sample: Option<usize>,
+    /// A campaign the service suites submit: it runs through the daemon
+    /// and the fleet, and nowhere else but on the reference path.
+    served: bool,
 }
 
 /// The kernels, at the rank count their channel matrix runs them at.
@@ -335,7 +345,11 @@ const SAMPLE: usize = 4;
 /// flavours × both transports, HALO at 64 ranks under five timelines, and
 /// IS's whole resilient message campaign at three trials a point (the row
 /// a split can land inside a point of). ML rows: cold and warm, on the
-/// synthetic app and on IS.
+/// synthetic app and on IS. Last, the campaigns the service suites submit:
+/// IS at four ranks on the parameter channel, the resilient message
+/// channel and a burst-and-heal schedule. (IS's whole campaign at 16 ranks
+/// takes no service path: its reference alone would cost each service
+/// suite as much as a row of its own.)
 pub fn identities() -> Vec<Identity> {
     let row = |app, channel, resilient| Identity {
         app,
@@ -346,6 +360,7 @@ pub fn identities() -> Vec<Identity> {
         ml: None,
         trials: 3,
         sample: None,
+        served: false,
     };
     let mut rows = Vec::new();
     for channel in ALL_FAULT_CHANNELS {
@@ -411,6 +426,17 @@ pub fn identities() -> Vec<Identity> {
             });
         }
     }
+    for (channel, resilient, timeline) in [
+        (FaultChannel::Param, false, None),
+        (FaultChannel::Message, true, None),
+        (FaultChannel::Message, true, Some("burst:2+heal:3")),
+    ] {
+        rows.push(Identity {
+            timeline,
+            served: true,
+            ..row(App::Kernel("IS", 4), channel, resilient)
+        });
+    }
     rows
 }
 
@@ -428,7 +454,41 @@ impl Identity {
         self.ml.is_none() && self.trials > 1
     }
 
+    /// The spec a served row is submitted as: [`param_spec`] with the
+    /// row's channel, transport and timeline, at the oracle's class. No
+    /// other row has one: no spec names the synthetic app, and sampled
+    /// points and the oracle's ML knobs are no spec's keys.
+    pub fn spec(&self) -> Option<CampaignSpec> {
+        let App::Kernel(kernel, ranks) = self.app else {
+            return None;
+        };
+        let channel = self.timeline.is_none() && self.channel != FaultChannel::Param;
+        self.served.then(|| CampaignSpec {
+            class: Some(Class::Mini),
+            ranks: Some(ranks),
+            trials: Some(self.trials),
+            params: self.all_params.then_some(ParamsMode::All),
+            fault_channel: channel.then_some(self.channel),
+            resilient: self.resilient.then_some(true),
+            timeline: self.timeline.map(String::from),
+            ..CampaignSpec {
+                workload: kernel.into(),
+                ..param_spec()
+            }
+        })
+    }
+
+    fn workload(&self) -> Workload {
+        match self.spec() {
+            Some(spec) => resolve_workload(&spec),
+            None => self.app.workload(),
+        }
+    }
+
     fn cfg(&self) -> CampaignConfig {
+        if let Some(spec) = self.spec() {
+            return resolve_config(&spec);
+        }
         let mut cfg = CampaignConfig {
             trials_per_point: self.trials,
             params: match self.all_params {
@@ -460,21 +520,40 @@ impl Identity {
 
 // ---- the variants ----
 
+/// Which way a run reaches its campaign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Path {
+    /// A `Campaign` measured in this process: the reference's path.
+    InProcess,
+    /// `POST /campaigns` to an in-process daemon.
+    Daemon,
+    /// An in-process coordinator leasing the trial space to two workers.
+    Fleet,
+}
+
+const PATHS: [Path; 3] = [Path::InProcess, Path::Daemon, Path::Fleet];
+
 /// How one run of an identity is carried out. Campaign identity leaves
 /// every field out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Variant {
+    pub path: Path,
     pub engine: Engine,
+    /// [`HOST`]: unpinned, the host's.
     pub width: usize,
     /// Prefix replay and absorption (one seam: `pin_replay`).
     pub replay: bool,
-    /// Two trial ranges, split one trial into the middle point.
+    /// Two trial ranges, split one trial into the middle point (on the
+    /// fleet: leases one trial longer than a point).
     pub split: bool,
-    /// Crash after this many fresh trials, then resume from the journal.
+    /// Crash after this many fresh trials, then resume from the journal
+    /// (on a daemon: hold its campaign there, shut it down and start it
+    /// again).
     pub kill: Option<usize>,
 }
 
 pub const REFERENCE: Variant = Variant {
+    path: Path::InProcess,
     engine: Engine::Threads,
     width: 1,
     replay: false,
@@ -482,10 +561,15 @@ pub const REFERENCE: Variant = Variant {
     kill: None,
 };
 
+/// The widths an in-process run pins.
 pub const WIDTHS: [usize; 3] = [1, 2, 4];
 
-/// Axes of the plan's coverage: family, engine, width, replay, split, kill.
-const AXES: usize = 6;
+/// The width a service runs at: whatever the host gives a campaign.
+pub const HOST: usize = 0;
+
+/// Axes of the plan's coverage: family, engine, width (the pinned ones,
+/// then the host's), replay, split, kill, path.
+const AXES: usize = 7;
 type Coords = [usize; AXES];
 
 const PLAN_SEED: u64 = 0x0DD5_EED5;
@@ -494,10 +578,14 @@ pub fn coords(id: &Identity, v: &Variant) -> Coords {
     [
         id.family() as usize,
         (v.engine == Engine::Coop) as usize,
-        WIDTHS.iter().position(|&w| w == v.width).unwrap(),
+        WIDTHS
+            .iter()
+            .position(|&w| w == v.width)
+            .unwrap_or(WIDTHS.len()),
         v.replay as usize,
         v.split as usize,
         v.kill.is_some() as usize,
+        v.path as usize,
     ]
 }
 
@@ -506,18 +594,48 @@ pub fn pairs(c: Coords) -> impl Iterator<Item = [usize; 4]> {
     (0..AXES).flat_map(move |a| (a + 1..AXES).map(move |b| [a, c[a], b, c[b]]))
 }
 
-/// Whether `id` can take `value` on `axis`.
+/// A service path's vector: the service runs a kernel campaign on
+/// `Engine::platform()` (what a coop pin runs everywhere, as
+/// `Engine::effective` says) at the host's width, replaying; the fleet
+/// always splits and takes no kill (the child-process kill tests of
+/// `tests/fleet.rs` do).
+fn served(path: Path) -> Coords {
+    let fleet = path == Path::Fleet;
+    let kernel = Family::Kernel as usize;
+    [kernel, 1, WIDTHS.len(), 1, fleet as usize, 0, path as usize]
+}
+
+/// Whether some identity can run as `c`: on a service path as [`served`]
+/// says, its kill aside; in process at a pinned width, and no ML campaign
+/// splits.
+fn legal(c: &Coords) -> bool {
+    match c[6] {
+        0 => c[2] < WIDTHS.len() && !(c[0] == Family::Ml as usize && c[4] == 1),
+        path => c[..5] == served(PATHS[path])[..5] && !(PATHS[path] == Path::Fleet && c[5] == 1),
+    }
+}
+
+/// Whether `id` can take `value` on `axis`: a served row runs only
+/// through the service.
 fn fits(id: &Identity, axis: usize, value: usize) -> bool {
+    let takes = |path| {
+        let mut c = served(path);
+        c[axis] = value;
+        legal(&c)
+    };
     match axis {
         0 => id.family() as usize == value,
+        _ if id.served => takes(Path::Daemon) || takes(Path::Fleet),
+        2 => value < WIDTHS.len(),
         4 => value == 0 || id.splits(),
+        6 => value == Path::InProcess as usize,
         _ => true,
     }
 }
 
-/// Every pair some legal vector holds (no family but ML takes no split).
+/// Every pair some legal vector holds.
 pub fn needed_pairs() -> BTreeSet<[usize; 4]> {
-    let sizes = [3, 2, WIDTHS.len(), 2, 2, 2];
+    let sizes = [3, 2, WIDTHS.len() + 1, 2, 2, 2, 3];
     let total: usize = sizes.iter().product();
     (0..total)
         .map(|mut n| {
@@ -527,29 +645,43 @@ pub fn needed_pairs() -> BTreeSet<[usize; 4]> {
                 v
             })
         })
-        .filter(|c| !(c[0] == Family::Ml as usize && c[4] == 1))
+        .filter(legal)
         .flat_map(pairs)
         .collect()
 }
 
-/// A random vector for `id`, with `forced` axis values.
+/// A random legal vector for `id`, with `forced` axis values.
 fn draw(rng: &mut Prng, id: &Identity, forced: &[(usize, usize)]) -> Coords {
-    let mut c = [
-        id.family() as usize,
-        rng.gen_range(0..2),
-        rng.gen_range(0..WIDTHS.len()),
-        rng.gen_range(0..2),
-        if id.splits() { rng.gen_range(0..2) } else { 0 },
-        rng.gen_range(0..2),
-    ];
-    for &(axis, value) in forced {
-        c[axis] = value;
+    loop {
+        let mut c = match id.served {
+            true => {
+                let path = [Path::Daemon, Path::Fleet][rng.gen_range(0..2)];
+                let mut c = served(path);
+                c[5] = rng.gen_range(0..2);
+                c
+            }
+            false => [
+                id.family() as usize,
+                rng.gen_range(0..2),
+                rng.gen_range(0..WIDTHS.len()),
+                rng.gen_range(0..2),
+                if id.splits() { rng.gen_range(0..2) } else { 0 },
+                rng.gen_range(0..2),
+                Path::InProcess as usize,
+            ],
+        };
+        for &(axis, value) in forced {
+            c[axis] = value;
+        }
+        if legal(&c) {
+            return c;
+        }
     }
-    c
 }
 
-/// The plan. Every identity gets two coop variants, their other axes
-/// drawn: one replaying and uninterrupted, one killed and resumed. One
+/// The plan. Every identity gets two coop variants: in process, their
+/// other axes drawn, one replaying and uninterrupted and one killed and
+/// resumed; a served row, an uninterrupted daemon run and a fleet run. One
 /// that can split, and holds no uninterrupted split yet, gets one. Then,
 /// while a pair of axis values is covered nowhere, the best of eight drawn
 /// vectors that hold it (never the reference's own), on identities that
@@ -560,6 +692,9 @@ pub fn plan(ids: &[Identity]) -> Vec<(usize, Variant)> {
         .iter()
         .enumerate()
         .flat_map(|(i, id)| {
+            if id.served {
+                return [(i, served(Path::Daemon)), (i, served(Path::Fleet))];
+            }
             let replaying = draw(&mut rng, id, &[(1, 1), (3, 1), (5, 0)]);
             let killed = draw(&mut rng, id, &[(1, 1), (5, 1)]);
             [(i, replaying), (i, killed)]
@@ -604,8 +739,9 @@ pub fn plan(ids: &[Identity]) -> Vec<(usize, Variant)> {
     plan.into_iter()
         .map(|(i, c)| {
             let variant = Variant {
+                path: PATHS[c[6]],
                 engine: [Engine::Threads, Engine::Coop][c[1]],
-                width: WIDTHS[c[2]],
+                width: *WIDTHS.get(c[2]).unwrap_or(&HOST),
                 replay: c[3] == 1,
                 split: c[4] == 1,
                 kill: (c[5] == 1).then(|| 1 + rng.gen_range(0..3)),
@@ -656,12 +792,46 @@ pub fn checked_stats(c: &Campaign, replay: bool, what: &str) -> ReplayStats {
 
 /// What one run of an identity journaled.
 pub struct Run {
-    lines: Vec<String>,
+    pub lines: Vec<String>,
     sha: String,
-    /// Summed over the campaigns the run took (two for a kill).
-    stats: ReplayStats,
+    /// Summed over the campaigns the run took (two for a kill). A service
+    /// path's campaigns run where they are not seen.
+    stats: Option<ReplayStats>,
     /// The ML loop's last forest.
     forest: Option<RandomForest>,
+    /// The per-point export: the reference's of a plain campaign, and the
+    /// `results.csv` a service path serves.
+    csv: Option<String>,
+}
+
+impl Run {
+    /// What the store in `dir` journaled, and the `results.csv` it holds.
+    fn read(dir: &std::path::Path) -> Run {
+        Run {
+            lines: durable_journal_lines(dir).unwrap(),
+            sha: journal_content_sha(dir).expect("journal sha"),
+            stats: None,
+            forest: None,
+            csv: std::fs::read_to_string(dir.join(RESULTS_FILE)).ok(),
+        }
+    }
+
+    /// Hold this run to `reference`: its durable lines, its content SHA
+    /// and, where it has one, its export.
+    fn assert_journals(&self, reference: &Run, what: &str) {
+        assert!(
+            self.lines == reference.lines && self.sha == reference.sha,
+            "{what} journals what its reference does not: {}",
+            first_difference(&self.lines, &reference.lines)
+        );
+        if let Some(csv) = &self.csv {
+            let exported = reference.csv.as_ref() == Some(csv);
+            assert!(
+                exported,
+                "{what}: results.csv is not its reference's export"
+            );
+        }
+    }
 }
 
 /// Measure `c` to `observer` as `v` and `id` say: the ML loop, two trial
@@ -703,9 +873,26 @@ fn drive(
     None
 }
 
-/// Run row `i` of `ids` as `v`, journalled to a fresh store.
+/// Numbers the fresh directories of this process's runs.
+static RUNS: AtomicUsize = AtomicUsize::new(0);
+
+fn run_dir() -> std::path::PathBuf {
+    tmp_dir(&format!("run-{}", RUNS.fetch_add(1, Ordering::SeqCst)))
+}
+
+/// Run row `i` of `ids` as `v`.
 fn run(ids: &[Identity], i: usize, v: Variant) -> Run {
-    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let spec = || ids[i].spec().expect("a service path runs a spec");
+    match v.path {
+        Path::InProcess => run_in_process(ids, i, v),
+        Path::Daemon => daemon_runs(&[spec()], v.kill).remove(0),
+        Path::Fleet => fleet_run(&spec()),
+    }
+}
+
+/// Run row `i` of `ids` as `v` in this process, journalled to a fresh
+/// store.
+fn run_in_process(ids: &[Identity], i: usize, v: Variant) -> Run {
     let id = &ids[i];
     let what = format!("{id:?} as {v:?}");
     let prior = match id.ml {
@@ -719,7 +906,7 @@ fn run(ids: &[Identity], i: usize, v: Variant) -> Run {
     };
     let prior = prior.as_ref();
     let golden = id.app.golden();
-    let build = || campaign(&golden, id.app.workload(), id.cfg(), v, id.sample);
+    let build = || campaign(&golden, id.workload(), id.cfg(), v, id.sample);
     let ml_cfg = ml_cfg();
     let ml = id.ml.map(|_| MlIdentity {
         target: TARGET,
@@ -729,7 +916,7 @@ fn run(ids: &[Identity], i: usize, v: Variant) -> Run {
     });
     let c = build();
     let meta = campaign_meta(&c, c.points(), ml);
-    let dir = tmp_dir(&RUNS.fetch_add(1, Ordering::SeqCst).to_string());
+    let dir = run_dir();
     let mut stats = Vec::new();
     if let Some(k) = v.kill {
         let budget = match id.ml {
@@ -751,10 +938,9 @@ fn run(ids: &[Identity], i: usize, v: Variant) -> Run {
     store.finish().expect("finish store");
     stats.push(checked_stats(&c, v.replay, &what));
     let run = Run {
-        lines: durable_journal_lines(&dir).unwrap(),
-        sha: journal_content_sha(&dir).expect("journal sha"),
-        stats: stats.into_iter().reduce(add).unwrap(),
+        stats: stats.into_iter().reduce(add),
         forest,
+        ..Run::read(&dir)
     };
     std::fs::remove_dir_all(&dir).unwrap();
     run
@@ -770,29 +956,42 @@ fn add(a: ReplayStats, b: ReplayStats) -> ReplayStats {
     }
 }
 
-/// Row `i` of `ids` run as `v`, once per process: the tests of a suite
-/// that pick the same planned run, and every run of a row that holds it
-/// against its reference, share one.
-fn held(ids: &[Identity], i: usize, v: Variant) -> Arc<Run> {
-    type Held = Vec<(usize, Variant, Arc<Run>)>;
-    static HELD: Mutex<Held> = Mutex::new(Vec::new());
-    let cached = || {
-        let held = HELD.lock().unwrap_or_else(PoisonError::into_inner);
-        let found = held.iter().find(|(j, w, _)| (*j, *w) == (i, v));
-        found.map(|(_, _, r)| r.clone())
+/// Every run this process made, by what it ran (a row's variant, a
+/// spec's reference), made once: the tests of a suite that pick the same
+/// planned run, and every run of a row that holds it against its
+/// reference, share one.
+fn memo(key: String, make: impl FnOnce() -> Run) -> Arc<Run> {
+    type Memo = Vec<(String, Arc<OnceLock<Arc<Run>>>)>;
+    static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
+    let cell = {
+        let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        match memo.iter().find(|(k, _)| *k == key) {
+            Some((_, cell)) => cell.clone(),
+            None => {
+                memo.push((key, Arc::default()));
+                memo.last().unwrap().1.clone()
+            }
+        }
     };
-    if let Some(run) = cached() {
-        return run;
-    }
-    let run = Arc::new(run(ids, i, v));
-    let mut held = HELD.lock().unwrap_or_else(PoisonError::into_inner);
-    held.push((i, v, run.clone()));
-    run
+    cell.get_or_init(|| Arc::new(make())).clone()
 }
 
-/// Row `i`'s reference run.
+fn variant_key(i: usize, v: Variant) -> String {
+    format!("{i} {v:?}")
+}
+
+/// Row `i` of `ids` run as `v`, once per process.
+fn held(ids: &[Identity], i: usize, v: Variant) -> Arc<Run> {
+    memo(variant_key(i, v), || run(ids, i, v))
+}
+
+/// Row `i`'s reference run: its spec's, if a spec names it.
 fn reference(ids: &[Identity], i: usize) -> Arc<Run> {
-    let (id, r) = (&ids[i], held(ids, i, REFERENCE));
+    let id = &ids[i];
+    let r = match id.spec() {
+        Some(spec) => spec_reference(&spec),
+        None => held(ids, i, REFERENCE),
+    };
     let (meta, channel) = (&r.lines[0], id.cfg().fault_channel);
     assert!(r.lines.len() > 1, "{id:?}: the campaign measured nothing");
     // The meta line names the timeline, the channel it pins (a param
@@ -806,6 +1005,46 @@ fn reference(ids: &[Identity], i: usize) -> Arc<Run> {
     );
     assert_eq!(meta.contains("\"resilient\":true"), id.resilient, "{meta}");
     r
+}
+
+/// The reference path's run of `spec`, pinned, once per process: the
+/// spec's point set measured by `run_points_observed` into a store opened
+/// under `campaign_meta`, never through the runner the service and the
+/// CLI share, so that the runner is checked rather than reused. Plain
+/// specs only.
+pub fn spec_reference(spec: &CampaignSpec) -> Arc<Run> {
+    let spec = pin_spec(spec).expect("a spec the service admits");
+    memo(spec.to_json().encode(), || reference_run(&spec))
+}
+
+fn reference_run(spec: &CampaignSpec) -> Run {
+    assert!(spec.ml_threshold.is_none(), "{spec:?}: a plain spec");
+    let w = resolve_workload(spec);
+    let golden = Arc::new(GoldenRun::record(&w));
+    let c = campaign(&golden, w, resolve_config(spec), REFERENCE, None);
+    let points = match spec.points.unwrap_or_default() {
+        PointSet::Pruned => c.points().to_vec(),
+        PointSet::Invocations => c.invocation_points(),
+    };
+    let dir = run_dir();
+    let store = CampaignStore::open(&dir, campaign_meta(&c, &points, None)).expect("open store");
+    let result = c.run_points_observed(&points, &store);
+    store.finish().expect("finish store");
+    let run = Run {
+        stats: Some(checked_stats(&c, false, &format!("{spec:?}"))),
+        csv: Some(points_csv(&result.results, c.cfg.fault_channel)),
+        ..Run::read(&dir)
+    };
+    std::fs::remove_dir_all(&dir).unwrap();
+    run
+}
+
+/// Hold what a service or a runner left in `dir` to the reference of
+/// `spec`: its durable lines, its content SHA and, where it wrote one,
+/// its `results.csv`.
+pub fn assert_reference(spec: &CampaignSpec, dir: &std::path::Path) {
+    let what = format!("{} ({spec:?})", dir.display());
+    Run::read(dir).assert_journals(&spec_reference(spec), &what);
 }
 
 /// Where two journals first part.
@@ -831,23 +1070,35 @@ pub struct Totals {
 /// and hold each to its row's checks.
 fn hold(select: impl Fn(&Identity, &Variant) -> bool) -> Totals {
     let ids = identities();
-    let plan = plan(&ids);
+    let picked: Vec<(usize, Variant)> = plan(&ids)
+        .into_iter()
+        .filter(|(i, v)| select(&ids[*i], v))
+        .collect();
+    // The uninterrupted daemon runs go to one daemon at once, so that
+    // campaigns run side by side.
+    let batch: Vec<&(usize, Variant)> = picked
+        .iter()
+        .filter(|(_, v)| v.path == Path::Daemon && !v.killed())
+        .collect();
+    if !batch.is_empty() {
+        let specs: Vec<CampaignSpec> = batch.iter().map(|(i, _)| ids[*i].spec().unwrap()).collect();
+        for (&(i, v), run) in batch.into_iter().zip(daemon_runs(&specs, None)) {
+            memo(variant_key(i, v), || run);
+        }
+    }
     let mut totals = Totals::default();
     for (i, id) in ids.iter().enumerate() {
-        let variants = plan.iter().filter(|(j, v)| *j == i && select(id, v));
         let mut same = None;
-        for &(_, v) in variants {
+        for &(_, v) in picked.iter().filter(|(j, _)| *j == i) {
             let reference = reference(&ids, i);
             let run = held(&ids, i, v);
-            assert!(
-                run.lines == reference.lines && run.sha == reference.sha,
-                "{id:?} as {v:?} journals what its reference does not: {}",
-                first_difference(&run.lines, &reference.lines)
-            );
+            run.assert_journals(&reference, &format!("{id:?} as {v:?}"));
             totals.variants += 1;
             totals.unfired += count(&reference.lines, "\"fired\":false");
-            let what = format!("{id:?} as {v:?}: {:?}", run.stats);
-            let stats = run.stats;
+            let Some(stats) = run.stats else {
+                continue;
+            };
+            let what = format!("{id:?} as {v:?}: {stats:?}");
             if v.replay && id.app == App::Synthetic {
                 assert!(stats.replayed_calls > 0 && stats.log_bytes > 0, "{what}");
             }
@@ -917,6 +1168,10 @@ impl Variant {
         self.engine == Engine::Coop
     }
 
+    fn in_process(&self) -> bool {
+        self.path == Path::InProcess
+    }
+
     fn killed(&self) -> bool {
         self.kill.is_some()
     }
@@ -940,7 +1195,8 @@ impl Slice {
 /// Every suite's tests. A suite sticks to one part of the table where it
 /// can, as each test binary makes its own references: the engine, width
 /// and replay suites hold the synthetic rows, the absorption suite the
-/// kernels, and `determinism` kill rows of both.
+/// kernels in this process, `determinism` kill rows of both, and `serve`
+/// and `fleet` the served rows' service paths.
 pub fn slices() -> Vec<Slice> {
     let slice = |suite, test, select| Slice {
         suite,
@@ -1020,27 +1276,29 @@ pub fn slices() -> Vec<Slice> {
         slice(
             "absorb_equivalence",
             "seven_kernels_journal_byte_identical_on_every_channel_and_transport",
-            |id, v| id.kernel() && id.channel_row() && !v.killed(),
+            |id, v| v.in_process() && id.kernel() && id.channel_row() && !v.killed(),
         ),
         slice(
             "absorb_equivalence",
             "timelines_journal_byte_identical_and_only_bursts_absorb",
-            |id, v| id.kernel() && id.timeline.is_some() && !v.killed(),
+            |id, v| v.in_process() && id.kernel() && id.timeline.is_some() && !v.killed(),
         ),
         slice(
             "absorb_equivalence",
             "ml_campaigns_journal_byte_identical_cold_and_warm",
-            |id, v| id.kernel() && id.ml.is_some() && !v.killed(),
+            |id, v| v.in_process() && id.kernel() && id.ml.is_some() && !v.killed(),
         ),
         slice(
             "absorb_equivalence",
             "trial_ranges_split_inside_a_point_merge_to_the_unabsorbed_journal",
-            |id, v| id.kernel() && v.split && !v.killed(),
+            |id, v| v.in_process() && id.kernel() && v.split && !v.killed(),
         ),
         slice(
             "absorb_equivalence",
             "crash_and_resume_matches_the_uninterrupted_unabsorbed_run",
-            |id, v| id.kernel() && id.app != App::Kernel("MG", RANKS) && v.killed(),
+            |id, v| {
+                v.in_process() && id.kernel() && id.app != App::Kernel("MG", RANKS) && v.killed()
+            },
         ),
         // The kill axis.
         slice(
@@ -1062,6 +1320,32 @@ pub fn slices() -> Vec<Slice> {
             "determinism",
             "timeline_journals_byte_identical_across_kill_resume",
             |id, v| id.synthetic() && id.timeline.is_some() && v.killed(),
+        ),
+        // The service paths.
+        slice(
+            "serve",
+            "concurrent_daemon_campaigns_journal_byte_identical_to_local_runs",
+            |_, v| v.path == Path::Daemon && !v.killed(),
+        ),
+        slice(
+            "serve",
+            "daemon_stopped_mid_campaign_resumes_byte_identical_on_restart",
+            |_, v| v.path == Path::Daemon && v.killed(),
+        ),
+        slice(
+            "fleet",
+            "fleet_campaign_merges_byte_identical_to_single_host",
+            |id, v| v.path == Path::Fleet && id.channel_row() && id.channel == FaultChannel::Param,
+        ),
+        slice(
+            "fleet",
+            "fleet_range_shard_on_coop_matches_threaded_local_run",
+            |id, v| v.path == Path::Fleet && id.channel_row() && id.channel != FaultChannel::Param,
+        ),
+        slice(
+            "fleet",
+            "fleet_timeline_campaign_merges_byte_identical_to_single_host",
+            |id, v| v.path == Path::Fleet && id.timeline.is_some(),
         ),
     ]
 }

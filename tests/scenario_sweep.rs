@@ -1,24 +1,20 @@
 //! End-to-end tests of the scenario algebra against the daemon: a
 //! grammar POSTed to `/scenarios` must expand server-side into durable
-//! per-campaign queue entries whose journals are byte-identical to the
-//! same campaigns run individually through the CLI's code path, the
-//! aggregate status view must roll the members up, and the committed
-//! example grammar must meet the coverage floor it documents.
+//! per-campaign queue entries whose journals are the reference runs of
+//! the same specs (`tests/oracle/`), the aggregate status view must roll
+//! the members up, and the committed example grammar must meet the
+//! coverage floor it documents.
+
+mod oracle;
 
 use fastfit::prelude::*;
 use fastfit_scenario::{CostModel, Grammar};
-use fastfit_serve::{
-    http_request, resolve_config, resolve_workload, start, CampaignSpec, GoldenCostModel,
-    ServeConfig,
-};
+use fastfit_serve::{http_request, start, CampaignSpec, GoldenCostModel};
 use fastfit_store::json::Json;
-use fastfit_store::{campaign_meta, durable_journal_lines, CampaignStore};
+use oracle::*;
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// Generous deadline for a debug-build two-campaign sweep.
-const DEADLINE: Duration = Duration::from_secs(300);
 
 /// A small sweep: one workload, two fault channels (one of them a
 /// rank-fault channel), everything else pinned.
@@ -32,48 +28,23 @@ const SWEEP: &str = r#"{
     }
 }"#;
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "fastfit-scenario-e2e-{}-{}",
-        tag,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn serve_cfg(root: &Path) -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        worker_budget: 8,
-        ..ServeConfig::new(root)
-    }
-}
-
-fn get(addr: &str, path: &str) -> fastfit_serve::Response {
-    http_request(addr, "GET", path, None).expect("daemon reachable")
-}
-
-fn post(addr: &str, path: &str, body: &str) -> fastfit_serve::Response {
-    http_request(addr, "POST", path, Some(("application/json", body))).expect("daemon reachable")
-}
-
-/// Run `spec` locally — the exact code path `fastfit-cli campaign`
-/// takes — journaling into `dir`.
-fn run_local(spec: &CampaignSpec, dir: &Path) {
-    let c = Campaign::prepare(resolve_workload(spec), resolve_config(spec));
-    let meta = campaign_meta(&c, c.points(), None);
-    let store = CampaignStore::open(dir, meta).expect("open local store");
-    c.run_all_observed(&store);
-    store.finish().expect("finish local store");
-}
-
 /// The value of one `/metrics` counter.
 fn metric(addr: &str, name: &str) -> u64 {
     let text = get(addr, "/metrics").body;
     text.lines()
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
         .unwrap_or_else(|| panic!("no {name} in /metrics:\n{text}"))
+}
+
+/// Campaign `ids[i]` under `root` journals the reference of the `i`th
+/// scenario `grammar` enumerates.
+fn assert_members_journal_their_references(grammar: &str, root: &Path, ids: &[String]) {
+    let scenarios = Grammar::parse(grammar).unwrap().expand().unwrap();
+    assert_eq!(scenarios.len(), ids.len());
+    for (s, id) in scenarios.iter().zip(ids) {
+        let spec = CampaignSpec::from_json(&s.to_spec_json()).unwrap();
+        assert_reference(&spec, &root.join("campaigns").join(id));
+    }
 }
 
 #[test]
@@ -183,27 +154,10 @@ fn scenario_batch_is_durable_and_journals_byte_identically_to_cli_runs() {
     assert_eq!(metric(&addr, "golden_runs_recorded"), 1);
     h.shutdown();
 
-    // Byte-identity: each member campaign's journal matches the same
-    // spec run individually through the CLI code path. The grammar's
-    // enumeration order is the submission order, so scenario i is
-    // campaign ids[i].
-    let scenarios = Grammar::parse(SWEEP).unwrap().expand().unwrap();
-    assert_eq!(scenarios.len(), ids.len());
-    for (i, s) in scenarios.iter().enumerate() {
-        let spec = CampaignSpec::from_json(&s.to_spec_json()).unwrap();
-        let local = tmp_dir(&format!("local-{i}"));
-        run_local(&spec, &local);
-        let daemon_lines = durable_journal_lines(&root.join("campaigns").join(&ids[i])).unwrap();
-        let local_lines = durable_journal_lines(&local).unwrap();
-        assert!(!daemon_lines.is_empty());
-        assert_eq!(
-            daemon_lines,
-            local_lines,
-            "scenario {} journals byte-identically",
-            s.label()
-        );
-        let _ = std::fs::remove_dir_all(&local);
-    }
+    // Byte-identity: each member campaign journals its spec's reference.
+    // The grammar's enumeration order is the submission order, so
+    // scenario i is campaign ids[i].
+    assert_members_journal_their_references(SWEEP, &root, &ids);
 
     // The scenario registry survives a restart (folded from the queue).
     let h = start(serve_cfg(&root)).expect("daemon restarts");
@@ -300,8 +254,8 @@ fn max_cost_keeps_members_at_or_under_it_and_counts_the_rest() {
 }
 
 /// A priced sweep: pricing and running its members record the one golden
-/// run they share once, and every member still journals byte-identically
-/// to the same spec run locally.
+/// run they share once, and every member still journals its spec's
+/// reference.
 #[test]
 fn priced_sweep_records_its_golden_run_once() {
     const PRICED: &str = r#"{
@@ -347,18 +301,6 @@ fn priced_sweep_records_its_golden_run_once() {
     assert_eq!(metric(&addr, "golden_runs_reused"), 7);
     h.shutdown();
 
-    let scenarios = Grammar::parse(PRICED).unwrap().expand().unwrap();
-    for (s, id) in scenarios.iter().zip(&ids) {
-        let spec = CampaignSpec::from_json(&s.to_spec_json()).unwrap();
-        let local = tmp_dir(&format!("priced-local-{id}"));
-        run_local(&spec, &local);
-        assert_eq!(
-            durable_journal_lines(&root.join("campaigns").join(id)).unwrap(),
-            durable_journal_lines(&local).unwrap(),
-            "scenario {} journals byte-identically",
-            s.label()
-        );
-        let _ = std::fs::remove_dir_all(&local);
-    }
+    assert_members_journal_their_references(PRICED, &root, &ids);
     let _ = std::fs::remove_dir_all(&root);
 }
