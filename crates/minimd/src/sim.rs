@@ -3,8 +3,8 @@
 //! Geometry: an elongated periodic box, lattice `4·nranks × 4 × 4`, slab
 //! decomposed along x so each slab is wider than the force cutoff and only
 //! adjacent ranks exchange atoms and ghosts — the standard spatial
-//! decomposition LAMMPS uses, at miniature scale.
-
+//! decomposition LAMMPS uses, at miniature scale. The force loop runs over
+//! all pairs but evaluates only those that add anything (`Pairs::term`).
 // Injection keys are `file:line`: adding or removing a line here moves every key below.
 use simmpi::ctx::{RankCtx, RankOutput};
 use simmpi::op::ReduceOp;
@@ -80,23 +80,23 @@ struct Box3 {
 }
 
 impl Box3 {
-    #[allow(clippy::needless_range_loop)] // the axis index is the semantics
-    fn min_image(&self, mut d: [f64; 3]) -> [f64; 3] {
-        // x is handled by slab adjacency (ghosts carry shifted coords); y/z
-        // are periodic with minimum image.
-        for k in 1..3 {
-            if d[k] > self.lyz / 2.0 {
-                d[k] -= self.lyz;
-            } else if d[k] < -self.lyz / 2.0 {
-                d[k] += self.lyz;
-            }
+    /// Minimum image of a separation: x is handled by slab adjacency (ghosts
+    /// carry shifted coords), y/z are periodic. Every axis wraps alike, so the
+    /// force loop's x-first reject min-images x with [`Box3::wrap`] alone.
+    fn min_image(&self, d: [f64; 3]) -> [f64; 3] {
+        let period = [self.lx, self.lyz, self.lyz];
+        std::array::from_fn(|k| Self::wrap(d[k], period[k]))
+    }
+
+    /// `d` moved by one period `l` toward zero when it lies beyond `l/2`.
+    fn wrap(d: f64, l: f64) -> f64 {
+        if d > l / 2.0 {
+            d - l
+        } else if d < -l / 2.0 {
+            d + l
+        } else {
+            d
         }
-        if d[0] > self.lx / 2.0 {
-            d[0] -= self.lx;
-        } else if d[0] < -self.lx / 2.0 {
-            d[0] += self.lx;
-        }
-        d
     }
 }
 
@@ -332,35 +332,35 @@ fn run_md(ctx: &mut RankCtx, cfg: &MdConfig) -> RankOutput {
         #[allow(clippy::needless_range_loop)]
         ctx.frame("compute_forces", |ctx| {
             let _ = ctx;
+            // Only pairs that add anything are evaluated (`Pairs::term`): a
+            // pair beyond the cutoff adds exact zeros, which leave every
+            // accumulator as it is. The loop keeps the all-pairs order (pairs
+            // `(i, j > i)` with `j` ascending, then the ghosts of `i`), so each
+            // sum is bit-identical to evaluating `lj` on every pair.
+            let pairs = Pairs::new(&b, rc2, &atoms, &ghosts);
             for i in 0..atoms.len() {
                 for j in (i + 1)..atoms.len() {
-                    let mut d = [0.0; 3];
-                    for k in 0..3 {
-                        d[k] = atoms[i].pos[k] - atoms[j].pos[k];
+                    if let Some((f, pe, d)) = pairs.term(&atoms[i].pos, &atoms[j].pos) {
+                        for k in 0..3 {
+                            forces[i][k] += f * d[k];
+                            forces[j][k] -= f * d[k];
+                        }
+                        pe_local += pe;
                     }
-                    let d = b.min_image(d);
-                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    let (f, pe) = lj(r2, rc2);
-                    for k in 0..3 {
-                        forces[i][k] += f * d[k];
-                        forces[j][k] -= f * d[k];
-                    }
-                    pe_local += pe;
                 }
                 for g in &ghosts {
-                    let mut d = [0.0; 3];
-                    for k in 0..3 {
-                        d[k] = atoms[i].pos[k] - g.pos[k];
+                    if let Some((f, pe, d)) = pairs.term(&atoms[i].pos, &g.pos) {
+                        for k in 0..3 {
+                            forces[i][k] += f * d[k];
+                        }
+                        pe_local += 0.5 * pe;
                     }
-                    let d = b.min_image(d);
-                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    let (f, pe) = lj(r2, rc2);
-                    for k in 0..3 {
-                        forces[i][k] += f * d[k];
-                    }
-                    pe_local += 0.5 * pe;
                 }
             }
+            // Injection keys are `file:line`: this block keeps the 30 lines
+            // of the loop that evaluated every pair, so no call site below it
+            // moves. This file's tests hold `Pairs::term`, in this loop, to that
+            // loop bit for bit; `tests/kernel_bits.rs` pins the kernel's output.
         });
 
         // Integration.
@@ -455,6 +455,56 @@ fn run_md(ctx: &mut RankCtx, cfg: &MdConfig) -> RankOutput {
     out
 }
 
+/// The pair terms of one step's force loop, evaluated only where they add
+/// anything.
+///
+/// A pair with `r2 >= rc2` and `r2` finite gets `lj = (0, 0)`, and every
+/// separation component is finite, so each accumulation it makes adds ±0.
+/// The `forces` and `pe_local` accumulators start at +0 and only ever add,
+/// so they never hold −0, and adding ±0 leaves them unchanged: skipping the
+/// pair is exact. An infinite `r2` is never skipped this way (its force term
+/// may be `0 · inf = NaN`), nor is a NaN `r2` (it passes the soft core).
+///
+/// When every position of the step, atom or ghost, is finite and below
+/// `f64::MAX / 4` in magnitude, no separation overflows, and a pair whose
+/// min-imaged `dx` alone has `dx * dx >= rc2` is skipped before `dy` and `dz`
+/// are formed: rounding is monotone, so then `r2 >= dx²`, and `r2` may be
+/// infinite but not NaN, with every component finite.
+struct Pairs<'a> {
+    b: &'a Box3,
+    rc2: f64,
+    /// Whether the x-first reject is exact for this step.
+    x_first: bool,
+}
+
+impl<'a> Pairs<'a> {
+    fn new(b: &'a Box3, rc2: f64, atoms: &[Atom], ghosts: &[Atom]) -> Self {
+        let x_first = atoms
+            .iter()
+            .chain(ghosts)
+            .all(|a| a.pos.iter().all(|p| p.abs() < f64::MAX / 4.0));
+        Pairs { b, rc2, x_first }
+    }
+
+    /// `(f_over_r, potential, separation)` of the pair at positions `p` and
+    /// `q`, or `None` when every term it adds is an exact zero.
+    fn term(&self, p: &[f64; 3], q: &[f64; 3]) -> Option<(f64, f64, [f64; 3])> {
+        if self.x_first {
+            let dx = Box3::wrap(p[0] - q[0], self.b.lx);
+            if dx * dx >= self.rc2 {
+                return None;
+            }
+        }
+        let d = self.b.min_image([p[0] - q[0], p[1] - q[1], p[2] - q[2]]);
+        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+        if r2 >= self.rc2 && r2.is_finite() {
+            return None;
+        }
+        let (f, pe) = lj(r2, self.rc2);
+        Some((f, pe, d))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,5 +596,246 @@ mod tests {
             .filter(|r| r.kind == Allreduce)
             .count();
         assert!(n_all * 2 > res.records[0].len());
+    }
+
+    /// `Box3::min_image` as it was before `Box3::wrap`, verbatim.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_min_image(b: &Box3, mut d: [f64; 3]) -> [f64; 3] {
+        for k in 1..3 {
+            if d[k] > b.lyz / 2.0 {
+                d[k] -= b.lyz;
+            } else if d[k] < -b.lyz / 2.0 {
+                d[k] += b.lyz;
+            }
+        }
+        if d[0] > b.lx / 2.0 {
+            d[0] -= b.lx;
+        } else if d[0] < -b.lx / 2.0 {
+            d[0] += b.lx;
+        }
+        d
+    }
+
+    /// The force loop that evaluated every pair, verbatim.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_forces(
+        b: &Box3,
+        rc2: f64,
+        atoms: &[Atom],
+        ghosts: &[Atom],
+    ) -> (Vec<[f64; 3]>, f64) {
+        let mut forces = vec![[0.0f64; 3]; atoms.len()];
+        let mut pe_local = 0.0;
+        for i in 0..atoms.len() {
+            for j in (i + 1)..atoms.len() {
+                let mut d = [0.0; 3];
+                for k in 0..3 {
+                    d[k] = atoms[i].pos[k] - atoms[j].pos[k];
+                }
+                let d = reference_min_image(b, d);
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                let (f, pe) = lj(r2, rc2);
+                for k in 0..3 {
+                    forces[i][k] += f * d[k];
+                    forces[j][k] -= f * d[k];
+                }
+                pe_local += pe;
+            }
+            for g in ghosts {
+                let mut d = [0.0; 3];
+                for k in 0..3 {
+                    d[k] = atoms[i].pos[k] - g.pos[k];
+                }
+                let d = reference_min_image(b, d);
+                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                let (f, pe) = lj(r2, rc2);
+                for k in 0..3 {
+                    forces[i][k] += f * d[k];
+                }
+                pe_local += 0.5 * pe;
+            }
+        }
+        (forces, pe_local)
+    }
+
+    /// `run_md`'s `compute_forces` loop as written there, over `Pairs::term`.
+    #[allow(clippy::needless_range_loop)]
+    fn pair_forces(b: &Box3, rc2: f64, atoms: &[Atom], ghosts: &[Atom]) -> (Vec<[f64; 3]>, f64) {
+        let mut forces = vec![[0.0f64; 3]; atoms.len()];
+        let mut pe_local = 0.0;
+        let pairs = Pairs::new(b, rc2, atoms, ghosts);
+        for i in 0..atoms.len() {
+            for j in (i + 1)..atoms.len() {
+                if let Some((f, pe, d)) = pairs.term(&atoms[i].pos, &atoms[j].pos) {
+                    for k in 0..3 {
+                        forces[i][k] += f * d[k];
+                        forces[j][k] -= f * d[k];
+                    }
+                    pe_local += pe;
+                }
+            }
+            for g in ghosts {
+                if let Some((f, pe, d)) = pairs.term(&atoms[i].pos, &g.pos) {
+                    for k in 0..3 {
+                        forces[i][k] += f * d[k];
+                    }
+                    pe_local += 0.5 * pe;
+                }
+            }
+        }
+        (forces, pe_local)
+    }
+
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// The default configuration's slab of rank 0 on 4 ranks.
+    fn slab() -> (Box3, f64) {
+        let b = Box3 {
+            lx: 1.1 * 16.0,
+            lyz: 1.1 * 4.0,
+            x0: 0.0,
+            x1: 1.1 * 4.0,
+        };
+        (b, 2.0 * 2.0)
+    }
+
+    fn atom(pos: [f64; 3]) -> Atom {
+        Atom { pos, vel: [0.0; 3] }
+    }
+
+    /// A jittered 4 × 4 × 4 lattice starting at `x0`, as `create_atoms` lays it.
+    fn lattice(x0: f64, rng: &mut prng::Prng) -> Vec<Atom> {
+        let mut atoms = Vec::new();
+        for i in 0..4 {
+            for j in 0..4 {
+                for k in 0..4 {
+                    let cell = [x0 + i as f64 + 0.5, j as f64 + 0.5, k as f64 + 0.5];
+                    atoms.push(atom(cell.map(|c| c * 1.1 + 0.055 * (rng.next_f64() - 0.5))));
+                }
+            }
+        }
+        atoms
+    }
+
+    /// Holds `pair_forces` to `reference_forces` bit for bit; returns
+    /// whether the x-first reject was on.
+    fn assert_pairs_exact(atoms: &[Atom], ghosts: &[Atom], what: &str) -> bool {
+        let (b, rc2) = slab();
+        let (old_f, old_pe) = reference_forces(&b, rc2, atoms, ghosts);
+        let (new_f, new_pe) = pair_forces(&b, rc2, atoms, ghosts);
+        for (i, (n, o)) in new_f.iter().zip(&old_f).enumerate() {
+            for k in 0..3 {
+                assert!(
+                    same_bits(n[k], o[k]),
+                    "{what}: force[{i}][{k}] is {}, the every-pair loop gives {}",
+                    n[k],
+                    o[k]
+                );
+            }
+        }
+        assert!(
+            same_bits(new_pe, old_pe),
+            "{what}: pe {new_pe}, the every-pair loop gives {old_pe}"
+        );
+        Pairs::new(&b, rc2, atoms, ghosts).x_first
+    }
+
+    #[test]
+    fn skipping_pairs_beyond_the_cutoff_is_exact() {
+        let mut rng = prng::Prng::seed_from_u64(52);
+        let atoms = lattice(0.0, &mut rng);
+        let mut ghosts = lattice(-4.0, &mut rng);
+        ghosts.extend(lattice(4.0, &mut rng));
+        assert!(assert_pairs_exact(&atoms, &ghosts, "lattice"));
+
+        // Pairs exactly at the cutoff, along each axis, a ghost there, and
+        // a pair just inside it.
+        let at_cutoff = [
+            atom([0.5, 0.5, 0.5]),
+            atom([-1.495, 0.5, 0.5]),
+            atom([2.5, 0.5, 0.5]),
+            atom([0.5, 2.5, 0.5]),
+            atom([0.5, 0.5, 2.5]),
+            atom([2.5, 2.5, 0.5]),
+        ];
+        assert!(assert_pairs_exact(
+            &at_cutoff,
+            &[atom([-1.5, 0.5, 0.5])],
+            "at the cutoff"
+        ));
+
+        // dx² overflows: the x-first reject stays on and skips the pair.
+        for far in [
+            [1e200, 1.0, 1.0],
+            [1.0, 1e200, 1.0],
+            [-1e200, -1e200, 1e200],
+        ] {
+            let mut set = atoms.clone();
+            set[5].pos = far;
+            assert!(assert_pairs_exact(&set, &ghosts, &format!("{far:?}")));
+        }
+    }
+
+    #[test]
+    fn non_finite_and_overflowing_positions_switch_the_x_first_reject_off() {
+        let mut rng = prng::Prng::seed_from_u64(53);
+        let atoms = lattice(0.0, &mut rng);
+        let ghosts = lattice(4.0, &mut rng);
+        for (k, v) in [
+            (0, f64::NAN),
+            (1, f64::NAN),
+            (0, f64::INFINITY),
+            (2, f64::NEG_INFINITY),
+            (0, 1.5e308),
+            (1, -1.5e308),
+        ] {
+            for in_ghost in [false, true] {
+                let (mut a, mut g) = (atoms.clone(), ghosts.clone());
+                let target = if in_ghost { &mut g[3] } else { &mut a[7] };
+                target.pos[k] = v;
+                let what = format!("pos[{k}] = {v}, ghost {in_ghost}");
+                assert!(!assert_pairs_exact(&a, &g, &what), "{what}");
+            }
+        }
+        // A separation that overflows to inf: `0 · inf` makes the force NaN.
+        let (mut a, mut g) = (atoms.clone(), ghosts.clone());
+        a[0].pos[0] = 1.5e308;
+        g[0].pos[0] = -1.5e308;
+        assert!(!assert_pairs_exact(&a, &g, "overflowing separation"));
+    }
+
+    #[test]
+    fn random_special_positions_keep_their_bits() {
+        const SPECIAL: [f64; 12] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            1e200,
+            -1e200,
+            1.5e308,
+            -1.5e308,
+            2.5,
+            0.5,
+        ];
+        let mut rng = prng::Prng::seed_from_u64(54);
+        for round in 0..40 {
+            let mut atoms = lattice(0.0, &mut rng);
+            let mut ghosts = lattice(4.0, &mut rng);
+            for _ in 0..rng.gen_range(1..4) {
+                let v = SPECIAL[rng.gen_range(0..SPECIAL.len())];
+                let k = rng.gen_range(0..3);
+                if rng.gen_range(0..2) == 0 {
+                    atoms[rng.gen_range(0..64)].pos[k] = v;
+                } else {
+                    ghosts[rng.gen_range(0..64)].pos[k] = v;
+                }
+            }
+            assert_pairs_exact(&atoms, &ghosts, &format!("round {round}"));
+        }
     }
 }

@@ -1,12 +1,12 @@
-//! FT — 3-D FFT with spectral evolution, slab-decomposed.
-//!
-//! Structure mirrors NPB FT: broadcast of the problem parameters, a
-//! forward 3-D FFT (local x/y transforms, `MPI_Alltoall` transpose, local
-//! z transforms), per-iteration spectral evolution with an inverse
-//! transform and a complex checksum reduced to rank 0 with `MPI_Reduce`
-//! (the paper's Figure 2 injects exactly this call), and a final
-//! verification step using an error-handling `MPI_Allreduce`.
-
+//! FT — 3-D FFT with spectral evolution, slab-decomposed, as in NPB FT:
+//! broadcast parameters, a forward 3-D FFT (local x/y transforms, an
+//! `MPI_Alltoall` transpose, local z transforms), per-iteration spectral
+//! evolution, an inverse transform and a complex checksum reduced to rank 0
+//! with `MPI_Reduce` (the call the paper's Figure 2 injects), then an
+//! error-handling `MPI_Allreduce` verification. Each value is computed once
+//! (planned FFTs, tabled decay factors and field terms), with the bits of the
+//! per-point formulas: `crates/npb/tests/kernel_bits.rs` holds them.
+// Injection keys are `file:line`: adding or removing a line here moves every key below.
 use crate::common::{global_ok, Class};
 use simmpi::ctx::{RankCtx, RankOutput};
 use simmpi::datatype::Complex64;
@@ -56,47 +56,47 @@ impl Default for FtConfig {
     }
 }
 
-/// In-place radix-2 Cooley-Tukey FFT. `inverse` applies the conjugate
-/// transform and the 1/n scaling.
+/// In-place radix-2 FFT; `inverse` applies the conjugate transform and 1/n scaling.
 pub fn fft1d(buf: &mut [Complex64], inverse: bool) {
-    let n = buf.len();
-    assert!(n.is_power_of_two(), "fft length must be a power of two");
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
-        if i < j {
-            buf.swap(i, j);
+    Fft::new(buf.len(), inverse).apply(buf);
+}
+
+/// A planned radix-2 FFT of one length and direction: the bit-reversal swaps
+/// and every stage's twiddles, computed once for all transforms of the length.
+/// A stage's twiddles come from the recurrence the butterflies ran per block
+/// (`w = 1`, then `w = w * wlen` per `j`), which restarts at 1 in every block:
+/// one table holds the same bits. Not `cis(j · ang)`, which rounds otherwise.
+pub struct Fft {
+    n: usize,
+    /// `(i, j)`, `i < j`: the index pairs the bit-reversal permutation swaps.
+    swaps: Vec<(usize, usize)>,
+    /// Per stage (`len` = 2, 4, …, n), the `len / 2` twiddles of a block.
+    twiddles: Vec<Vec<Complex64>>,
+    /// The inverse transform's 1/n scaling (none for `n = 1`).
+    scale: Option<f64>,
+}
+
+impl Fft {
+    /// Plan the transform of length `n`, a power of two.
+    pub fn new(n: usize, inverse: bool) -> Fft {
+        assert!(n.is_power_of_two(), "fft length must be a power of two");
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut twiddles = Vec::new();
+        let mut len = 2;
+        while len <= n {
+            let wlen = Complex64::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+            let tw = std::iter::successors(Some(Complex64::new(1.0, 0.0)), |&w| Some(w * wlen));
+            twiddles.push(tw.take(len / 2).collect());
+            len <<= 1;
         }
-    }
-    // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex64::cis(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex64::new(1.0, 0.0);
-            for j in 0..len / 2 {
-                let u = buf[i + j];
-                let v = buf[i + j + len / 2] * w;
-                buf[i + j] = u + v;
-                buf[i + j + len / 2] = u - v;
-                w = w * wlen;
-            }
-            i += len;
-        }
-        len <<= 1;
-    }
-    if inverse {
-        let inv = 1.0 / n as f64;
-        for v in buf.iter_mut() {
-            v.re *= inv;
-            v.im *= inv;
+        Fft {
+            n,
+            swaps: (1..n)
+                .map(|i| (i, i.reverse_bits() >> (usize::BITS - n.trailing_zeros())))
+                .filter(|&(i, j)| i < j)
+                .collect(),
+            twiddles,
+            scale: (inverse && n > 1).then(|| 1.0 / n as f64),
         }
     }
 }
@@ -163,25 +163,25 @@ fn run_ft(ctx: &mut RankCtx, cfg: &FtConfig) -> RankOutput {
     ctx.set_phase(Phase::Init);
     let mut u: Vec<Complex64> = Vec::with_capacity(lp * n * n);
     ctx.frame("init_field", |ctx| {
+        // A smooth multi-mode field: cheap, deterministic, and identical for
+        // any rank layout,
+        //     u(x, y, z) = sin(2π(fx + 2fy)) + 0.5·cos(2π·3fz)
+        //                  + i·0.25·cos(2π(fy + fz)),   fx = x/n, ….
+        // Each term is computed once where it is constant: the sine once per
+        // (x, y) for the whole slab, the cosine once per plane, the imaginary
+        // part once per row. `FieldTerms::push_plane` adds the real part in
+        // the per-point order, so every value keeps its bits. A rank makes
+        // n² + lp·(n + 1) trig calls instead of 3·lp·n².
         let _ = ctx; // deterministic closed form, no RNG needed
+        let terms = FieldTerms::new(n);
         for p in 0..lp {
-            let z = me * lp + p;
-            for y in 0..n {
-                for x in 0..n {
-                    // A smooth multi-mode field: cheap, deterministic, and
-                    // identical for any rank layout.
-                    let (fx, fy, fz) = (
-                        x as f64 / n as f64,
-                        y as f64 / n as f64,
-                        z as f64 / n as f64,
-                    );
-                    let re = (2.0 * std::f64::consts::PI * (fx + 2.0 * fy)).sin()
-                        + 0.5 * (2.0 * std::f64::consts::PI * (3.0 * fz)).cos();
-                    let im = (2.0 * std::f64::consts::PI * (fy + fz)).cos() * 0.25;
-                    u.push(Complex64::new(re, im));
-                }
-            }
+            terms.push_plane(me * lp + p, &mut u);
         }
+        // Injection keys are `file:line`: this block keeps the 19 lines of
+        // the per-point loop it replaced, so no call site below it moves.
+        // `crates/npb/tests/kernel_bits.rs` holds `push_plane` to the
+        // per-point formula bit for bit, and the whole-kernel checksum pins
+        // there hold the assembled field.
     });
     ctx.barrier(world);
 
@@ -200,17 +200,17 @@ fn run_ft(ctx: &mut RankCtx, cfg: &FtConfig) -> RankOutput {
     let mut last_real: Vec<Complex64> = Vec::new();
     for it in 1..=iters {
         ctx.frame("evolve", |ctx| {
-            // Spectral decay: w = v * exp(-alpha * k^2 * t).
+            // Spectral decay: w = v * exp(-alpha * k^2 * t), one exp per distinct k^2.
             w_spec = v.clone();
+            let mut decay = Decay::new(n, cfg.alpha, it);
             for xl in 0..lp {
                 let xg = me * lp + xl;
                 for y in 0..n {
                     for z in 0..n {
                         let k2 = freq(xg, n).powi(2) + freq(y, n).powi(2) + freq(z, n).powi(2);
-                        let f = (-cfg.alpha * k2 * it as f64).exp();
+                        let f = decay.factor(k2);
                         let i = slab.idx(xl, y, z);
-                        w_spec[i].re *= f;
-                        w_spec[i].im *= f;
+                        w_spec[i] = Complex64::new(w_spec[i].re * f, w_spec[i].im * f);
                     }
                 }
             }
@@ -271,35 +271,24 @@ fn run_ft(ctx: &mut RankCtx, cfg: &FtConfig) -> RankOutput {
     out
 }
 
-/// FFT along x (contiguous) and y (strided) for every local plane.
+/// FFT along x (contiguous) and y (strided) for every local plane, with one
+/// plan: the rows one by one, then all y-columns of a plane at once.
 fn fft_xy(slab: &Slab, data: &mut [Complex64], inverse: bool) {
     let n = slab.n;
-    for p in 0..slab.lp {
-        for y in 0..n {
-            let base = slab.idx(p, y, 0);
-            fft1d(&mut data[base..base + n], inverse);
+    let fft = Fft::new(n, inverse);
+    for plane in data.chunks_exact_mut(n * n) {
+        for row in plane.chunks_exact_mut(n) {
+            fft.apply(row);
         }
-        let mut col = vec![Complex64::default(); n];
-        for x in 0..n {
-            for y in 0..n {
-                col[y] = data[slab.idx(p, y, x)];
-            }
-            fft1d(&mut col, inverse);
-            for y in 0..n {
-                data[slab.idx(p, y, x)] = col[y];
-            }
-        }
+        fft.apply_columns(plane);
     }
 }
 
 /// FFT along the last (contiguous) dimension of the transposed layout.
 fn fft_last_dim(slab: &Slab, data: &mut [Complex64], inverse: bool) {
-    let n = slab.n;
-    for p in 0..slab.lp {
-        for y in 0..n {
-            let base = slab.idx(p, y, 0);
-            fft1d(&mut data[base..base + n], inverse);
-        }
+    let fft = Fft::new(slab.n, inverse);
+    for row in data.chunks_exact_mut(slab.n) {
+        fft.apply(row);
     }
 }
 
@@ -310,8 +299,6 @@ fn fft_last_dim(slab: &Slab, data: &mut [Complex64], inverse: bool) {
 fn transpose(ctx: &mut RankCtx, slab: &Slab, data: &[Complex64], nranks: usize) -> Vec<Complex64> {
     let n = slab.n;
     let lp = slab.lp;
-    let me = ctx.rank();
-    let _ = me;
     // Pack: block for destination rank d = my planes, all y, x in d's slab.
     let mut send = Vec::with_capacity(data.len());
     for d in 0..nranks {
@@ -342,6 +329,131 @@ fn transpose(ctx: &mut RankCtx, slab: &Slab, data: &[Complex64], nranks: usize) 
         }
     }
     out
+}
+
+impl Fft {
+    /// Transform `buf`, of the planned length, in place.
+    pub fn apply(&self, buf: &mut [Complex64]) {
+        assert_eq!(buf.len(), self.n, "fft plan length");
+        for &(i, j) in &self.swaps {
+            buf.swap(i, j);
+        }
+        for tw in &self.twiddles {
+            for block in buf.chunks_exact_mut(2 * tw.len()) {
+                let (lo, hi) = block.split_at_mut(tw.len());
+                for ((u, v), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    butterfly(u, v, w);
+                }
+            }
+        }
+        self.rescale(buf);
+    }
+
+    /// Transform every column of the row-major `n × n` `plane` in place, all
+    /// at once: the bit reversal swaps whole rows, and each butterfly (stage,
+    /// `j`) combines two whole rows with one twiddle. Each element goes
+    /// through exactly the operations of its own column's [`Fft::apply`].
+    pub fn apply_columns(&self, plane: &mut [Complex64]) {
+        let n = self.n;
+        assert_eq!(plane.len(), n * n, "fft plane of the planned length");
+        for &(i, j) in &self.swaps {
+            let (head, tail) = plane.split_at_mut(j * n);
+            head[i * n..(i + 1) * n].swap_with_slice(&mut tail[..n]);
+        }
+        for tw in &self.twiddles {
+            for block in plane.chunks_exact_mut(2 * tw.len() * n) {
+                let (lo, hi) = block.split_at_mut(tw.len() * n);
+                let rows = lo.chunks_exact_mut(n).zip(hi.chunks_exact_mut(n));
+                for ((lo, hi), &w) in rows.zip(tw) {
+                    for (u, v) in lo.iter_mut().zip(hi) {
+                        butterfly(u, v, w);
+                    }
+                }
+            }
+        }
+        self.rescale(plane);
+    }
+
+    fn rescale(&self, data: &mut [Complex64]) {
+        if let Some(inv) = self.scale {
+            for v in data {
+                v.re *= inv;
+                v.im *= inv;
+            }
+        }
+    }
+}
+
+/// One radix-2 butterfly, in the per-block loop's operand order. The `(1, 0)`
+/// twiddle is multiplied too: for an `inf` or `-0` input that is no no-op.
+#[inline]
+fn butterfly(u: &mut Complex64, v: &mut Complex64, w: Complex64) {
+    let t = *v * w;
+    (*u, *v) = (*u + t, *u - t);
+}
+
+/// `exp(-alpha · k² · it)` for one evolution step, computed once per integer
+/// k². A wavenumber is at most n/2 per axis, so k² takes at most
+/// 3·(n/2)² + 1 values, fewer than a rank's field has points. `k2` is an
+/// exact integer in f64, so each memoised factor is the per-point value.
+pub struct Decay {
+    alpha: f64,
+    it: usize,
+    memo: Vec<Option<f64>>,
+}
+
+impl Decay {
+    /// The factors of step `it` on an `n`-point grid.
+    pub fn new(n: usize, alpha: f64, it: usize) -> Decay {
+        Decay {
+            alpha,
+            it,
+            memo: vec![None; 3 * (n / 2) * (n / 2) + 1],
+        }
+    }
+
+    /// The factor of the squared wavenumber `k2`.
+    pub fn factor(&mut self, k2: f64) -> f64 {
+        let (alpha, it) = (self.alpha, self.it);
+        *self.memo[k2 as usize].get_or_insert_with(|| (-alpha * k2 * it as f64).exp())
+    }
+}
+
+/// The terms of FT's initial field on an `n`-point grid, each computed once
+/// where it is constant; `sin(2π(fx + 2fy))` once per (x, y).
+pub struct FieldTerms {
+    n: usize,
+    /// The sine term, row-major by `y`.
+    sin_xy: Vec<f64>,
+}
+
+impl FieldTerms {
+    /// The terms of an `n`-point grid.
+    pub fn new(n: usize) -> FieldTerms {
+        let mut sin_xy = Vec::with_capacity(n * n);
+        for y in 0..n {
+            let fy = y as f64 / n as f64;
+            for x in 0..n {
+                let fx = x as f64 / n as f64;
+                sin_xy.push((2.0 * std::f64::consts::PI * (fx + 2.0 * fy)).sin());
+            }
+        }
+        FieldTerms { n, sin_xy }
+    }
+
+    /// Append plane `z` of the field to `out`, row-major by `y`: the cosine
+    /// term once for the plane, the imaginary part once per row, and
+    /// `re = s + c` in the per-point formula's order.
+    pub fn push_plane(&self, z: usize, out: &mut Vec<Complex64>) {
+        let n = self.n;
+        let fz = z as f64 / n as f64;
+        let c = 0.5 * (2.0 * std::f64::consts::PI * (3.0 * fz)).cos();
+        for (y, sin_row) in self.sin_xy.chunks_exact(n).enumerate() {
+            let fy = y as f64 / n as f64;
+            let im = (2.0 * std::f64::consts::PI * (fy + fz)).cos() * 0.25;
+            out.extend(sin_row.iter().map(|&s| Complex64::new(s + c, im)));
+        }
+    }
 }
 
 #[cfg(test)]
